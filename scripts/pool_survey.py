@@ -17,32 +17,11 @@ import itertools
 import sys
 import time
 
-from oeg.graphs import Graph, condition_l, condition_l_by_enumeration
+from oeg.graphs import condition_l, condition_l_by_enumeration
 from oeg.invariants import reachability
 from oeg.moves import decide_amplified_oe
 from oeg.weyl import phi_bijectivity_check
-
-
-def pool(max_v: int, max_mult: int = 2):
-    for k in range(1, max_v + 1):
-        seen = set()
-        for combo in itertools.product(range(max_mult + 1), repeat=k * k):
-            mat = [combo[i * k : (i + 1) * k] for i in range(k)]
-            canon = min(
-                tuple(tuple(mat[p[i]][p[j]] for j in range(k)) for i in range(k))
-                for p in itertools.permutations(range(k))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            verts = [f"w{i}" for i in range(k)]
-            classes = [
-                (f"e{i}_{j}", verts[i], verts[j], canon[i][j])
-                for i in range(k)
-                for j in range(k)
-                if canon[i][j]
-            ]
-            yield Graph(verts, classes)
+from oeg.zoo import iter_small_graphs
 
 
 def main() -> int:
@@ -53,7 +32,7 @@ def main() -> int:
     decider_disagreements = 0
     phi_failures = 0
     reach_classes: dict[tuple, int] = {}
-    for g in pool(max_v):
+    for g in iter_small_graphs(max_v):
         n += 1
         fast = condition_l(g)[0]
         slow = condition_l_by_enumeration(g, len(g.vertices))[0]
@@ -78,7 +57,7 @@ def main() -> int:
 
     # Sanity: profile classes refine amplified orbit equivalence, and the
     # decision procedure agrees with itself across a small sample.
-    sample = list(itertools.islice(pool(2), 40))
+    sample = list(itertools.islice(iter_small_graphs(2), 40))
     agree = all(decide_amplified_oe(a, a)[0] for a in sample)
     print(f"amplified decision reflexive on sample: {agree}")
     return 0 if (decider_disagreements == 0 and phi_failures == 0 and agree) else 1

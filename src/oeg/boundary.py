@@ -107,10 +107,6 @@ def _canonical(g: Graph, src: str, pre: tuple[Edge, ...], period: tuple[Edge, ..
     return BoundaryPoint(new_src, pre, period)
 
 
-def finite_point(g: Graph, path: Path) -> BoundaryPoint:
-    return canonicalize(g, path.src, path.edges)
-
-
 def point_range(g: Graph, x: BoundaryPoint) -> str:
     """Range vertex of a finite point."""
     if not x.is_finite:
@@ -163,9 +159,10 @@ def starts_with(x: BoundaryPoint, path: Path) -> bool:
 
 
 def point_sort_key(x: BoundaryPoint):
+    # the source breaks the one tie left: empty paths at different vertices
     if x.is_finite:
-        return (0, len(x.pre), x.pre, ())
-    return (1, len(x.pre), x.pre, x.period)
+        return (0, len(x.pre), x.pre, (), x.src)
+    return (1, len(x.pre), x.pre, x.period, x.src)
 
 
 # -- cylinder sets ---------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 for success or an affirmative decision, 1 for a well-formed
-negative (a property fails, a decision is "no"), 2 for input errors.
+negative (a property fails, a decision is "no"), 2 for input errors, 3 for
+an internal failure of the library (any other exception, such as a
+``RecursionError``), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import OegError
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_graph(path: str) -> dsl.GraphDocument:
@@ -212,10 +215,10 @@ def _run(args) -> int:
         tables = dynamics.extend_cocycles(w, args.n)
         payload = {
             "n": args.n,
-            "k": dsl._table_json(E, tables.k),
-            "l": dsl._table_json(E, tables.l),
-            "kp": dsl._table_json(F, tables.kp),
-            "lp": dsl._table_json(F, tables.lp),
+            "k": dsl.table_json(E, tables.k),
+            "l": dsl.table_json(E, tables.l),
+            "kp": dsl.table_json(F, tables.kp),
+            "lp": dsl.table_json(F, tables.lp),
         }
         _emit(payload, True)
         return EXIT_OK
@@ -380,12 +383,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return _run(args)
-    except OegError as exc:
+    except (OegError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -183,14 +183,14 @@ def witness_to_json(w) -> dict:
     pairs = sorted(w.h.items(), key=lambda kv: print_point(w.E, kv[0]))
     return {
         "h": [[print_point(w.E, x), print_point(w.F, y)] for x, y in pairs],
-        "k1": _table_json(w.E, w.k1),
-        "l1": _table_json(w.E, w.l1),
-        "k1p": _table_json(w.F, w.k1p),
-        "l1p": _table_json(w.F, w.l1p),
+        "k1": table_json(w.E, w.k1),
+        "l1": table_json(w.E, w.l1),
+        "k1p": table_json(w.F, w.k1p),
+        "l1p": table_json(w.F, w.l1p),
     }
 
 
-def _table_json(g: Graph, table: Mapping[BoundaryPoint, int]) -> list:
+def table_json(g: Graph, table: Mapping[BoundaryPoint, int]) -> list:
     items = sorted(table.items(), key=lambda kv: print_point(g, kv[0]))
     return [[print_point(g, x), v] for x, v in items]
 
@@ -226,8 +226,8 @@ def element_to_json(g: Graph, p) -> dict:
             [print_point(g, x), print_point(g, y)]
             for x, y in sorted(p.alpha.items(), key=lambda kv: print_point(g, kv[0]))
         ],
-        "m": _table_json(g, p.m),
-        "n": _table_json(g, p.n),
+        "m": table_json(g, p.m),
+        "n": table_json(g, p.n),
     }
 
 
@@ -258,7 +258,7 @@ def print_groupoid_element(g: Graph, e) -> str:
 
 
 def parse_groupoid_element(g: Graph, text: str):
-    from .groupoid import make_element
+    from .groupoid import GroupoidElement, minimal_witness
 
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
@@ -272,17 +272,10 @@ def parse_groupoid_element(g: Graph, text: str):
     except ValueError as exc:
         raise ParseError(f"cocycle must be an integer, got {parts[1]!r}") from exc
     y = parse_point(g, parts[2])
-    m, n = (k, 0) if k >= 0 else (0, -k)
-    # Scan for the minimal witness consistent with k.
-    for extra in range(0, 64):
-        mm, nn = m + extra, n + extra
-        if x.length < mm or y.length < nn:
-            break
-        from .dynamics import _eq_after_shifts
-
-        if _eq_after_shifts(g, mm, x, nn, y):
-            return make_element(g, x, mm, nn, y)
-    raise InputError("the two points are not shift equivalent at this cocycle")
+    witness = minimal_witness(g, x, y, k)
+    if witness is None:
+        raise InputError("the two points are not shift equivalent at this cocycle")
+    return GroupoidElement(x, k, y, *witness)
 
 
 def print_germ(g: Graph, germ) -> str:

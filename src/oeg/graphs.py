@@ -58,10 +58,8 @@ class Graph:
         if len(self._by_id) != len(self.edge_classes):
             raise InputError("duplicate edge-class identifiers")
         self._out: dict[str, tuple[EdgeClass, ...]] = {v: () for v in self.vertices}
-        self._in: dict[str, tuple[EdgeClass, ...]] = {v: () for v in self.vertices}
         for c in self.edge_classes:
             self._out[c.src] += (c,)
-            self._in[c.dst] += (c,)
 
     def __eq__(self, other) -> bool:
         return (
@@ -84,9 +82,6 @@ class Graph:
         except KeyError:
             raise InputError(f"unknown edge class {cid!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._out
-
     def check_vertex(self, v: str) -> str:
         if v not in self._out:
             raise InputError(f"unknown vertex {v!r}")
@@ -94,9 +89,6 @@ class Graph:
 
     def out_classes(self, v: str) -> tuple[EdgeClass, ...]:
         return self._out[self.check_vertex(v)]
-
-    def in_classes(self, v: str) -> tuple[EdgeClass, ...]:
-        return self._in[self.check_vertex(v)]
 
     def edge_src(self, e: Edge) -> str:
         return self.cls(e.cls).src
@@ -129,12 +121,6 @@ class Graph:
             n = inf_cap if c.is_infinite else c.mult
             for i in range(n):
                 yield Edge(c.cid, i)
-
-    def finite_out_edges(self, v: str) -> tuple[Edge, ...]:
-        """All out-edges of a vertex of finite out-degree."""
-        if self.out_degree(v) == INF:
-            raise InputError(f"vertex {v!r} emits infinitely many edges")
-        return tuple(self.out_edges(v))
 
     # -- paths -------------------------------------------------------------
 
@@ -220,13 +206,6 @@ def default_loop_search_length(g: Graph) -> int:
 
 def _least_rotation(edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
     return min(edges[i:] + edges[:i] for i in range(len(edges)))
-
-
-def rotate_loop(g: Graph, l: Path, i: int) -> Path:
-    """The same cycle re-based ``i`` edges later."""
-    i %= l.length
-    edges = l.edges[i:] + l.edges[:i]
-    return g.loop(edges)
 
 
 def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import BoundaryPoint, CylinderSet
-from .dynamics import _eq_after_shifts, shift
+from .boundary import BoundaryPoint, CylinderSet, drop_edges
+from .dynamics import shift
 from .errors import CompositionError, DomainError, InputError
 from .graphs import Graph, condition_l
 
@@ -38,9 +38,27 @@ def make_element(g: Graph, x: BoundaryPoint, m: int, n: int, y: BoundaryPoint) -
         raise DomainError("shift exponent exceeds point length")
     if shift(g, x, m) != shift(g, y, n):
         raise InputError("the shifted points disagree; not a groupoid element")
-    while m > 0 and n > 0 and _eq_after_shifts(g, m - 1, x, n - 1, y):
-        m, n = m - 1, n - 1
+    m, n = minimal_witness(g, x, y, m - n)
     return GroupoidElement(x, m - n, y, m, n)
+
+
+def minimal_witness(g: Graph, x: BoundaryPoint, y: BoundaryPoint, k: int) -> tuple[int, int] | None:
+    """The least ``(m, n)`` with ``m - n = k`` and ``sigma^m(x) = sigma^n(y)``,
+    or None when there is none.
+
+    The valid pairs for a fixed ``k`` are closed upward, so one comparison
+    after shifting both points past their preperiods decides existence (two
+    finite points then meet at their range vertex, two eventually periodic
+    ones as rotated periods).  Canonical forms are unique, so the pair is
+    then backed off while the preceding edges agree.
+    """
+    m = max(len(x.pre), len(y.pre) + k)
+    n = m - k
+    if x.length < m or y.length < n or drop_edges(g, x, m) != drop_edges(g, y, n):
+        return None
+    while m > 0 and n > 0 and x.edge_at(m - 1) == y.edge_at(n - 1):
+        m, n = m - 1, n - 1
+    return m, n
 
 
 def unit(g: Graph, x: BoundaryPoint) -> GroupoidElement:

@@ -1,6 +1,9 @@
-"""A small zoo of standing example graphs used in tests and demos."""
+"""A small zoo of standing example graphs used in tests and demos, and the
+exhaustive pool of small graphs that the surveys and property tests sweep."""
 
 from __future__ import annotations
+
+import itertools
 
 from .graphs import INF, Graph
 
@@ -60,3 +63,28 @@ def amplified_arrow_loop() -> Graph:
     """The arrow-into-loop graph with both classes made infinite, with the
     conventional class names ``A`` and ``B``."""
     return Graph(["u", "v"], [("A", "u", "v", INF), ("B", "v", "v", INF)])
+
+
+def iter_small_graphs(max_v: int = 3, max_mult: int = 2):
+    """All graphs on <= max_v vertices with class multiplicities <= max_mult
+    (at most one class per ordered pair), deduplicated up to vertex
+    permutation."""
+    for k in range(1, max_v + 1):
+        seen = set()
+        for combo in itertools.product(range(max_mult + 1), repeat=k * k):
+            mat = [combo[i * k : (i + 1) * k] for i in range(k)]
+            canon = min(
+                tuple(tuple(mat[p[i]][p[j]] for j in range(k)) for i in range(k))
+                for p in itertools.permutations(range(k))
+            )
+            if canon in seen:
+                continue
+            seen.add(canon)
+            verts = [f"w{i}" for i in range(k)]
+            classes = [
+                (f"e{i}_{j}", verts[i], verts[j], canon[i][j])
+                for i in range(k)
+                for j in range(k)
+                if canon[i][j]
+            ]
+            yield Graph(verts, classes)

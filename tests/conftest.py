@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import strategies as st
 
@@ -55,31 +53,6 @@ def amp() -> Graph:
 
 def pt(g: Graph, text: str):
     return parse_point(g, text)
-
-
-def iter_small_graphs(max_v: int = 3, max_mult: int = 2):
-    """All graphs on <= max_v vertices with class multiplicities <= max_mult
-    (at most one class per ordered pair), deduplicated up to vertex
-    permutation."""
-    for k in range(1, max_v + 1):
-        seen = set()
-        for combo in itertools.product(range(max_mult + 1), repeat=k * k):
-            mat = [combo[i * k : (i + 1) * k] for i in range(k)]
-            canon = min(
-                tuple(tuple(mat[p[i]][p[j]] for j in range(k)) for i in range(k))
-                for p in itertools.permutations(range(k))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            verts = [f"w{i}" for i in range(k)]
-            classes = [
-                (f"e{i}_{j}", verts[i], verts[j], canon[i][j])
-                for i in range(k)
-                for j in range(k)
-                if canon[i][j]
-            ]
-            yield Graph(verts, classes)
 
 
 @st.composite

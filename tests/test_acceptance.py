@@ -11,7 +11,7 @@ import itertools
 import random
 import time
 
-from conftest import iter_small_graphs, pt
+from conftest import pt
 from oeg.boundary import boundary_census, drop_edges
 from oeg.dsl import print_point
 from oeg.dynamics import (
@@ -42,6 +42,7 @@ from oeg.zoo import (
     arrow_into_loop,
     chained_loops_four,
     full_shift_two,
+    iter_small_graphs,
     lone_loop,
     lone_vertex,
     two_cycle,

@@ -20,6 +20,7 @@ from oeg.boundary import (
     is_isolated,
     isolating_cylinder,
     make_cylinder,
+    point_sort_key,
 )
 from oeg.errors import InputError
 from oeg.graphs import Edge, Graph
@@ -194,6 +195,16 @@ def test_census_examples(e1, g0, e2):
     c2 = boundary_census(e2)
     assert not c2.finite
     assert "has an exit" in c2.witness
+
+
+def test_point_order_breaks_ties_on_empty_paths():
+    """Empty paths at different sinks tie on everything but their vertex;
+    their order must not depend on the order they arrive in (the census
+    collects points in a set, whose order follows string hashing)."""
+    g = Graph(["u", "v", "w"], [("a", "u", "v", 1)])
+    at_v, at_w = pt(g, "@v"), pt(g, "@w")
+    assert sorted([at_w, at_v], key=point_sort_key) == sorted([at_v, at_w], key=point_sort_key)
+    assert boundary_census(g).points == (at_v, at_w, pt(g, "a"))
 
 
 def test_census_closure_properties(e1, f1, g0, floop):

@@ -195,3 +195,18 @@ def test_malformed_tables_are_input_errors(files, capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "groupoid", "compose", files["E1"], "((b)* | one | (b)*)", "((b)* | 1 | (b)*)")
     assert code == 2
+
+
+def test_internal_errors_exit_3(files, capsys, monkeypatch):
+    """A failure inside the library is neither a "no" (1) nor an input
+    error (2)."""
+    from oeg import boundary
+
+    def broken(g):
+        raise RuntimeError("census exploded")
+
+    monkeypatch.setattr(boundary, "boundary_census", broken)
+    code = main(["census", files["E1"]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == ["internal error: RuntimeError: census exploded"]

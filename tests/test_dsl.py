@@ -121,6 +121,26 @@ def test_groupoid_element_roundtrip(e1):
     assert parse_groupoid_element(e1, text) == e
 
 
+@pytest.mark.parametrize("length", [70, 200])
+def test_groupoid_element_long_preperiods(length):
+    """Two preperiods of ``length`` edges run into one exitless loop; the
+    minimal witness is found however long they are."""
+    from oeg.graphs import Graph
+
+    xs = [f"x{i}" for i in range(length)] + ["c"]
+    ys = [f"y{i}" for i in range(length)] + ["c"]
+    classes = [(f"p{i}", xs[i], xs[i + 1], 1) for i in range(length)]
+    classes += [(f"q{i}", ys[i], ys[i + 1], 1) for i in range(length)]
+    g = Graph(xs + ys[:-1], classes + [("b", "c", "c", 1)])
+    tx = ".".join(f"p{i}" for i in range(length)) + ".(b)*"
+    ty = ".".join(f"q{i}" for i in range(length)) + ".(b)*"
+    e = parse_groupoid_element(g, f"({tx} | 0 | {ty})")
+    assert (e.k, e.m, e.n) == (0, length, length)
+    e = parse_groupoid_element(g, f"({tx} | 3 | {ty})")
+    assert (e.k, e.m, e.n) == (3, length + 3, length)
+    assert print_groupoid_element(g, e) == f"({tx} | 3 | {ty})"
+
+
 def test_germ_roundtrip(e1):
     from oeg.weyl import germ_make
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import iter_small_graphs, small_graph_st
+from conftest import small_graph_st
 from oeg.errors import InputError
 from oeg.graphs import (
     INF,
@@ -22,6 +22,7 @@ from oeg.graphs import (
 )
 from oeg.moves import amplify
 from oeg.sampling import random_graph
+from oeg.zoo import iter_small_graphs
 
 
 def brute_simple_loops(g: Graph, max_len: int):

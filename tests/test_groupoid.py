@@ -15,10 +15,11 @@ from oeg.groupoid import (
     inverse,
     isotropy,
     make_element,
+    minimal_witness,
     principality_report,
     unit,
 )
-from oeg.zoo import lone_loop, lone_vertex
+from oeg.zoo import iter_small_graphs, lone_loop, lone_vertex
 
 
 def test_make_element_examples(e1):
@@ -40,6 +41,31 @@ def test_witness_minimality(e1):
     assert (e.m, e.n) == (1, 0)
     u = make_element(e1, short, 2, 2, short)
     assert (u.m, u.n) == (0, 0)
+
+
+def brute_minimal_witness(g, x, y, k):
+    """Oracle: scan m upward for the least (m, m - k) with equal shifts."""
+    limit = 2 * (len(x.pre) + len(y.pre) + len(x.period) + len(y.period) + abs(k) + 1)
+    for m in range(max(k, 0), limit):
+        n = m - k
+        if x.length < m or y.length < n:
+            return None
+        if shift(g, x, m) == shift(g, y, n):
+            return m, n
+    return None
+
+
+def test_minimal_witness_matches_brute_force(e1, f1, floop):
+    pool_slice = itertools.islice(iter_small_graphs(3, 2), 0, 1000)
+    graphs = [e1, f1, floop] + [g for g in pool_slice if boundary_census(g).finite]
+    checked = 0
+    for g in graphs:
+        census = boundary_census(g).points
+        for x, y in itertools.product(census, repeat=2):
+            for k in range(-4, 5):
+                assert minimal_witness(g, x, y, k) == brute_minimal_witness(g, x, y, k)
+                checked += 1
+    assert checked > 10000
 
 
 def test_compose_and_inverse_examples(e1):
@@ -120,7 +146,6 @@ def test_principality_probe(e2, g0):
 
 
 def test_principality_cross_check():
-    from conftest import iter_small_graphs
     from oeg.boundary import is_isolated
     from oeg.graphs import condition_l
     from oeg.sampling import sample_points

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import iter_small_graphs, pt
+from conftest import pt
 from oeg.boundary import boundary_census
 from oeg.errors import CompositionError, InputError
 from oeg.groupoid import enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
@@ -22,6 +22,7 @@ from oeg.weyl import (
     representable_pool,
     winding,
 )
+from oeg.zoo import iter_small_graphs
 
 def test_germ_make_examples(e1):
     bstar = pt(e1, "(b)*")
@@ -186,10 +187,12 @@ def test_phi_is_homomorphism(e1, f1, floop):
 
 
 def test_phi_bijectivity_named(e1, f1, g0, floop):
-    for g in (e1, f1, g0, floop):
+    counts = {e1: (24, 24, 50), f1: (14, 14, 32), g0: (1, 1, 1), floop: (7, 7, 16)}
+    for g, want in counts.items():
         report = phi_bijectivity_check(g, 3)
         assert report.ok and report.pool_complete
         assert report.element_count == report.class_count
+        assert (report.element_count, report.class_count, report.germ_count) == want
     rep_f1 = phi_bijectivity_check(f1, 3)
     # at the cycle point the isotropy classes carry even cocycles only
     cd = pt(f1, "(c.d)*")
