@@ -19,6 +19,7 @@ from .graphs import (
     Edge,
     Graph,
     Path,
+    _least_rotation,
     _primitive_root_edges,
     is_singular,
     loop_has_exit,
@@ -163,6 +164,42 @@ def point_sort_key(x: BoundaryPoint):
     if x.is_finite:
         return (0, len(x.pre), x.pre, (), x.src)
     return (1, len(x.pre), x.pre, x.period, x.src)
+
+
+def tail_key(g: Graph, x: BoundaryPoint):
+    """The tail class of a point: ``("sink", range)`` for a finite point and
+    ``("cycle", least rotation of the period)`` for an eventually periodic
+    one.  Two points are shift equivalent exactly when their keys agree."""
+    if x.is_finite:
+        return ("sink", point_range(g, x))
+    return ("cycle", _least_rotation(x.period))
+
+
+def tail_classes(g: Graph, points: Iterable[BoundaryPoint]) -> dict[tuple, list[BoundaryPoint]]:
+    """The points grouped by :func:`tail_key`, each class in the given order."""
+    classes: dict[tuple, list[BoundaryPoint]] = {}
+    for x in points:
+        classes.setdefault(tail_key(g, x), []).append(x)
+    return classes
+
+
+def minimal_witness(g: Graph, x: BoundaryPoint, y: BoundaryPoint, k: int) -> tuple[int, int] | None:
+    """The least ``(m, n)`` with ``m - n = k`` and ``sigma^m(x) = sigma^n(y)``,
+    or None when there is none.
+
+    The valid pairs for a fixed ``k`` are closed upward, so one comparison
+    after shifting both points past their preperiods decides existence (two
+    finite points then meet at their range vertex, two eventually periodic
+    ones as rotated periods).  Canonical forms are unique, so the pair is
+    then backed off while the preceding edges agree.
+    """
+    m = max(len(x.pre), len(y.pre) + k)
+    n = m - k
+    if x.length < m or y.length < n or drop_edges(g, x, m) != drop_edges(g, y, n):
+        return None
+    while m > 0 and n > 0 and x.edge_at(m - 1) == y.edge_at(n - 1):
+        m, n = m - 1, n - 1
+    return m, n
 
 
 # -- cylinder sets ---------------------------------------------------------

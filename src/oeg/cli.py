@@ -61,10 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_f")
     p.add_argument("witness")
 
-    p = sub.add_parser("search-oe", help="search for an orbit-equivalence witness")
+    p = sub.add_parser("search-oe", help="decide orbit equivalence and print a witness")
     p.add_argument("graph_e")
     p.add_argument("graph_f")
-    p.add_argument("--bound", type=int, default=None)
 
     p = sub.add_parser("extend-cocycles", help="extend witness cocycles to degree n")
     p.add_argument("graph_e")
@@ -197,9 +196,9 @@ def _run(args) -> int:
     if cmd == "search-oe":
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
-        w = dynamics.search_oe_witness(E, F, args.bound)
+        w = dynamics.search_oe_witness(E, F)
         if w is None:
-            _emit({"found": False}, as_json, ["no witness at this bound"])
+            _emit({"found": False}, as_json, ["not orbit equivalent"])
             return EXIT_NO
         print(dsl.print_witness(w), end="")
         return EXIT_OK

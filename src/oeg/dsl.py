@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .boundary import BoundaryPoint, canonicalize
+from .boundary import BoundaryPoint, canonicalize, minimal_witness
 from .errors import InputError, ParseError
 from .graphs import INF, Edge, Graph, Path
 from .moves import Block, OutSplitPartition
@@ -258,7 +258,7 @@ def print_groupoid_element(g: Graph, e) -> str:
 
 
 def parse_groupoid_element(g: Graph, text: str):
-    from .groupoid import GroupoidElement, minimal_witness
+    from .groupoid import GroupoidElement
 
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):

@@ -4,12 +4,13 @@ An orbit-equivalence witness between two graphs with finite boundary spaces
 is a bijection of the spaces together with four natural-valued cocycle
 tables making the shifts intertwine up to shifting delays.  On finite
 (hence discrete) spaces every function is continuous, so verification is a
-pointwise check.
+pointwise check.  Orbit equivalence of such graphs is decided by comparing
+the sizes of their tail classes, and the witness is built from that pairing
+directly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -20,7 +21,9 @@ from .boundary import (
     canonicalize,
     drop_edges,
     isolating_cylinder,
+    minimal_witness,
     point_sort_key,
+    tail_classes,
 )
 from .errors import DomainError, InputError, UnsupportedScaleError
 from .graphs import Edge, Graph
@@ -349,66 +352,45 @@ def cocycles_from_pseudogroup_transport(
     return OrbitWitness(E, F, h, k1, l1, k1p, l1p)
 
 
-# -- search and conjugacy ----------------------------------------------------
-
-SEARCH_CENSUS_CAP = 8  # factorial search over bijections beyond this is hopeless
+# -- deciding orbit equivalence and conjugacy --------------------------------
 
 
-def default_search_bound(E: Graph, F: Graph) -> int:
-    """Twice the largest point description length across both censuses."""
-    longest = 0
-    for g in (E, F):
-        for x in require_finite_census(g):
-            longest = max(longest, len(x.pre) + len(x.period))
-    return 2 * max(longest, 1)
+def _delay_tables(src: Graph, dst: Graph, h: Mapping[BoundaryPoint, BoundaryPoint]) -> tuple[dict, dict]:
+    """Tables ``k, l`` with ``sigma^k(h(sigma x)) = sigma^l(h(x))`` at every
+    point of length >= 1, read off the minimal alignment of the two images."""
+    k, l = {}, {}
+    for x, y in h.items():
+        if x.length < 1:
+            continue
+        a = h[shift(src, x)]
+        # an exitless cycle visits each vertex once, so its edges are
+        # distinct and y's period starts at exactly one place in a's
+        r = a.period.index(y.period[0]) if a.period else 0
+        k[x], l[x] = minimal_witness(dst, a, y, len(a.pre) + r - len(y.pre))
+    return k, l
 
 
-def search_oe_witness(E: Graph, F: Graph, cocycle_bound: int | None = None) -> OrbitWitness | None:
-    """Exhaustive search for an orbit-equivalence witness with cocycle
-    values <= cocycle_bound; deterministic, sound (the result always passes
-    verification), and complete at the given bound."""
-    census_e = list(require_finite_census(E))
-    census_f = list(require_finite_census(F))
-    if cocycle_bound is None:
-        cocycle_bound = default_search_bound(E, F)
-    if len(census_e) != len(census_f):
+def search_oe_witness(E: Graph, F: Graph) -> OrbitWitness | None:
+    """Decide orbit equivalence of two graphs with finite boundary spaces:
+    a verified witness, or None when they are not orbit equivalent.
+
+    Every point is isolated and shift-equivalent points stay so under a
+    witness, so a witness maps tail classes (the points ending at one sink,
+    or on one exitless cycle) bijectively onto tail classes.  Conversely any
+    class-respecting bijection admits delay tables, so the graphs are orbit
+    equivalent exactly when their multisets of class sizes agree.  Classes
+    of equal size are paired, and their points, in census order.
+    """
+    classes_e = sorted(tail_classes(E, require_finite_census(E)).values(), key=len)
+    classes_f = sorted(tail_classes(F, require_finite_census(F)).values(), key=len)
+    if [len(c) for c in classes_e] != [len(c) for c in classes_f]:
         return None
-    if len(census_e) > SEARCH_CENSUS_CAP:
-        raise UnsupportedScaleError(
-            f"census too large for exhaustive bijection search (> {SEARCH_CENSUS_CAP})"
-        )
-    exps = list(itertools.product(range(cocycle_bound + 1), repeat=2))
-    for perm in itertools.permutations(census_f):
-        h = dict(zip(census_e, perm))
-        hinv = {y: x for x, y in h.items()}
-        k1, l1, k1p, l1p = {}, {}, {}, {}
-        good = True
-        for x in census_e:
-            if x.length < 1:
-                continue
-            target, base = h[shift(E, x)], h[x]
-            pair = next((kl for kl in exps if _eq_after_shifts(F, kl[0], target, kl[1], base)), None)
-            if pair is None:
-                good = False
-                break
-            k1[x], l1[x] = pair
-        if not good:
-            continue
-        for y in census_f:
-            if y.length < 1:
-                continue
-            target, base = hinv[shift(F, y)], hinv[y]
-            pair = next((kl for kl in exps if _eq_after_shifts(E, kl[0], target, kl[1], base)), None)
-            if pair is None:
-                good = False
-                break
-            k1p[y], l1p[y] = pair
-        if not good:
-            continue
-        w = OrbitWitness(E, F, h, k1, l1, k1p, l1p)
-        if verify_oe_witness(w).ok:
-            return w
-    return None
+    h = {x: y for ce, cf in zip(classes_e, classes_f) for x, y in zip(ce, cf)}
+    w = OrbitWitness(E, F, h, *_delay_tables(E, F, h), *_delay_tables(F, E, {y: x for x, y in h.items()}))
+    report = verify_oe_witness(w)
+    if not report.ok:
+        raise RuntimeError(f"constructed witness fails verification: {report.failures[0]}")
+    return w
 
 
 def verify_conjugacy(E: Graph, F: Graph, h: Mapping[BoundaryPoint, BoundaryPoint]) -> bool:

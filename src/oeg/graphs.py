@@ -205,7 +205,8 @@ def default_loop_search_length(g: Graph) -> int:
 
 
 def _least_rotation(edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
-    return min(edges[i:] + edges[:i] for i in range(len(edges)))
+    first = min(edges)
+    return min(edges[i:] + edges[:i] for i, e in enumerate(edges) if e == first)
 
 
 def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import BoundaryPoint, CylinderSet, drop_edges
+from .boundary import BoundaryPoint, CylinderSet, minimal_witness, tail_classes, tail_key
 from .dynamics import shift
 from .errors import CompositionError, DomainError, InputError
 from .graphs import Graph, condition_l
@@ -40,25 +40,6 @@ def make_element(g: Graph, x: BoundaryPoint, m: int, n: int, y: BoundaryPoint) -
         raise InputError("the shifted points disagree; not a groupoid element")
     m, n = minimal_witness(g, x, y, m - n)
     return GroupoidElement(x, m - n, y, m, n)
-
-
-def minimal_witness(g: Graph, x: BoundaryPoint, y: BoundaryPoint, k: int) -> tuple[int, int] | None:
-    """The least ``(m, n)`` with ``m - n = k`` and ``sigma^m(x) = sigma^n(y)``,
-    or None when there is none.
-
-    The valid pairs for a fixed ``k`` are closed upward, so one comparison
-    after shifting both points past their preperiods decides existence (two
-    finite points then meet at their range vertex, two eventually periodic
-    ones as rotated periods).  Canonical forms are unique, so the pair is
-    then backed off while the preceding edges agree.
-    """
-    m = max(len(x.pre), len(y.pre) + k)
-    n = m - k
-    if x.length < m or y.length < n or drop_edges(g, x, m) != drop_edges(g, y, n):
-        return None
-    while m > 0 and n > 0 and x.edge_at(m - 1) == y.edge_at(n - 1):
-        m, n = m - 1, n - 1
-    return m, n
 
 
 def unit(g: Graph, x: BoundaryPoint) -> GroupoidElement:
@@ -174,15 +155,13 @@ def enumerate_elements(
     the bound and with |k| <= bound, in deterministic order."""
     if shifts is None:
         shifts = {x: shift_orbit(g, x, bound) for x in pool}
-    intern: dict[BoundaryPoint, int] = {}
-    ids = {}
-    for x in pool:
-        ids[x] = [intern.setdefault(p, len(intern)) for p in shifts[x]]
+    # points of different tail classes never share an orbit point
+    same_tail = tail_classes(g, pool)
     out = []
     for x in pool:
-        sx = ids[x]
-        for y in pool:
-            sy = ids[y]
+        sx = shifts[x]
+        for y in same_tail[tail_key(g, x)]:
+            sy = shifts[y]
             best: dict[int, tuple[int, int]] = {}
             for m in range(len(sx)):
                 for n in range(len(sy)):

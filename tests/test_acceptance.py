@@ -94,7 +94,7 @@ def test_criterion_2_determinant_checkpoint():
 def test_criterion_3_orbit_equivalence_without_principality():
     with Timer() as t:
         g0, floop = lone_vertex(), lone_loop()
-        w = search_oe_witness(g0, floop, 1)
+        w = search_oe_witness(g0, floop)
         ok = w is not None and verify_oe_witness(w).ok
         rep0 = principality_report(g0)
         ok = ok and rep0.principal

@@ -85,7 +85,7 @@ def test_verify_oe_negative(files, capsys, tmp_path):
 
 
 def test_search_oe(files, capsys):
-    code, out = run(capsys, "search-oe", files["G0"], files["Floop"], "--bound", "1")
+    code, out = run(capsys, "search-oe", files["G0"], files["Floop"])
     assert code == 0 and json.loads(out)["h"]
     code, _ = run(capsys, "search-oe", files["G0"], files["E1"])
     assert code == 1

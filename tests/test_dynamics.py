@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,8 +24,9 @@ from oeg.dynamics import (
     verify_pseudogroup_element,
 )
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
+from oeg.graphs import Graph
 from oeg.sampling import random_functional_graph
-from oeg.zoo import arrow_into_loop, lone_loop, lone_vertex, two_cycle
+from oeg.zoo import arrow_into_loop, iter_small_graphs, lone_loop, lone_vertex, two_cycle
 
 
 def example_witness() -> OrbitWitness:
@@ -51,17 +53,14 @@ def witness_corpus() -> list[OrbitWitness]:
         g = make()
         census = boundary_census(g).points
         corpus.append(conjugacy_witness(g, g, {x: x for x in census}))
-    found = search_oe_witness(lone_vertex(), lone_loop(), 1)
+    found = search_oe_witness(lone_vertex(), lone_loop())
     corpus.append(found)
     rng = random.Random(99)
     added = 0
     while added < 4:
         a = random_functional_graph(rng, 4)
         b = random_functional_graph(rng, 4)
-        try:
-            w = search_oe_witness(a, b, 2)
-        except UnsupportedScaleError:
-            continue
+        w = search_oe_witness(a, b)
         if w is not None:
             corpus.append(w)
             added += 1
@@ -214,19 +213,127 @@ def test_roundtrip_on_corpus():
 
 
 def test_search_examples(e1, f1, g0, floop):
-    w = search_oe_witness(e1, f1, 2)
+    w = search_oe_witness(e1, f1)
     assert w is not None and verify_oe_witness(w).ok
-    w2 = search_oe_witness(g0, floop, 1)
+    w2 = search_oe_witness(g0, floop)
     assert w2 is not None and verify_oe_witness(w2).ok
-    assert search_oe_witness(g0, e1, 2) is None
+    assert search_oe_witness(g0, e1) is None
+
+
+def brute_force_oe(E, F, bound):
+    """Oracle: try every bijection of the censuses with delays <= bound, the
+    factorial search that the tail-class decision replaced."""
+    census_e = list(boundary_census(E).points)
+    census_f = list(boundary_census(F).points)
+    if len(census_e) != len(census_f):
+        return None
+    exps = list(itertools.product(range(bound + 1), repeat=2))
+    memo = {}
+
+    def shifted(g, a, k):
+        key = (g is E, a, k)
+        if key not in memo:
+            memo[key] = shift(g, a, k) if a.length >= k else None
+        return memo[key]
+
+    def agree(g, a, k, b, l):
+        sa = shifted(g, a, k)
+        return sa is not None and sa == shifted(g, b, l)
+
+    def delays(src, dst, h):
+        tables = {}
+        for x, y in h.items():
+            if x.length < 1:
+                continue
+            a = h[shifted(src, x, 1)]
+            pair = next(((k, l) for k, l in exps if agree(dst, a, k, y, l)), None)
+            if pair is None:
+                return None
+            tables[x] = pair
+        return tables
+
+    for perm in itertools.permutations(census_f):
+        h = dict(zip(census_e, perm))
+        fwd = delays(E, F, h)
+        bwd = None if fwd is None else delays(F, E, {y: x for x, y in h.items()})
+        if bwd is None:
+            continue
+        w = OrbitWitness(
+            E, F, h,
+            {x: kl[0] for x, kl in fwd.items()}, {x: kl[1] for x, kl in fwd.items()},
+            {y: kl[0] for y, kl in bwd.items()}, {y: kl[1] for y, kl in bwd.items()},
+        )
+        if verify_oe_witness(w).ok:
+            return w
+    return None
+
+
+def test_search_matches_brute_force_on_pool():
+    """Verdict parity on every ordered pair of finite-boundary pool graphs
+    with at most 5 census points.  The oracle's delay bound is twice the
+    longest point description of the pair."""
+    pool = []
+    for g in iter_small_graphs(3, 2):
+        census = boundary_census(g)
+        if census.finite and len(census.points) <= 5:
+            pool.append((g, census.points, max(len(x.pre) + len(x.period) for x in census.points)))
+    yes = 0
+    for E, census_e, long_e in pool:
+        for F, census_f, long_f in pool:
+            got = search_oe_witness(E, F)
+            if len(census_e) == len(census_f):
+                assert (got is None) == (brute_force_oe(E, F, 2 * max(long_e, long_f, 1)) is None)
+            else:
+                assert got is None
+            yes += got is not None
+    assert yes > 100
+
+
+def _functional(succ, prefix="v"):
+    verts = [f"{prefix}{i}" for i in range(len(succ))]
+    return Graph(verts, [(f"{prefix}e{i}", verts[i], verts[j], 1) for i, j in enumerate(succ) if j is not None])
+
+
+def _random_succ(rng, n):
+    return [None if rng.random() < 0.1 else rng.randrange(n) for _ in range(n)]
+
+
+def _relabelled(succ, rng):
+    perm = list(range(len(succ)))
+    rng.shuffle(perm)
+    out = [None] * len(succ)
+    for i, j in enumerate(succ):
+        out[perm[i]] = None if j is None else perm[j]
+    return out
+
+
+@pytest.mark.parametrize("n", [12, 200])
+def test_search_relabelled_functional_graphs(n):
+    rng = random.Random(0)
+    succ = _random_succ(rng, n)
+    E, F = _functional(succ), _functional(_relabelled(succ, rng), "u")
+    census = boundary_census(E).points
+    assert len(census) == n
+    # both kinds of tail class, and a cycle longer than one edge with a preperiod
+    assert any(x.is_finite for x in census) and any(len(x.period) > 1 and x.pre for x in census)
+    w = search_oe_witness(E, F)
+    assert w is not None and verify_oe_witness(w).ok
+    for d in (1, 2, 3):
+        assert check_extended_identity(w, extend_cocycles(w, d)) == []
+
+
+def test_search_equal_census_no():
+    # one 9-point sink class against sink classes of 4 and 5 points
+    E = _functional([None, 0, 1, 2, 3, 4, 5, 6, 7])
+    F = _functional([None, 0, 1, 2, None, 4, 5, 6, 7], "u")
+    assert len(boundary_census(E).points) == len(boundary_census(F).points) == 9
+    assert search_oe_witness(E, F) is None
 
 
 def test_conjugacy_examples(e1, f1):
     census_e = boundary_census(e1).points
     census_f = boundary_census(f1).points
     assert verify_conjugacy(e1, e1, {x: x for x in census_e})
-    import itertools
-
     for perm in itertools.permutations(census_f):
         assert not verify_conjugacy(e1, f1, dict(zip(census_e, perm)))
     assert fixed_points(e1) == [pt(e1, "(b)*")]
