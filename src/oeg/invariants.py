@@ -1,6 +1,8 @@
 """Numeric and structural invariants: adjacency matrices, exact integer
 determinants of I - A, reachability, digraph isomorphism, and a consolidated
-report."""
+report.  Reachability and isomorphism rest on the condensation and the
+refinement search in ``oeg.digraphs``, imported on first use so that
+commands which need neither do not load it."""
 
 from __future__ import annotations
 
@@ -58,17 +60,13 @@ def det_invariant(g: Graph) -> int:
 
 
 def reachability(g: Graph) -> dict[tuple[str, str], bool]:
-    """Positive-length reachability of ordered vertex pairs."""
-    reach = {(v, w): False for v in g.vertices for w in g.vertices}
-    for c in g.edge_classes:
-        reach[(c.src, c.dst)] = True
-    for mid in g.vertices:
-        for a in g.vertices:
-            if reach[(a, mid)]:
-                for b in g.vertices:
-                    if reach[(mid, b)]:
-                        reach[(a, b)] = True
-    return reach
+    """Positive-length reachability of ordered vertex pairs, read off the
+    bitset closure of the condensation."""
+    from .digraphs import condensation
+
+    cond = condensation(g)
+    pairs = list(zip(g.vertices, cond.comp))
+    return {(v, w): cond.reach[c] >> d & 1 == 1 for v, c in pairs for w, d in pairs}
 
 
 def _multiplicity_pattern(g: Graph) -> dict[tuple[str, str], tuple]:
@@ -81,49 +79,22 @@ def _multiplicity_pattern(g: Graph) -> dict[tuple[str, str], tuple]:
 
 
 def digraph_isomorphic(g1: Graph, g2: Graph) -> dict[str, str] | None:
-    """Search for a vertex bijection matching the edge-multiplicity pattern
-    exactly; brute force with degree-profile pruning (desk scale)."""
-    if len(g1.vertices) != len(g2.vertices):
-        return None
-    p1, p2 = _multiplicity_pattern(g1), _multiplicity_pattern(g2)
+    """A vertex bijection matching the edge-multiplicity pattern of every
+    ordered vertex pair exactly, or ``None``: ``isomorphism`` with one arc
+    colour per distinct pattern, numbered by a table both graphs share."""
+    from .digraphs import isomorphism
 
-    def profile(g, pat, v):
-        outs = sorted((str(pat.get((v, w), ()))) for w in g.vertices)
-        ins = sorted((str(pat.get((w, v), ()))) for w in g.vertices)
-        return (tuple(outs), tuple(ins), str(pat.get((v, v), ())))
+    ids: dict[tuple, int] = {}
 
-    prof1 = {v: profile(g1, p1, v) for v in g1.vertices}
-    prof2 = {v: profile(g2, p2, v) for v in g2.vertices}
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return None
-    candidates = {
-        v: [w for w in g2.vertices if prof2[w] == prof1[v]] for v in g1.vertices
-    }
-    order = sorted(g1.vertices, key=lambda v: len(candidates[v]))
+    def arcs(g: Graph) -> dict[tuple[int, int], int]:
+        index = {v: i for i, v in enumerate(g.vertices)}
+        return {
+            (index[s], index[d]): ids.setdefault(p, len(ids))
+            for (s, d), p in _multiplicity_pattern(g).items()
+        }
 
-    def backtrack(i: int, assign: dict[str, str], used: set[str]):
-        if i == len(order):
-            return dict(assign)
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, wu in assign.items():
-                if p1.get((v, u), ()) != p2.get((w, wu), ()) or p1.get((u, v), ()) != p2.get((wu, w), ()):
-                    ok = False
-                    break
-            if ok and p1.get((v, v), ()) == p2.get((w, w), ()):
-                assign[v] = w
-                used.add(w)
-                got = backtrack(i + 1, assign, used)
-                if got is not None:
-                    return got
-                del assign[v]
-                used.remove(w)
-        return None
-
-    return backtrack(0, {}, set())
+    phi = isomorphism([0] * len(g1.vertices), arcs(g1), [0] * len(g2.vertices), arcs(g2))
+    return None if phi is None else {v: g2.vertices[j] for v, j in zip(g1.vertices, phi)}
 
 
 @dataclass

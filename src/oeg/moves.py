@@ -275,11 +275,31 @@ def decide_amplified_oe(E: Graph, F: Graph) -> tuple[bool, dict[str, str] | None
     """Decide whether the amplifications of two finite-vertex graphs are
     orbit equivalent: this holds exactly when their amplified transitive
     closures are isomorphic digraphs, i.e. when the reachability relations
-    match under some vertex bijection."""
-    from .invariants import digraph_isomorphic
+    match under some vertex bijection.
 
-    bij = digraph_isomorphic(amplified_transitive_closure(E), amplified_transitive_closure(F))
-    return (bij is not None), bij
+    Every strongly connected component of a closure is a clique of twins,
+    so the closures are isomorphic exactly when the condensations, closed
+    under reachability and labelled by (size, cyclic), are.  The component
+    bijection expands to vertices in declaration order."""
+    from .digraphs import condensation, isomorphism
+
+    cE, cF = condensation(E), condensation(F)
+
+    def arcs(cond) -> dict[tuple[int, int], int]:
+        return {
+            (c, d): 0
+            for c, bits in enumerate(cond.reach)
+            for d in range(c)  # components reach only smaller numbers
+            if bits >> d & 1
+        }
+
+    phi = isomorphism(cE.label, arcs(cE), cF.label, arcs(cF))
+    if phi is None:
+        return False, None
+    image = {}
+    for c, d in enumerate(phi):
+        image.update(zip(cE.members[c], cF.members[d]))
+    return True, {v: F.vertices[image[i]] for i, v in enumerate(E.vertices)}
 
 
 # -- saturation ---------------------------------------------------------------

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from oeg.digraphs import isomorphism
 from oeg.errors import UnsupportedScaleError
-from oeg.graphs import Graph
+from oeg.graphs import INF, Graph
 from oeg.invariants import (
     adjacency_matrix,
     det_bareiss,
@@ -15,8 +16,9 @@ from oeg.invariants import (
     invariant_report,
     reachability,
 )
-from oeg.moves import amplify, decide_amplified_oe
+from oeg.moves import amplified_transitive_closure, amplify, decide_amplified_oe
 from oeg.sampling import random_graph
+from oeg.zoo import iter_small_graphs
 
 
 def cofactor_det(m):
@@ -30,6 +32,92 @@ def cofactor_det(m):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * cofactor_det(minor)
     return total
+
+
+def multiplicity_pattern(g):
+    pat = {}
+    for c in g.edge_classes:
+        pat.setdefault((c.src, c.dst), []).append("inf" if c.is_infinite else c.mult)
+    return {k: tuple(sorted(v, key=str)) for k, v in pat.items()}
+
+
+def brute_force_isomorphic(g1, g2):
+    """Test oracle: backtracking over vertex bijections with degree-profile
+    pruning (the library's decision before refinement replaced it)."""
+    if len(g1.vertices) != len(g2.vertices):
+        return None
+    p1, p2 = multiplicity_pattern(g1), multiplicity_pattern(g2)
+
+    def profile(g, pat, v):
+        outs = sorted((str(pat.get((v, w), ()))) for w in g.vertices)
+        ins = sorted((str(pat.get((w, v), ()))) for w in g.vertices)
+        return (tuple(outs), tuple(ins), str(pat.get((v, v), ())))
+
+    prof1 = {v: profile(g1, p1, v) for v in g1.vertices}
+    prof2 = {v: profile(g2, p2, v) for v in g2.vertices}
+    if sorted(prof1.values()) != sorted(prof2.values()):
+        return None
+    candidates = {
+        v: [w for w in g2.vertices if prof2[w] == prof1[v]] for v in g1.vertices
+    }
+    order = sorted(g1.vertices, key=lambda v: len(candidates[v]))
+
+    def backtrack(i, assign, used):
+        if i == len(order):
+            return dict(assign)
+        v = order[i]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            ok = True
+            for u, wu in assign.items():
+                if p1.get((v, u), ()) != p2.get((w, wu), ()) or p1.get((u, v), ()) != p2.get((wu, w), ()):
+                    ok = False
+                    break
+            if ok and p1.get((v, v), ()) == p2.get((w, w), ()):
+                assign[v] = w
+                used.add(w)
+                got = backtrack(i + 1, assign, used)
+                if got is not None:
+                    return got
+                del assign[v]
+                used.remove(w)
+        return None
+
+    return backtrack(0, {}, set())
+
+
+def degree_profile(g):
+    out, inn, loop = ({v: 0 for v in g.vertices} for _ in range(3))
+    for c in g.edge_classes:
+        out[c.src] += c.mult
+        inn[c.dst] += c.mult
+        if c.src == c.dst:
+            loop[c.src] += c.mult
+    return (len(g.vertices), tuple(sorted((out[v], inn[v], loop[v]) for v in g.vertices)))
+
+
+def relabelled(g, rng, prefix="r"):
+    perm = [f"{prefix}{i}" for i in range(len(g.vertices))]
+    rng.shuffle(perm)
+    relabel = dict(zip(g.vertices, perm))
+    classes = [(c.cid, relabel[c.src], relabel[c.dst], c.mult) for c in g.edge_classes]
+    rng.shuffle(classes)
+    order = list(relabel.values())
+    rng.shuffle(order)
+    return Graph(order, classes)
+
+
+def assert_carries_patterns(g1, g2, bij):
+    assert sorted(bij) == sorted(g1.vertices) and sorted(bij.values()) == sorted(g2.vertices)
+    moved = {(bij[s], bij[d]): p for (s, d), p in multiplicity_pattern(g1).items()}
+    assert moved == multiplicity_pattern(g2)
+
+
+def assert_carries_reachability(g1, g2, bij):
+    assert sorted(bij) == sorted(g1.vertices) and sorted(bij.values()) == sorted(g2.vertices)
+    r1, r2 = reachability(g1), reachability(g2)
+    assert all(r1[(a, b)] == r2[(bij[a], bij[b])] for a, b in r1)
 
 
 def test_adjacency_examples(e2, e2m, g0):
@@ -65,10 +153,21 @@ def test_reachability_examples(e1):
     assert not reach[("u", "u")] and not reach[("v", "u")]
 
 
+def sized_random_graph(rng, n, out_deg):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [
+        (f"e{i}_{j}", vs[i], vs[j], INF if rng.random() < 0.2 else rng.randint(1, 2))
+        for i in range(n)
+        for j in range(n)
+        if rng.random() < out_deg / n
+    ])
+
+
 def test_reachability_matches_matrix_powers():
     rng = random.Random(9)
-    for _ in range(60):
-        g = random_graph(rng, max_vertices=5, max_mult=2, edge_prob=0.4, inf_prob=0.2)
+    graphs = [random_graph(rng, max_vertices=5, max_mult=2, edge_prob=0.4, inf_prob=0.2) for _ in range(60)]
+    graphs += [sized_random_graph(rng, n, 1.3) for n in (20, 20, 40)]
+    for g in graphs:
         idx = {v: i for i, v in enumerate(g.vertices)}
         n = len(g.vertices)
         step = [[False] * n for _ in range(n)]
@@ -105,14 +204,8 @@ def test_digraph_isomorphic_random_relabel():
     rng = random.Random(11)
     for _ in range(40):
         g = random_graph(rng, max_vertices=5, max_mult=2, edge_prob=0.4, inf_prob=0.1)
-        perm = list(g.vertices)
-        rng.shuffle(perm)
-        relabel = dict(zip(g.vertices, perm))
-        shuffled = Graph(
-            [relabel[v] for v in g.vertices],
-            [(c.cid, relabel[c.src], relabel[c.dst], c.mult) for c in g.edge_classes],
-        )
-        assert digraph_isomorphic(g, shuffled) is not None
+        shuffled = relabelled(g, rng)
+        assert_carries_patterns(g, shuffled, digraph_isomorphic(g, shuffled))
 
 
 def test_invariant_report_examples(e1, e2, g0):
@@ -157,3 +250,222 @@ def test_report_on_amplified_graph():
     assert not rep.boundary_finite and rep.isotropy_census is None
     assert rep.singular_vertices == {"u": "infinite-emitter", "v": "infinite-emitter"}
     assert rep.fixed_point_count == 1  # the loop-class representative
+
+
+# -- refinement against the brute-force oracle ----------------------------------
+
+
+def test_isomorphic_matches_brute_force_in_profile_buckets():
+    # every pool graph and a relabelled copy, bucketed by degree profile:
+    # each graph meets its own copy ("yes") and every other graph the
+    # profile cannot tell apart ("no"; pool graphs are pairwise
+    # non-isomorphic)
+    rng = random.Random(22)
+    buckets = {}
+    for g in iter_small_graphs(3):
+        for h in (g, relabelled(g, rng)):
+            buckets.setdefault(degree_profile(h), []).append(h)
+    yes = no = 0
+    for graphs in buckets.values():
+        for a, b in itertools.combinations(graphs, 2):
+            bij = digraph_isomorphic(a, b)
+            assert (bij is None) == (brute_force_isomorphic(a, b) is None)
+            if bij is None:
+                no += 1
+            else:
+                assert_carries_patterns(a, b, bij)
+                yes += 1
+    assert (yes, no) == (3459, 1028)
+
+
+def perturbed(g, rng):
+    """A relabelling of ``g`` with one class changed: its multiplicity moves
+    between 1, 2 and infinity, or its range moves to another vertex."""
+    classes = [tuple(c) for c in g.edge_classes]
+    i = rng.randrange(len(classes))
+    cid, src, dst, mult = classes[i]
+    if rng.random() < 0.5:
+        mult = rng.choice([m for m in (1, 2, INF) if m != mult])
+    else:
+        dst = rng.choice(g.vertices)
+    classes[i] = (cid, src, dst, mult)
+    return relabelled(Graph(g.vertices, classes), rng)
+
+
+def test_isomorphic_matches_brute_force_on_infinite_multigraphs():
+    rng = random.Random(23)
+    yes = no = 0
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=8, max_mult=2, edge_prob=0.35, inf_prob=0.3)
+        if not g.edge_classes:
+            continue
+        for h in (relabelled(g, rng), perturbed(g, rng)):
+            bij = digraph_isomorphic(g, h)
+            assert (bij is None) == (brute_force_isomorphic(g, h) is None)
+            if bij is None:
+                no += 1
+            else:
+                assert_carries_patterns(g, h, bij)
+                yes += 1
+    assert yes > 150 and no > 50
+
+
+def test_decide_amplified_matches_brute_force():
+    # each graph against the class representatives met so far with the same
+    # number of reachable pairs, as scripts/pool_survey.py counts classes
+    rng = random.Random(24)
+    graphs = list(itertools.islice(iter_small_graphs(3), 0, None, 5))
+    graphs += [random_graph(rng, max_vertices=6, max_mult=1, edge_prob=0.3) for _ in range(60)]
+    graphs += [relabelled(g, rng) for g in graphs[::7]]
+    reps = {}
+    yes = no = 0
+    for g in graphs:
+        group = reps.setdefault((len(g.vertices), sum(reachability(g).values())), [])
+        for r in group:
+            ok, bij = decide_amplified_oe(g, r)
+            want = brute_force_isomorphic(amplified_transitive_closure(g), amplified_transitive_closure(r))
+            assert ok == (want is not None) and ok == (bij is not None)
+            if ok:
+                assert_carries_reachability(g, r, bij)
+                yes += 1
+                break
+            no += 1
+        else:
+            group.append(g)
+    assert yes > 700 and no > 400
+
+
+def coloured_digraph(rng, n, colours):
+    vertex = [rng.randrange(colours) for _ in range(n)]
+    arcs = {(i, j): rng.randrange(colours) for i in range(n) for j in range(n) if rng.random() < 2.5 / n}
+    return vertex, arcs
+
+
+def cycle_union(lengths):
+    """Disjoint directed cycles: colour refinement alone leaves every vertex
+    in one cell, so only individualisation tells such unions apart."""
+    arcs, start = {}, 0
+    for m in lengths:
+        arcs.update({(start + i, start + (i + 1) % m): 0 for i in range(m)})
+        start += m
+    return [0] * start, arcs
+
+
+def permuted(vertex, arcs, rng):
+    perm = list(range(len(vertex)))
+    rng.shuffle(perm)
+    moved = [None] * len(vertex)
+    for i, c in enumerate(vertex):
+        moved[perm[i]] = c
+    return moved, {(perm[i], perm[j]): a for (i, j), a in arcs.items()}
+
+
+def test_isomorphism_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    def to_nx(vertex, arcs):
+        d = nx.DiGraph()
+        d.add_nodes_from((i, {"c": c}) for i, c in enumerate(vertex))
+        d.add_edges_from((i, j, {"c": a}) for (i, j), a in arcs.items())
+        return d
+
+    rng = random.Random(25)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(10, 40)
+        g = coloured_digraph(rng, n, rng.choice((1, 2, 3)))
+        cases.append((g, permuted(*g, rng)))
+        h_vertex, h_arcs = permuted(*g, rng)
+        if h_arcs and rng.random() < 0.5:
+            h_arcs.pop(next(iter(h_arcs)))
+            h_arcs[(rng.randrange(n), rng.randrange(n))] = 0
+        else:
+            h_vertex[rng.randrange(n)] = 1
+        cases.append((g, (h_vertex, h_arcs)))
+    for _ in range(10):
+        n = rng.randint(10, 40)
+        cut = rng.randint(3, n - 3)
+        other = rng.randint(3, n - 3)
+        cases.append((cycle_union([cut, n - cut]), permuted(*cycle_union([other, n - other]), rng)))
+    verdicts = set()
+    for (v1, a1), (v2, a2) in cases:
+        phi = isomorphism(v1, a1, v2, a2)
+        want = DiGraphMatcher(
+            to_nx(v1, a1), to_nx(v2, a2),
+            node_match=lambda x, y: x["c"] == y["c"], edge_match=lambda x, y: x["c"] == y["c"],
+        ).is_isomorphic()
+        assert (phi is not None) == want
+        if phi is not None:
+            assert sorted(phi) == list(range(len(v1)))
+            assert all(v1[i] == v2[phi[i]] for i in range(len(v1)))
+            assert {(phi[i], phi[j]): a for (i, j), a in a1.items()} == a2
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+# -- sizes past the brute force -------------------------------------------------
+
+
+def cubic_bipartite(rng, halves, prefix):
+    """Disjoint connected 3-regular bipartite components with the given side
+    sizes, every edge from side A to side B: the union of the identity, a
+    cyclic shift (which already joins each component into one cycle) and a
+    random perfect matching that repeats neither."""
+    vs, classes, off = [], [], 0
+    for h in halves:
+        while True:
+            third = list(range(h))
+            rng.shuffle(third)
+            if all(third[i] not in (i, (i + 1) % h) for i in range(h)):
+                break
+        for i in range(h):
+            for j in (i, (i + 1) % h, third[i]):
+                classes.append((f"e{off + i}_{off + j}", f"{prefix}a{off + i}", f"{prefix}b{off + j}", 1))
+        off += h
+    vs = [f"{prefix}a{i}" for i in range(off)] + [f"{prefix}b{i}" for i in range(off)]
+    return Graph(vs, classes)
+
+
+def test_decide_amplified_cubic_bipartite_30():
+    rng = random.Random(26)
+    connected = cubic_bipartite(rng, (15,), "c")
+    split = cubic_bipartite(rng, (7, 8), "s")
+    assert decide_amplified_oe(connected, split) == (False, None)
+    assert decide_amplified_oe(split, connected) == (False, None)
+    for g in (connected, split):
+        h = relabelled(g, rng)
+        ok, bij = decide_amplified_oe(g, h)
+        assert ok
+        assert_carries_reachability(g, h, bij)
+
+
+def test_decide_amplified_dense_closure_300():
+    rng = random.Random(27)
+    n = 300
+    vs = [f"v{i}" for i in range(n)]
+    classes = [(f"c{i}", vs[i], vs[(i + 1) % n], 1) for i in range(n)]
+    classes += [(f"x{k}", vs[rng.randrange(n)], vs[rng.randrange(n)], 1) for k in range(n)]
+    g = Graph(vs, classes)
+    h = relabelled(g, rng)
+    ok, bij = decide_amplified_oe(g, h)
+    assert ok
+    assert_carries_reachability(g, h, bij)
+    assert digraph_isomorphic(g, g) is not None
+
+
+def test_chain_of_two_cycles_1200():
+    # a depth-first search of this chain is 1200 calls deep
+    n = 1200
+    vs = [f"v{i}" for i in range(n)]
+    classes = [(f"f{i}", vs[i], vs[i + 1], 1) for i in range(n - 1)]
+    classes += [(f"b{i}", vs[i + 1], vs[i], 1) for i in range(n - 1)]
+    g = Graph(vs, classes)
+    reach = reachability(g)
+    assert len(reach) == n * n and all(reach.values())
+    del reach
+    ok, bij = decide_amplified_oe(g, relabelled(g, random.Random(28)))
+    assert ok and len(bij) == n
+    # without one back edge the chain falls into two 600-vertex components
+    broken = Graph(vs, [c for c in classes if c[0] != "b599"])
+    assert decide_amplified_oe(g, broken) == (False, None)
