@@ -9,6 +9,7 @@ import pytest
 from oeg.cli import main
 from oeg.dsl import print_graph, print_witness
 from oeg.zoo import (
+    amplified_arrow_loop,
     arrow_into_loop,
     chained_loops_four,
     full_shift_two,
@@ -171,12 +172,22 @@ def test_pseudo_commands(files, capsys, tmp_path):
 
 
 def test_input_errors(files, capsys):
-    code, _ = run(capsys, "det", files["dir"] / "nope.graph" if False else str(files["dir"] / "nope.graph"))
+    code, _ = run(capsys, "det", str(files["dir"] / "nope.graph"))
     assert code == 2
     code, _ = run(capsys, "shift", files["E1"], "zzz", "1")
     assert code == 2
     code, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def test_det_of_infinite_class_is_input_error(tmp_path, capsys):
+    p = tmp_path / "amp.graph"
+    p.write_text(print_graph(amplified_arrow_loop(), "Amp"))
+    code = main(["det", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_console_entrypoint_smoke(files):

@@ -34,6 +34,56 @@ def cofactor_det(m):
     return total
 
 
+def dense_bareiss(matrix):
+    """Test oracle: dense fraction-free (Bareiss) elimination with row
+    pivoting (the library's determinant before sparse elimination)."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            pivot = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
+            if pivot is None:
+                return 0
+            m[i], m[pivot] = m[pivot], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+            m[r][i] = 0
+        prev = m[i][i]
+    return sign * (m[-1][-1] if n else 1)
+
+
+def i_minus_a(g):
+    a = adjacency_matrix(g)
+    return [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def permutation_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        length = 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def out_degree_two(rng, n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [
+        (f"e{i}_{j}", vs[i], vs[j], rng.randint(1, 2))
+        for i in range(n)
+        for j in sorted(rng.sample(range(n), 2))
+    ])
+
+
 def multiplicity_pattern(g):
     pat = {}
     for c in g.edge_classes:
@@ -145,6 +195,114 @@ def test_det_against_cofactor_oracle():
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert det_bareiss(m) == cofactor_det(m)
+
+
+def test_det_matches_dense_oracle_on_pool():
+    count = 0
+    for g in iter_small_graphs(3):
+        if any(c.is_infinite for c in g.edge_classes):
+            continue
+        m = i_minus_a(g)
+        assert det_bareiss(m) == dense_bareiss(m)
+        count += 1
+    assert count == 3459
+
+
+def sparse_random_matrix(rng):
+    """An n x n matrix, n <= 10, at least half of whose entries are zero;
+    some get a zero row, a zero column, a repeated row or a zero diagonal."""
+    values = (-5, -3, -2, -1, 1, 1, 2, 3, 7)
+    while True:
+        n = rng.randint(1, 10)
+        q = rng.uniform(0.05, 0.4)
+        m = [[rng.choice(values) if rng.random() < q else 0 for _ in range(n)] for _ in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):  # a nonzero transversal, mostly off the diagonal
+            m[i][j] = rng.choice(values)
+        shape = rng.randrange(5)
+        if shape == 1:
+            m[rng.randrange(n)] = [0] * n
+        elif shape == 2:
+            j = rng.randrange(n)
+            for row in m:
+                row[j] = 0
+        elif shape == 3 and n > 1:
+            i, k = rng.sample(range(n), 2)
+            m[i] = [rng.choice((-2, 1, 3)) * x for x in m[k]]
+        elif shape == 4:
+            for i in range(n):
+                m[i][i] = 0
+        if 2 * sum(x != 0 for row in m for x in row) <= n * n:
+            return m
+
+
+def test_det_matches_dense_oracle_on_sparse_random():
+    rng = random.Random(41)
+    singular = regular = swapped = zero_row = zero_col = 0
+    for _ in range(2000):
+        m = sparse_random_matrix(rng)
+        copy = [row[:] for row in m]
+        d = det_bareiss(m)
+        assert m == copy
+        assert d == dense_bareiss(m)
+        singular += d == 0
+        regular += d != 0
+        swapped += d != 0 and m[0][0] == 0
+        zero_row += any(not any(row) for row in m)
+        zero_col += any(not any(col) for col in zip(*m))
+    assert min(singular, regular, swapped, zero_row, zero_col) >= 200, (
+        singular, regular, swapped, zero_row, zero_col)
+
+
+def test_det_matches_dense_oracle_on_out_degree_two():
+    rng = random.Random(42)
+    for n in (50, 100, 150):
+        m = i_minus_a(out_degree_two(rng, n))
+        copy = [row[:] for row in m]
+        assert det_bareiss(m) == dense_bareiss(m)
+        assert m == copy
+
+
+def test_det_of_disjoint_union_600():
+    # 100 copies of one 6-vertex graph in a shuffled order: det(I - A) of a
+    # block-diagonal matrix is the product of the blocks' determinants
+    rng = random.Random(43)
+    d = 0
+    while abs(d) < 2:
+        block = out_degree_two(rng, 6)
+        d = cofactor_det(i_minus_a(block))
+    copies = [relabelled(block, rng, prefix=f"c{k}_") for k in range(100)]
+    vs = [v for h in copies for v in h.vertices]
+    rng.shuffle(vs)
+    classes = [(f"c{k}_{c.cid}", c.src, c.dst, c.mult) for k, h in enumerate(copies) for c in h.edge_classes]
+    assert det_invariant(Graph(vs, classes)) == d**100
+
+
+def test_det_invariant_under_relabelling_300():
+    rng = random.Random(44)
+    g = out_degree_two(rng, 300)
+    d = det_invariant(g)
+    assert d != 0 and det_invariant(relabelled(g, rng)) == d
+
+
+def test_det_of_shuffled_triangular():
+    # rows and columns of a sparse upper-triangular matrix permuted by
+    # sigma and tau: det = sign(sigma) * sign(tau) * product of the diagonal
+    rng = random.Random(45)
+    n = 120
+    t = [[0] * n for _ in range(n)]
+    product = 1
+    for i in range(n):
+        t[i][i] = rng.choice((-1, 1)) * rng.randint(10**12, 10**13)
+        product *= t[i][i]
+        for j in rng.sample(range(i + 1, n), min(3, n - i - 1)):
+            t[i][j] = rng.randint(-9, 9)
+    sigma, tau = list(range(n)), list(range(n))
+    rng.shuffle(sigma)
+    rng.shuffle(tau)
+    m = [[t[sigma[i]][tau[j]] for j in range(n)] for i in range(n)]
+    assert det_bareiss(m) == permutation_sign(sigma) * permutation_sign(tau) * product
 
 
 def test_reachability_examples(e1):
