@@ -128,6 +128,16 @@ def drop_edges(g: Graph, x: BoundaryPoint, n: int) -> BoundaryPoint:
     return BoundaryPoint(g.edge_src(rotated[0]), (), rotated)
 
 
+def shift(g: Graph, x: BoundaryPoint, n: int = 1) -> BoundaryPoint:
+    """The shift map applied ``n`` times: drop the first ``n`` edges of a
+    boundary path (``n = 0`` is the identity)."""
+    if n < 0:
+        raise InputError("shift exponent must be a natural number")
+    if x.length < n:
+        raise DomainError(f"cannot shift a point of length {x.length} by {n}")
+    return drop_edges(g, x, n)
+
+
 def _vertex_after(g: Graph, x: BoundaryPoint, n: int) -> str:
     return x.src if n == 0 else g.edge_dst(x.edge_at(n - 1))
 

@@ -3,7 +3,12 @@
 Exit codes: 0 for success or an affirmative decision, 1 for a well-formed
 negative (a property fails, a decision is "no"), 2 for input errors, 3 for
 an internal failure of the library (any other exception, such as a
-``RecursionError``), reported as one line on stderr.
+``RecursionError``), reported as one line on stderr.  A file that cannot be
+read as UTF-8 text (missing, a directory, binary) is an input error.
+
+Every command parses a graph file, so the DSL is imported with this module;
+each command imports the library modules it runs when it is dispatched, and
+no others.
 """
 
 from __future__ import annotations
@@ -11,10 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path as FilePath
 
-from . import boundary, dsl, dynamics, groupoid, invariants, moves, weyl
-from .errors import OegError
+from . import dsl
+from .errors import InputError, OegError
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -22,8 +26,18 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _load_graph(path: str) -> dsl.GraphDocument:
-    return dsl.parse_graph(FilePath(path).read_text(encoding="utf-8"))
+    return dsl.parse_graph(_read_text(path))
 
 
 def _emit(payload, as_json: bool, text_lines=None):
@@ -145,6 +159,8 @@ def _run(args) -> int:
     cmd = args.command
 
     if cmd == "info":
+        from . import invariants
+
         doc = _load_graph(args.graph)
         report = invariants.invariant_report(doc.graph)
         if as_json:
@@ -155,6 +171,8 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "census":
+        from . import boundary
+
         doc = _load_graph(args.graph)
         census = boundary.boundary_census(doc.graph)
         if census.finite:
@@ -169,22 +187,28 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "det":
+        from . import invariants
+
         doc = _load_graph(args.graph)
         value = invariants.det_invariant(doc.graph)
         _emit({"detIMinusA": value}, as_json, [str(value)])
         return EXIT_OK
 
     if cmd == "shift":
+        from . import boundary
+
         doc = _load_graph(args.graph)
         x = dsl.parse_point(doc.graph, args.point)
-        y = dynamics.shift(doc.graph, x, args.n)
+        y = boundary.shift(doc.graph, x, args.n)
         _emit({"point": dsl.print_point(doc.graph, y)}, as_json, [dsl.print_point(doc.graph, y)])
         return EXIT_OK
 
     if cmd == "verify-oe":
+        from . import dynamics
+
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
-        w = dsl.parse_witness(E, F, FilePath(args.witness).read_text(encoding="utf-8"))
+        w = dsl.parse_witness(E, F, _read_text(args.witness))
         report = dynamics.verify_oe_witness(w)
         _emit(
             {"ok": report.ok, "failures": report.failures},
@@ -194,6 +218,8 @@ def _run(args) -> int:
         return EXIT_OK if report.ok else EXIT_NO
 
     if cmd == "search-oe":
+        from . import dynamics
+
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
         w = dynamics.search_oe_witness(E, F)
@@ -204,9 +230,11 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "extend-cocycles":
+        from . import dynamics
+
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
-        w = dsl.parse_witness(E, F, FilePath(args.witness).read_text(encoding="utf-8"))
+        w = dsl.parse_witness(E, F, _read_text(args.witness))
         report = dynamics.verify_oe_witness(w)
         if not report.ok:
             _emit({"ok": False, "failures": report.failures}, as_json, report.failures)
@@ -223,20 +251,24 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "verify-pseudo":
+        from . import dynamics
+
         doc = _load_graph(args.graph)
-        el = dsl.parse_element(doc.graph, FilePath(args.element).read_text(encoding="utf-8"))
+        el = dsl.parse_element(doc.graph, _read_text(args.element))
         ok = dynamics.verify_pseudogroup_element(el)
         _emit({"ok": ok}, as_json, ["ok" if ok else "identity fails"])
         return EXIT_OK if ok else EXIT_NO
 
     if cmd == "conjugate-pseudo":
+        from . import dynamics
+
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
-        w = dsl.parse_witness(E, F, FilePath(args.witness).read_text(encoding="utf-8"))
+        w = dsl.parse_witness(E, F, _read_text(args.witness))
         if not dynamics.verify_oe_witness(w).ok:
             _emit({"ok": False}, as_json, ["witness does not verify"])
             return EXIT_NO
-        el = dsl.parse_element(E, FilePath(args.element).read_text(encoding="utf-8"))
+        el = dsl.parse_element(E, _read_text(args.element))
         out = dynamics.conjugate_pseudogroup(w, el)
         _emit(dsl.element_to_json(F, out), True)
         return EXIT_OK
@@ -249,6 +281,8 @@ def _run(args) -> int:
         return _run_move(args, as_json)
 
     if cmd == "decide-amplified":
+        from . import moves
+
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
         equivalent, bij = moves.decide_amplified_oe(E, F)
@@ -264,6 +298,8 @@ def _run(args) -> int:
 
 
 def _run_groupoid(args, as_json: bool) -> int:
+    from . import groupoid
+
     doc = _load_graph(args.graph)
     g = doc.graph
     if args.subcommand == "make":
@@ -300,6 +336,8 @@ def _run_groupoid(args, as_json: bool) -> int:
 
 
 def _run_weyl(args, as_json: bool) -> int:
+    from . import weyl
+
     doc = _load_graph(args.graph)
     g = doc.graph
     if args.subcommand == "germ":
@@ -347,10 +385,12 @@ def _run_weyl(args, as_json: bool) -> int:
 
 
 def _run_move(args, as_json: bool) -> int:
+    from . import moves
+
     doc = _load_graph(args.graph)
     g = doc.graph
     if args.subcommand == "out-split":
-        partition = dsl.parse_partition(g, FilePath(args.partition).read_text(encoding="utf-8"))
+        partition = dsl.parse_partition(g, _read_text(args.partition))
         split = moves.out_split(g, partition)
         print(dsl.print_graph(split.graph, name=f"{doc.name}_split"), end="")
         if args.map_point is not None:
@@ -382,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return _run(args)
-    except (OegError, FileNotFoundError) as exc:
+    except OegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -24,7 +24,6 @@ from typing import Mapping
 from .boundary import BoundaryPoint, canonicalize, minimal_witness
 from .errors import InputError, ParseError
 from .graphs import INF, Edge, Graph, Path
-from .moves import Block, OutSplitPartition
 
 _IDENT = r"[A-Za-z0-9_^]+"
 _GRAPH_RE = re.compile(rf"^graph\s+({_IDENT})\s*$")
@@ -150,6 +149,8 @@ _POINT_RE = re.compile(r"^(?:(?P<pre>[^()]*?)\.)?\((?P<per>[^()]+)\)\*$")
 def parse_point(g: Graph, text: str) -> BoundaryPoint:
     """Parse and canonicalize a point; finite forms must end at a singular
     vertex."""
+    if not isinstance(text, str):  # a table entry of a JSON file
+        raise ParseError(f"a point must be written as text, got {text!r}")
     text = text.strip()
     m = _POINT_RE.match(text)
     if m:
@@ -199,16 +200,24 @@ def print_witness(w) -> str:
     return json.dumps(witness_to_json(w), indent=2) + "\n"
 
 
-def parse_witness(E: Graph, F: Graph, text: str):
-    from .dynamics import OrbitWitness
-
+def _json_tables(text: str, what: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object that holds (at least) the named tables."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"witness is not valid JSON: {exc}") from exc
-    for key in ("h", "k1", "l1", "k1p", "l1p"):
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} JSON must be an object")
+    for key in keys:
         if key not in data:
-            raise ParseError(f"witness JSON misses the {key!r} table")
+            raise ParseError(f"{what} JSON misses the {key!r} table")
+    return data
+
+
+def parse_witness(E: Graph, F: Graph, text: str):
+    from .dynamics import OrbitWitness
+
+    data = _json_tables(text, "witness", ("h", "k1", "l1", "k1p", "l1p"))
     try:
         h = {parse_point(E, a): parse_point(F, b) for a, b in data["h"]}
         k1 = {parse_point(E, a): int(v) for a, v in data["k1"]}
@@ -234,13 +243,7 @@ def element_to_json(g: Graph, p) -> dict:
 def parse_element(g: Graph, text: str):
     from .dynamics import PseudogroupElement
 
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"element is not valid JSON: {exc}") from exc
-    for key in ("alpha", "m", "n"):
-        if key not in data:
-            raise ParseError(f"element JSON misses the {key!r} table")
+    data = _json_tables(text, "element", ("alpha", "m", "n"))
     try:
         alpha = {parse_point(g, a): parse_point(g, b) for a, b in data["alpha"]}
         m = {parse_point(g, a): int(v) for a, v in data["m"]}
@@ -304,7 +307,7 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
     vertex; unmentioned non-sink vertices keep their whole out-edge set as a
     single block.  Bare class names place the whole class; ``cls[i]`` places
     a single edge."""
-    from .moves import trivial_partition
+    from .moves import Block, OutSplitPartition, trivial_partition
 
     blocks = dict(trivial_partition(g).blocks)
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -23,20 +23,11 @@ from .boundary import (
     isolating_cylinder,
     minimal_witness,
     point_sort_key,
+    shift,
     tail_classes,
 )
-from .errors import DomainError, InputError, UnsupportedScaleError
+from .errors import InputError, UnsupportedScaleError
 from .graphs import Edge, Graph
-
-
-def shift(g: Graph, x: BoundaryPoint, n: int = 1) -> BoundaryPoint:
-    """Drop the first ``n`` edges of a boundary path (``n = 0`` is the
-    identity)."""
-    if n < 0:
-        raise InputError("shift exponent must be a natural number")
-    if x.length < n:
-        raise DomainError(f"cannot shift a point of length {x.length} by {n}")
-    return drop_edges(g, x, n)
 
 
 def fixed_points(g: Graph) -> list[BoundaryPoint]:

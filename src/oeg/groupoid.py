@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import BoundaryPoint, CylinderSet, minimal_witness, tail_classes, tail_key
-from .dynamics import shift
+from .boundary import BoundaryPoint, CylinderSet, minimal_witness, shift, tail_classes, tail_key
 from .errors import CompositionError, DomainError, InputError
 from .graphs import Graph, condition_l
 

@@ -180,8 +180,10 @@ def phi_bijectivity_check(
     cross-checked against `germ_equivalent`, and at every isolated
     eventually periodic anchor the cocycles of one image are checked to be
     congruent mod the period, which is what makes the winding index an
-    integer.
+    integer.  A negative bound is an input error.
     """
+    if bound < 0:
+        raise InputError("the path-length bound must be a natural number")
     pool, complete = representable_pool(g, bound, max_points)
     shifts = {x: shift_orbit(g, x, bound) for x in pool}
     elements = enumerate_elements(g, pool, bound, shifts)

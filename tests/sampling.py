@@ -1,13 +1,13 @@
 """Deterministic random generators for graphs, partitions and cylinder
-covers, used by the property suites and the experiment scripts."""
+covers, used by the property suites."""
 
 from __future__ import annotations
 
 import random
 
-from .boundary import BoundaryPoint, CylinderSet, bounded_points, make_cylinder
-from .graphs import INF, Edge, EdgeClass, Graph
-from .moves import Block, OutSplitPartition
+from oeg.boundary import BoundaryPoint, CylinderSet, bounded_points, make_cylinder
+from oeg.graphs import INF, Edge, EdgeClass, Graph
+from oeg.moves import Block, OutSplitPartition
 
 
 def random_graph(

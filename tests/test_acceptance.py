@@ -12,6 +12,7 @@ import random
 import time
 
 from conftest import pt
+from sampling import random_graph, random_proper_partition, sample_points
 from oeg.boundary import boundary_census, drop_edges
 from oeg.dsl import print_point
 from oeg.dynamics import (
@@ -35,7 +36,6 @@ from oeg.moves import (
     out_split_map,
     saturate,
 )
-from oeg.sampling import random_graph, random_proper_partition, sample_points
 from oeg.weyl import phi_bijectivity_check
 from oeg.zoo import (
     amplified_arrow_loop,
@@ -252,7 +252,7 @@ def _safe_pattern(rng, amp):
 
 def test_criterion_9_disjointification():
     from test_boundary import check_disjointify
-    from oeg.sampling import random_cylinders
+    from sampling import random_cylinders
 
     with Timer() as t:
         rng = random.Random(2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pt, small_graph_st
+from sampling import random_cylinders, random_graph, sample_points
 from oeg.boundary import (
     BoundaryPoint,
     boundary_census,
@@ -24,7 +25,6 @@ from oeg.boundary import (
 )
 from oeg.errors import InputError
 from oeg.graphs import Edge, Graph
-from oeg.sampling import random_cylinders, random_graph, sample_points
 from oeg.zoo import amplified_arrow_loop, full_shift_two
 
 

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oeg.cli import main
-from oeg.dsl import print_graph, print_witness
+from conftest import small_graph_st
+from oeg.boundary import bounded_points
+from oeg.cli import build_parser, main
+from oeg.dsl import print_graph, print_point, print_witness
+from oeg.graphs import INF, Graph
 from oeg.zoo import (
     amplified_arrow_loop,
     arrow_into_loop,
@@ -206,6 +214,14 @@ def test_malformed_tables_are_input_errors(files, capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "groupoid", "compose", files["E1"], "((b)* | one | (b)*)", "((b)* | 1 | (b)*)")
     assert code == 2
+    # JSON that is not an object, and a point that is not a string
+    not_object = tmp_path / "null.json"
+    not_object.write_text("null")
+    code, _ = run(capsys, "verify-oe", files["E1"], files["F1"], str(not_object))
+    assert code == 2
+    bad.write_text(json.dumps({"alpha": [[None, "(b)*"]], "m": [], "n": []}))
+    code, _ = run(capsys, "verify-pseudo", files["E1"], str(bad))
+    assert code == 2
 
 
 def test_internal_errors_exit_3(files, capsys, monkeypatch):
@@ -221,3 +237,235 @@ def test_internal_errors_exit_3(files, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.splitlines() == ["internal error: RuntimeError: census exploded"]
+
+
+def _one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_unreadable_files_are_input_errors(files, tmp_path, capsys):
+    """A directory or a file that is not UTF-8 text, in any file argument,
+    exits 2 with one error line."""
+    binary = tmp_path / "binary.graph"
+    binary.write_bytes(b"graph G\nvertex v\xff\xfe\n")
+    part = tmp_path / "split.part"
+    part.write_text("split 1: {a11} | {a12}\n")
+    el = tmp_path / "el.json"
+    el.write_text(json.dumps({"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 1]], "n": [["(b)*", 0]]}))
+    directory, bad = str(files["dir"]), str(binary)
+    cases = [
+        ["census", directory],
+        ["census", bad],
+        ["det", directory],
+        ["search-oe", files["G0"], bad],
+        ["verify-oe", files["E1"], files["F1"], directory],
+        ["verify-oe", files["E1"], files["F1"], bad],
+        ["extend-cocycles", files["E1"], files["F1"], directory, "1"],
+        ["verify-pseudo", files["E1"], bad],
+        ["conjugate-pseudo", files["E1"], files["F1"], files["W1"], directory],
+        ["conjugate-pseudo", files["E1"], files["F1"], bad, str(el)],
+        ["move", "out-split", files["E2"], directory],
+        ["move", "out-split", files["E2"], bad],
+        ["move", "out-split", directory, str(part)],
+    ]
+    for argv in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert _one_error_line(captured.err), (argv, captured.err)
+
+
+def test_phi_check_negative_bound_exits_2(files, capsys):
+    code = main(["weyl", "phi-check", files["F1"], "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert _one_error_line(captured.err)
+
+
+# -- which modules each command loads --------------------------------------------
+
+_BASE_MODULES = {"oeg.boundary", "oeg.cli", "oeg.dsl", "oeg.errors", "oeg.graphs"}
+
+# (argv over the ``files`` fixture's names, exit code, library modules beyond the base)
+_CLOSURES = {
+    "census": (["census", "E1"], 0, set()),
+    "det": (["det", "E2"], 0, {"invariants"}),
+    "info": (["info", "E1"], 0, {"invariants", "dynamics", "groupoid"}),
+    "shift": (["shift", "E1", "a.(b)*", "1"], 0, set()),
+    "search-oe": (["search-oe", "G0", "Floop"], 0, {"dynamics"}),
+    "verify-oe": (["verify-oe", "E1", "F1", "W1"], 0, {"dynamics"}),
+    "groupoid make": (["groupoid", "make", "E1", "a.(b)*", "1", "0", "(b)*"], 0, {"groupoid"}),
+    "groupoid compose": (
+        ["groupoid", "compose", "E1", "(a.(b)* | 1 | (b)*)", "((b)* | 1 | (b)*)"], 0, {"groupoid"}
+    ),
+    "weyl phi-check": (["weyl", "phi-check", "F1"], 0, {"groupoid", "weyl"}),
+    "move out-split": (["move", "out-split", "E2", "split", "--map-point", "(a11)*"], 0, {"moves"}),
+    "move saturate": (["move", "saturate", "amp", "A[0].B[0]", "--map-point", "M[3].(B[0])*"], 0, {"moves"}),
+    "decide-amplified": (["decide-amplified", "E1", "F1"], 1, {"moves", "digraphs"}),
+}
+
+_PROBE = """
+import contextlib, io, json, sys
+from oeg.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("oeg."))]))
+"""
+
+
+@pytest.mark.parametrize("command", list(_CLOSURES))
+def test_command_imports_only_its_modules(command, files, tmp_path):
+    """Each command, run in a fresh interpreter, loads the DSL's modules and
+    the library modules it runs, and no others."""
+    import oeg
+
+    (tmp_path / "split.part").write_text("split 1: {a11} | {a12}\n")
+    (tmp_path / "amp.graph").write_text("graph amp\nvertex u, v\nedge A * inf: u -> v\nedge B * inf: v -> v\n")
+    named = dict(files, split=str(tmp_path / "split.part"), amp=str(tmp_path / "amp.graph"))
+    words, want_code, extra = _CLOSURES[command]
+    argv = [named.get(w, w) for w in words]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oeg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == want_code
+    assert set(loaded) == _BASE_MODULES | {f"oeg.{m}" for m in extra}
+
+
+# -- exit-code fuzzing -----------------------------------------------------------
+
+# Argument kinds: g graph file, p point, n integer, w witness file, e element
+# file, x groupoid element, h path, m germ, s partition file.
+_FUZZ_COMMANDS = [
+    (["info"], "g"),
+    (["census"], "g"),
+    (["det"], "g"),
+    (["shift"], "gpn"),
+    (["verify-oe"], "ggw"),
+    (["search-oe"], "gg"),
+    (["extend-cocycles"], "ggwn"),
+    (["verify-pseudo"], "ge"),
+    (["conjugate-pseudo"], "ggwe"),
+    (["groupoid", "make"], "gpnnp"),
+    (["groupoid", "compose"], "gxx"),
+    (["groupoid", "isotropy"], "gp"),
+    (["groupoid", "principality"], "g"),
+    (["weyl", "germ"], "ghhp"),
+    (["weyl", "equiv"], "gmm"),
+    (["weyl", "winding"], "gmm"),
+    (["weyl", "phi-check"], "g"),
+    (["move", "out-split"], "gs"),
+    (["move", "amplify"], "g"),
+    (["move", "tclose"], "g"),
+    (["move", "saturate"], "gh"),
+    (["decide-amplified"], "gg"),
+]
+_OPTIONS = {"phi-check": ("--bound", "n"), "out-split": ("--map-point", "p"), "saturate": ("--map-point", "p")}
+_JUNK = ["", "zz", "@", "@zz", "(", ")*", "a.(", "|", "[x]", "e0_0[9]", "((v0))*", "1"]
+
+
+@st.composite
+def _fuzz_graph(draw):
+    """A graph with at most four vertices, one class possibly infinite."""
+    g = draw(small_graph_st(max_vertices=4))
+    inf_cid = draw(st.sampled_from([None, *(c.cid for c in g.edge_classes)]))
+    return Graph(g.vertices, [(c.cid, c.src, c.dst, INF if c.cid == inf_cid else c.mult) for c in g.edge_classes])
+
+
+@st.composite
+def _fuzz_case(draw):
+    """An argv over a drawn command, and the files it names: valid,
+    malformed, non-UTF-8, missing or a directory."""
+    g = draw(_fuzz_graph())
+    points = [print_point(g, x) for x in bounded_points(g, pre_len=1, per_len=2, limit=6)]
+    names = [c.cid for c in g.edge_classes] + [f"@{v}" for v in g.vertices]
+    word = st.sampled_from(points + names + _JUNK) if points else st.sampled_from(names + _JUNK)
+    path = st.lists(st.sampled_from(names + _JUNK), min_size=1, max_size=3).map(".".join)
+    integer = st.integers(-2, 3).map(str) | st.sampled_from(["x", "1.5"])
+    leaf = st.none() | st.integers(-2, 3) | word
+    json_value = st.recursive(
+        leaf,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["h", "k1", "l1", "k1p", "l1p", "alpha", "m", "n"]), inner, max_size=8),
+        max_leaves=12,
+    )
+    pair = st.tuples(leaf, leaf).map(list)
+    table = st.lists(pair, max_size=4)
+    witness = st.fixed_dictionaries({k: table for k in ("h", "k1", "l1", "k1p", "l1p")})
+    element = st.fixed_dictionaries({k: table for k in ("alpha", "m", "n")})
+    cell = st.lists(st.sampled_from(names + _JUNK), max_size=3).map(lambda es: "{" + ", ".join(es) + "}")
+    split = st.tuples(st.sampled_from(list(g.vertices) + _JUNK), st.lists(cell, min_size=1, max_size=3))
+    partition = st.lists(split.map(lambda s: f"split {s[0]}: " + " | ".join(s[1])), max_size=2).map("\n".join)
+    graph_text = print_graph(g, "G")
+    lines = graph_text.splitlines()
+    broken = st.sampled_from(
+        ["\n".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))] + [graph_text + "edge ?: v0 -> v0\n"]
+    ) | st.text(max_size=20)
+    files = {
+        # mostly valid, so that the later arguments get read too
+        "g": st.one_of(st.just(graph_text), st.just(graph_text), st.just(graph_text), broken),
+        "w": witness.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10),
+        "e": element.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10),
+        "s": partition,
+    }
+    triple = st.tuples(word, st.integers(-2, 3), word)
+    inline = {
+        "p": word,
+        "n": integer,
+        "h": path,
+        "x": triple.map(lambda t: f"({t[0]} | {t[1]} | {t[2]})") | word,
+        "m": st.tuples(path, path, word).map(lambda t: f"[{t[0]} | {t[1]} | {t[2]}]") | word,
+    }
+    words, kinds = draw(st.sampled_from(_FUZZ_COMMANDS))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv += words
+    written = []
+    for kind in kinds:
+        if kind in files:
+            how = draw(st.sampled_from(["text"] * 12 + ["binary", "missing", "directory"]))
+            if how == "text":
+                written.append(draw(files[kind]).encode("utf-8"))
+            elif how == "binary":
+                written.append(b"graph G\nvertex v0\xff\n")
+            else:
+                written.append(how)
+            argv.append(len(written) - 1)
+        else:
+            argv.append(draw(inline[kind]))
+    if words[-1] in _OPTIONS and draw(st.booleans()):
+        flag, kind = _OPTIONS[words[-1]]
+        argv += [flag, draw(inline[kind])]
+    return argv, written
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_fuzz_case())
+def test_exit_codes_fuzz(case):
+    """Every run exits 0, 1 or 2, never 3; an input error that argparse did
+    not report prints exactly one error line."""
+    argv, written = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, content in enumerate(written):
+            path = os.path.join(tmp, f"f{i}")
+            if content == "directory":
+                os.mkdir(path)
+            elif content != "missing":
+                with open(path, "wb") as fh:
+                    fh.write(content)
+            paths.append(path)
+        argv = [paths[a] if isinstance(a, int) else a for a in argv]
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                build_parser().parse_args(argv)
+            parsed = True
+        except SystemExit:
+            parsed = False
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if parsed and code == 2:
+        assert _one_error_line(err.getvalue()), (argv, err.getvalue())

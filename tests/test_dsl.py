@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import pt
+from sampling import random_graph, sample_points
 from oeg.dsl import (
     GraphDocument,
     parse_germ,
@@ -23,7 +24,6 @@ from oeg.dsl import (
 )
 from oeg.errors import ParseError
 from oeg.graphs import INF, Edge
-from oeg.sampling import random_graph, sample_points
 from oeg.zoo import amplified_arrow_loop, arrow_into_loop
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import pt
+from sampling import random_functional_graph
 from oeg.boundary import boundary_census
 from oeg.dynamics import (
     OrbitWitness,
@@ -25,7 +26,6 @@ from oeg.dynamics import (
 )
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
 from oeg.graphs import Graph
-from oeg.sampling import random_functional_graph
 from oeg.zoo import arrow_into_loop, iter_small_graphs, lone_loop, lone_vertex, two_cycle
 
 
@@ -349,7 +349,7 @@ def test_conjugacy_witness_shape(e1):
 
 from hypothesis import given, settings, strategies as st
 from conftest import small_graph_st
-from oeg.sampling import sample_points
+from sampling import sample_points
 
 
 @settings(max_examples=60, deadline=None)

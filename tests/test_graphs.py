@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import small_graph_st
+from sampling import random_graph
 from oeg.errors import InputError
 from oeg.graphs import (
     INF,
@@ -21,7 +22,6 @@ from oeg.graphs import (
     vertex_kind,
 )
 from oeg.moves import amplify
-from oeg.sampling import random_graph
 from oeg.zoo import iter_small_graphs
 
 

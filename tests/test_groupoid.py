@@ -148,7 +148,7 @@ def test_principality_probe(e2, g0):
 def test_principality_cross_check():
     from oeg.boundary import is_isolated
     from oeg.graphs import condition_l
-    from oeg.sampling import sample_points
+    from sampling import sample_points
 
     for g in itertools.islice(iter_small_graphs(3, 2), 0, 400):
         ok, _ = condition_l(g)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sampling import random_graph
 from oeg.digraphs import isomorphism
 from oeg.errors import UnsupportedScaleError
 from oeg.graphs import INF, Graph
@@ -17,7 +18,6 @@ from oeg.invariants import (
     reachability,
 )
 from oeg.moves import amplified_transitive_closure, amplify, decide_amplified_oe
-from oeg.sampling import random_graph
 from oeg.zoo import iter_small_graphs
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import pt
+from sampling import random_graph, random_proper_partition, sample_points
 from oeg.boundary import boundary_census, drop_edges
 from oeg.dynamics import verify_conjugacy
 from oeg.errors import InputError
@@ -26,7 +27,6 @@ from oeg.moves import (
 )
 from oeg.dsl import parse_partition, parse_point, print_point
 from oeg.invariants import digraph_isomorphic, reachability
-from oeg.sampling import random_graph, random_proper_partition, sample_points
 from oeg.zoo import amplified_arrow_loop
 
 
@@ -252,7 +252,7 @@ def test_saturation_identity_examples(amp):
 
 def test_out_split_bijective_on_finite_censuses():
     rng = random.Random(400)
-    from oeg.sampling import random_functional_graph
+    from sampling import random_functional_graph
 
     done = 0
     while done < 25:

@@ -202,6 +202,13 @@ def test_phi_bijectivity_named(e1, f1, g0, floop):
     assert ks == [-2, 0, 2]
 
 
+def test_phi_check_rejects_negative_bound(f1):
+    """A negative path-length bound is invalid input, not a failed check."""
+    with pytest.raises(InputError):
+        phi_bijectivity_check(f1, -1)
+    assert phi_bijectivity_check(f1, 0).ok
+
+
 def test_winding_on_longer_exitless_cycles():
     """Periods longer than the small-pool sweep: an exitless n-cycle has
     winding (k1 - k2) / n for germs pumped around it."""
