@@ -10,6 +10,8 @@ most two (up to vertex permutation) this runs:
     decided against the class representatives found so far, which counts
     the exact classes of the reachability relation up to isomorphism.
 
+It prints the counts, then the time spent in each of the three stages.
+
 Run:  python scripts/pool_survey.py [max_vertices]
 """
 
@@ -29,6 +31,7 @@ from oeg.zoo import iter_small_graphs
 def main() -> int:
     max_v = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     t0 = time.perf_counter()
+    spent = dict.fromkeys(("condition (L)", "phi check", "amplified classes"), 0.0)
     n = 0
     with_l = 0
     decider_disagreements = 0
@@ -36,13 +39,16 @@ def main() -> int:
     reps: dict[tuple, list] = {}
     for g in iter_small_graphs(max_v):
         n += 1
+        marks = [time.perf_counter()]
         fast = condition_l(g)[0]
         slow = condition_l_by_enumeration(g, len(g.vertices))[0]
         if fast != slow:
             decider_disagreements += 1
         with_l += fast
+        marks.append(time.perf_counter())
         if not phi_bijectivity_check(g, 3, max_points=18).ok:
             phi_failures += 1
+        marks.append(time.perf_counter())
         reach = reachability(g)
         key = tuple(sorted(
             (sum(reach[(v, w)] for w in g.vertices), sum(reach[(w, v)] for w in g.vertices), reach[(v, v)])
@@ -51,6 +57,9 @@ def main() -> int:
         group = reps.setdefault((len(g.vertices), key), [])
         if not any(decide_amplified_oe(g, r)[0] for r in group):
             group.append(g)
+        marks.append(time.perf_counter())
+        for name, start, end in zip(spent, marks, marks[1:]):
+            spent[name] += end - start
     elapsed = time.perf_counter() - t0
     print(f"graphs surveyed:                 {n}")
     print(f"condition (L) holds:             {with_l}")
@@ -59,6 +68,8 @@ def main() -> int:
     print(f"reachability profile classes:    {len(reps)}")
     print(f"amplified OE classes (exact):    {sum(map(len, reps.values()))}")
     print(f"elapsed:                         {elapsed:.1f}s")
+    for name, seconds in spent.items():
+        print(f"  {name + ':':31}{seconds:.1f}s ({seconds / elapsed:.0%})")
 
     # The profile is an invariant, so its classes are unions of amplified
     # orbit equivalence classes. Sanity: the decision procedure agrees with

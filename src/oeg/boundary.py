@@ -22,7 +22,6 @@ from .graphs import (
     _least_rotation,
     _primitive_root_edges,
     is_singular,
-    loop_has_exit,
     vertex_kind,
 )
 
@@ -366,10 +365,11 @@ def disjointify(g: Graph, cover: Iterable[CylinderSet]) -> list[CylinderSet]:
 
 def is_isolated(g: Graph, x: BoundaryPoint) -> bool:
     """A finite point is isolated iff it ends at a sink; an eventually
-    periodic point is isolated iff its period has no exit."""
+    periodic point is isolated iff its period has no exit, that is, every
+    vertex it passes has out-degree 1."""
     if x.is_finite:
         return vertex_kind(g, _vertex_after(g, x, len(x.pre))) == "sink"
-    return not loop_has_exit(g, g.loop(x.period))
+    return all(g.out_degree(g.edge_src(e)) == 1 for e in x.period)
 
 
 def isolating_cylinder(g: Graph, x: BoundaryPoint) -> CylinderSet | None:
@@ -401,13 +401,15 @@ def bounded_points(
 
     if prefix_budget is None:
         prefix_budget = 4000 if limit is None else max(200, 10 * limit)
-    pts: set[BoundaryPoint] = set()
-    prefixes: dict[str, list[tuple[str, tuple[Edge, ...]]]] = {v: [] for v in g.vertices}
+    # levels[d][v]: the (source, edges) of the length-d prefixes ending at v
+    levels: list[dict[str, list[tuple[str, tuple[Edge, ...]]]]] = []
     level: list[tuple[str, str, tuple[Edge, ...]]] = [(v, v, ()) for v in g.vertices]
     total = 0
     for depth in range(pre_len + 1):
+        ends: dict[str, list[tuple[str, tuple[Edge, ...]]]] = {v: [] for v in g.vertices}
         for v0, end, edges in level:
-            prefixes[end].append((v0, edges))
+            ends[end].append((v0, edges))
+        levels.append(ends)
         total += len(level)
         if depth == pre_len or total >= prefix_budget:
             break
@@ -418,21 +420,29 @@ def bounded_points(
             if total + len(nxt) >= prefix_budget:
                 break
         level = nxt[: max(0, prefix_budget - total)]
-    for v in g.vertices:
-        if is_singular(g, v):
-            for v0, edges in prefixes[v]:
-                pts.add(BoundaryPoint(v0, edges, ()))
-    for loop in enumerate_simple_loops(g, per_len):
-        for i in range(loop.length):
-            rot = loop.edges[i:] + loop.edges[:i]
+    singular = [v for v in g.vertices if is_singular(g, v)]
+    finite = {BoundaryPoint(v0, edges, ()) for ends in levels for v in singular for v0, edges in ends[v]}
+    out = sorted(finite, key=point_sort_key)
+    rotations = [
+        loop.edges[i:] + loop.edges[:i]
+        for loop in enumerate_simple_loops(g, per_len)
+        for i in range(loop.length)
+    ]
+    # Periodic points sort after the finite ones and then by preperiod
+    # length, one level at a time, so levels past the limit are never built.
+    for ends in levels:
+        if limit is not None and len(out) >= limit:
+            break
+        pts: set[BoundaryPoint] = set()
+        for rot in rotations:
             base = g.edge_src(rot[0])
-            for v0, edges in prefixes[base]:
+            for v0, edges in ends[base]:
                 # pairs whose preperiod tail absorbs into the period are the
                 # canonical forms of shorter pairs already enumerated
                 if edges and edges[-1] == rot[-1]:
                     continue
                 pts.add(BoundaryPoint(v0 if edges else base, edges, rot))
-    out = sorted(pts, key=point_sort_key)
+        out += sorted(pts, key=point_sort_key)
     return out if limit is None else out[:limit]
 
 

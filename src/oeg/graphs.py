@@ -219,11 +219,11 @@ def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
     """
     if max_len is None:
         max_len = default_loop_search_length(g)
+    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=1)] for v in g.vertices}
     found: set[tuple[Edge, ...]] = set()
 
     def walk(start: str, here: str, edges: list[Edge]):
-        for e in g.out_edges(here, inf_cap=1):
-            nxt = g.edge_dst(e)
+        for e, nxt in steps[here]:
             edges.append(e)
             if nxt == start:
                 seq = tuple(edges)
@@ -236,7 +236,8 @@ def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
 
     for v in g.vertices:
         walk(v, v, [])
-    loops = [g.loop(seq) for seq in found]
+    # closed walks along out-edges, so valid loops by construction
+    loops = [Path(g.edge_src(seq[0]), g.edge_src(seq[0]), seq) for seq in found]
     loops.sort(key=lambda l: (l.length, l.edges))
     return loops
 

@@ -9,10 +9,14 @@ form unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .boundary import BoundaryPoint, CylinderSet, minimal_witness, shift, tail_classes, tail_key
+from .boundary import BoundaryPoint, CylinderSet, minimal_witness, shift
 from .errors import CompositionError, DomainError, InputError
 from .graphs import Graph, condition_l
+
+if TYPE_CHECKING:
+    from .pointtable import PointTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,30 +152,32 @@ def enumerate_elements(
     g: Graph,
     pool: list[BoundaryPoint],
     bound: int,
-    shifts: dict[BoundaryPoint, list[BoundaryPoint]] | None = None,
+    table: PointTable | None = None,
 ) -> list[GroupoidElement]:
     """All elements ``(x, k, y)`` over the pool whose minimal witness fits in
-    the bound and with |k| <= bound, in deterministic order."""
-    if shifts is None:
-        shifts = {x: shift_orbit(g, x, bound) for x in pool}
-    # points of different tail classes never share an orbit point
-    same_tail = tail_classes(g, pool)
+    the bound, in pool order of ``x``, then of ``y``, then by cocycle.
+
+    The search runs on the ids of ``table`` (a fresh one when none is
+    given): every orbit point ``sigma^n(y)`` is indexed once, so each
+    ``sigma^m(x)`` finds the points it meets by one lookup, and the first
+    ``m`` to meet a ``(y, k)`` is its minimal witness."""
+    if table is None:
+        from .pointtable import PointTable  # loaded on use: groupoid make and compose never need it
+
+        table = PointTable(g)
+    orbits = [table.orbit(table.intern(x), bound) for x in pool]
+    meets: dict[int, list[tuple[int, int]]] = {}
+    for b, orbit in enumerate(orbits):
+        for n, z in enumerate(orbit):
+            meets.setdefault(z, []).append((b, n))
     out = []
-    for x in pool:
-        sx = shifts[x]
-        for y in same_tail[tail_key(g, x)]:
-            sy = shifts[y]
-            best: dict[int, tuple[int, int]] = {}
-            for m in range(len(sx)):
-                for n in range(len(sy)):
-                    k = m - n
-                    if abs(k) > bound or k in best:
-                        continue
-                    if sx[m] == sy[n]:
-                        best[k] = (m, n)
-            for k in sorted(best):
-                m, n = best[k]
-                out.append(GroupoidElement(x, k, y, m, n))
+    for x, orbit in zip(pool, orbits):
+        best: dict[tuple[int, int], tuple[int, int]] = {}
+        for m, z in enumerate(orbit):
+            for b, n in meets[z]:
+                best.setdefault((b, m - n), (m, n))
+        for b, k in sorted(best):
+            out.append(GroupoidElement(x, k, pool[b], *best[b, k]))
     return out
 
 

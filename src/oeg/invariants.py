@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import neg
 
 from .boundary import boundary_census, is_isolated
 from .errors import InputError, UnsupportedScaleError
@@ -33,13 +32,23 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:
+    """Exact integer determinant of a dense square matrix, by
+    :func:`det_sparse` on its nonzero entries."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InputError("determinant needs a square matrix")
+    return det_sparse([{j: row[j] for j in compress(range(n), row)} for row in matrix])
+
+
+def det_sparse(rows: list[dict[int, int]]) -> int:
     """Exact integer determinant by sparse fraction-free (Bareiss)
     elimination.
 
-    Rows are ``{column: value}`` dicts.  Each pivot is taken from the active
-    row with the fewest nonzeros, in its column with the fewest nonzeros
-    among active rows, and the sign of the implied row and column
-    permutation is applied at the end.  Rescaling is lazy: where Bareiss
+    Row ``i`` holds the nonzero entries of matrix row ``i`` as
+    ``{column: value}``, and the dicts are consumed.  Each pivot is taken
+    from the active row with the fewest nonzeros, in its column with the
+    fewest nonzeros among active rows, and the sign of the implied row and
+    column permutation is applied at the end.  Rescaling is lazy: where Bareiss
     multiplies every row with a zero in the pivot column by
     ``p_k / p_(k-1)``, such a row is left alone and keeps the index ``j`` of
     the last pivot it was current at, so its current entries are the stored
@@ -49,10 +58,7 @@ def det_bareiss(matrix: list[list[int]]) -> int:
     """
     from heapq import heapify, heappop, heappush  # only commands that need a determinant load it
 
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise InputError("determinant needs a square matrix")
-    rows = [{j: row[j] for j in compress(range(n), row)} for row in matrix]
+    n = len(rows)
     cols: list[set[int]] = [set() for _ in range(n)]  # active rows per column
     for i, row in enumerate(rows):
         for j in row:
@@ -112,11 +118,18 @@ def det_bareiss(matrix: list[list[int]]) -> int:
 
 
 def det_invariant(g: Graph) -> int:
-    """det(I - A) for the adjacency matrix A, over exact integers."""
-    m = [list(map(neg, row)) for row in adjacency_matrix(g)]
-    for i, row in enumerate(m):
-        row[i] += 1
-    return det_bareiss(m)
+    """det(I - A) for the adjacency matrix A, over exact integers, from
+    sparse rows built straight from the edge classes."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows: list[dict[int, int]] = [{i: 1} for i in range(len(index))]
+    for c in g.edge_classes:
+        if c.is_infinite:
+            raise UnsupportedScaleError(
+                "graphs with infinite classes have no adjacency matrix here"
+            )
+        row, j = rows[index[c.src]], index[c.dst]
+        row[j] = row.get(j, 0) - c.mult
+    return det_sparse([{j: v for j, v in row.items() if v} for row in rows])
 
 
 def reachability(g: Graph) -> dict[tuple[str, str], bool]:

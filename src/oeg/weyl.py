@@ -27,7 +27,8 @@ from .boundary import (
 )
 from .errors import CompositionError, InputError
 from .graphs import Graph, Path
-from .groupoid import GroupoidElement, enumerate_elements, shift_orbit
+from .groupoid import GroupoidElement, enumerate_elements
+from .pointtable import PointTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,8 +93,13 @@ def winding(g: Graph, g1: Germ, g2: Germ) -> int:
         raise InputError("winding is defined at isolated eventually periodic points")
     if germ_apply(g, g1) != germ_apply(g, g2):
         raise InputError("winding needs equal images at the anchor")
+    return _turns(x, g1.cocycle - g2.cocycle)
+
+
+def _turns(x: BoundaryPoint, d: int) -> int:
+    """A cocycle difference at a periodic anchor in whole turns of the
+    period."""
     p = len(x.period)
-    d = g1.cocycle - g2.cocycle
     if d % p != 0:
         raise InputError("cocycle difference is not a period multiple")
     return d // p
@@ -111,7 +117,8 @@ def germ_equivalent(g: Graph, g1: Germ, g2: Germ) -> bool:
     if is_isolated(g, x):
         if x.is_finite:
             return True
-        return winding(g, g1, g2) == 0
+        # the winding index, from the anchor and images compared above
+        return _turns(x, g1.cocycle - g2.cocycle) == 0
     if g1.nu.length <= g2.nu.length:
         shorter, longer = g1, g2
     else:
@@ -181,57 +188,80 @@ def phi_bijectivity_check(
     eventually periodic anchor the cocycles of one image are checked to be
     congruent mod the period, which is what makes the winding index an
     integer.  A negative bound is an input error.
+
+    Points are compared as ids of one :class:`PointTable`, built for the
+    call and dropped with it: shift orbits, the germ classes, the element
+    keys and each canonical germ's image (a cons-walk of the element's
+    first ``m`` edges onto ``sigma^n`` of its source) are all int work.
+    Germs are built as values only for the sampled pairs.
     """
     if bound < 0:
         raise InputError("the path-length bound must be a natural number")
     pool, complete = representable_pool(g, bound, max_points)
-    shifts = {x: shift_orbit(g, x, bound) for x in pool}
-    elements = enumerate_elements(g, pool, bound, shifts)
+    table = PointTable(g)
+    elements = enumerate_elements(g, pool, bound, table)
+    ids = [table.intern(x) for x in pool]
+    index = dict(zip(pool, ids))
+    orbits = {i: table.orbit(i, bound) for i in ids}
     violations: list[str] = []
 
     # Germ enumeration: nu is forced to be a prefix of x, and a germ whose
     # image alpha lies in the pool satisfies sigma^{|mu|}(alpha) = sigma^{|nu|}(x),
     # so alpha and |mu| can be looked up by the shared tail instead of
     # enumerating mu itself.
-    by_tail: dict[BoundaryPoint, list[tuple[BoundaryPoint, int]]] = {}
-    for alpha in pool:
-        for mlen, z in enumerate(shifts[alpha]):
+    by_tail: dict[int, list[tuple[int, int]]] = {}
+    for alpha in ids:
+        for mlen, z in enumerate(orbits[alpha]):
             by_tail.setdefault(z, []).append((alpha, mlen))
 
-    def germ_shapes(x: BoundaryPoint):
+    def germ_shapes(x: int):
         """(class key, |nu|, |mu|) of every germ anchored at x."""
-        for nlen, z in enumerate(shifts[x]):
+        for nlen, z in enumerate(orbits[x]):
             for alpha, mlen in by_tail[z]:
                 yield (x, mlen - nlen, alpha), nlen, mlen
 
-    classes = Counter(key for x in pool for key, _, _ in germ_shapes(x))
+    classes = Counter(key for x in ids for key, _, _ in germ_shapes(x))
 
-    element_keys = {(e.y, e.k, e.x) for e in elements}
-    class_keys = set(classes)
-    bijection_ok = element_keys == class_keys
-    for key in sorted(class_keys - element_keys, key=str)[:5]:
-        violations.append(f"germ class without matching element: cocycle {key[1]}")
-    for key in sorted(element_keys - class_keys, key=str)[:5]:
-        violations.append(f"element without matching germ class: cocycle {key[1]}")
+    # phi(e) exchanges the first m edges of x for the first n of y at the
+    # anchor y; its class key is (y, m - n, image), the image being x's
+    # first m edges consed onto sigma^n(y).
+    element_keys = set()
+    phi_ok = True
+    head, cons = table.head, table.cons
     for e in elements:
-        image = germ_class_key(g, phi(g, e))
-        if image != (e.y, e.k, e.x):
-            bijection_ok = False
-            violations.append("phi lands outside the expected class")
-            break
+        x, y = index[e.x], index[e.y]
+        element_keys.add((y, e.k, x))
+        if phi_ok:
+            image = orbits[y][e.n]
+            for z in reversed(orbits[x][: e.m]):
+                image = cons(head[z], image)
+            phi_ok = (y, e.m - e.n, image) == (y, e.k, x)
+    class_keys = set(classes)
+    bijection_ok = element_keys == class_keys and phi_ok
+    for key in sorted(class_keys - element_keys)[:5]:
+        violations.append(f"germ class without matching element: cocycle {key[1]}")
+    for key in sorted(element_keys - class_keys)[:5]:
+        violations.append(f"element without matching germ class: cocycle {key[1]}")
+    if not phi_ok:
+        violations.append("phi lands outside the expected class")
 
     # Key-grouping must agree with germ_equivalent (sampled pairs, budgeted
-    # per run); germs are built only for the anchors the budget reaches.
+    # per run); germs are built only for the pairs the budget reaches.
     equivalence_ok = True
     budget = pair_sample
+    points = dict(zip(ids, pool))
     for anchor in sorted(pool, key=point_sort_key):
         if budget <= 0 or not equivalence_ok:
             break
-        grouped: dict[tuple, list[Germ]] = {}
-        nus = [prefix_path(g, anchor, nlen) for nlen in range(len(shifts[anchor]))]
-        for key, nlen, mlen in germ_shapes(anchor):
-            grouped.setdefault(key, []).append(Germ(prefix_path(g, key[2], mlen), nus[nlen], anchor))
-        tagged = [(key, germ) for key, germs in grouped.items() for germ in germs]
+        grouped: dict[tuple, list[tuple[int, int]]] = {}
+        for key, nlen, mlen in germ_shapes(index[anchor]):
+            grouped.setdefault(key, []).append((nlen, mlen))
+        # the first `budget` pairs of combinations() use the first budget + 1 germs
+        shapes = [(key, n, m) for key, nms in grouped.items() for n, m in nms][: budget + 1]
+        tagged = [
+            (key, Germ(prefix_path(g, points[key[2]], mlen), prefix_path(g, anchor, nlen), anchor))
+            for key, nlen, mlen in shapes
+        ]
         for (k1, a), (k2, b) in itertools.islice(itertools.combinations(tagged, 2), budget):
             budget -= 1
             if germ_equivalent(g, a, b) != (k1 == k2):
@@ -243,8 +273,8 @@ def phi_bijectivity_check(
     # differ by whole turns around the period: their winding index is the
     # cocycle difference over the period, so the cocycles must agree mod the
     # period.  Antisymmetry and additivity of the index follow by arithmetic.
-    periodic_isolated = {x for x in pool if not x.is_finite and is_isolated(g, x)}
-    residues = {(x, alpha, k % len(x.period)) for x, k, alpha in classes if x in periodic_isolated}
+    period = {index[x]: len(x.period) for x in pool if not x.is_finite and is_isolated(g, x)}
+    residues = {(x, alpha, k % period[x]) for x, k, alpha in classes if x in period}
     winding_ok = len(residues) == len({(x, alpha) for x, alpha, _ in residues})
     if not winding_ok:
         violations.append("cocycles with one image are not congruent mod the period")

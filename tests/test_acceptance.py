@@ -158,7 +158,7 @@ def test_criterion_6_germ_groupoid_comparison():
         f"criterion 6: germ classes match groupoid elements on {checked} graphs (bound 3)",
         ok,
         t.elapsed,
-        60.0,
+        20.0,
     )
 
 

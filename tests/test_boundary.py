@@ -22,10 +22,14 @@ from oeg.boundary import (
     isolating_cylinder,
     make_cylinder,
     point_sort_key,
+    prepend,
+    shift,
+    tail_key,
 )
 from oeg.errors import InputError
-from oeg.graphs import Edge, Graph
-from oeg.zoo import amplified_arrow_loop, full_shift_two
+from oeg.graphs import Edge, Graph, enumerate_simple_loops, loop_has_exit
+from oeg.pointtable import PointTable
+from oeg.zoo import amplified_arrow_loop, full_shift_two, iter_small_graphs
 
 
 def edges_to_depth(x: BoundaryPoint, depth: int):
@@ -241,6 +245,17 @@ def test_bounded_points_are_canonical(e2):
         assert canonicalize(e2, x.src, x.pre, x.period) == x
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 40))
+def test_bounded_points_limit_cuts_the_sorted_sample(seed, limit):
+    """A limited sample is the head of the unlimited one, which is sorted
+    and free of repeats: the preperiod levels a limit skips sort after it."""
+    g = random_graph(random.Random(seed), max_vertices=3, max_mult=2, edge_prob=0.5, inf_prob=0.2)
+    full = bounded_points(g, 2, 3, inf_cap=2, prefix_budget=500)
+    assert full == sorted(set(full), key=point_sort_key)
+    assert bounded_points(g, 2, 3, inf_cap=2, limit=limit, prefix_budget=500) == full[:limit]
+
+
 def test_raw_forms_denote_same_point_iff_canonical_equal(e1, e2):
     """Pumped periods and absorbable preperiods all canonicalize to the same
     point; distinct canonical forms disagree within the comparison depth."""
@@ -349,3 +364,78 @@ def test_relation_agrees_with_membership(g, seed):
             assert not in2 or in1
         elif relation == "disjoint":
             assert not (in1 and in2)
+
+
+# -- the point table -------------------------------------------------------
+
+
+def table_edges_to_depth(table: PointTable, i: int, depth: int):
+    """The edges an id stands for, read off its heads along the shift, cut
+    at depth, and whether it ended first: the form of `edges_to_depth`."""
+    edges = []
+    while len(edges) < depth and table.head[i] is not None:
+        edges.append(table.head[i])
+        i = table.tail[i]
+    return tuple(edges), table.head[i] is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_point_table_agrees_with_point_functions(seed):
+    """Interned ids against canonicalize, shift, prepend and tail_key on
+    random points of random small graphs, infinite classes included."""
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=3, max_mult=2, edge_prob=0.5, inf_prob=0.2)
+    pts = sample_points(g, pre_len=3, per_len=3, inf_cap=2, limit=40)
+    table = PointTable(g)
+    ids = [table.intern(x) for x in pts]
+    assert len(set(ids)) == len(pts)
+    for x, i in zip(pts, ids):
+        assert table_edges_to_depth(table, i, 12) == edges_to_depth(x, 12)
+        if x.period:
+            # a pumped period entered part-way round, behind a preperiod that
+            # runs round it: cons folds the raw form to the canonical id
+            r = rng.randrange(len(x.period))
+            raw_pre = x.pre + x.period * rng.randint(0, 2) + x.period[:r]
+            raw_per = (x.period[r:] + x.period[:r]) * rng.randint(1, 3)
+            j = table.cycle(raw_per)
+            for e in reversed(raw_pre):
+                j = table.cons(e, j)
+            assert j == i
+            assert canonicalize(g, x.src, raw_pre, raw_per) == x
+        if x.length >= 1:
+            assert table.tail[i] == table.intern(shift(g, x))
+            assert table.orbit(i, 3)[1] == table.tail[i]
+        else:
+            assert table.tail[i] < 0 and table.orbit(i, 3) == [i]
+        into = [e for v in g.vertices for e in g.out_edges(v, inf_cap=2) if g.edge_dst(e) == x.src]
+        for e in into:
+            j = table.cons(e, i)
+            y = prepend(g, g.path([e]), x)
+            assert table.intern(y) == j
+            assert table_edges_to_depth(table, j, 12) == edges_to_depth(y, 12)
+    for x, i in zip(pts, ids):
+        for y, j in zip(pts, ids):
+            assert (table.root[i] == table.root[j]) == (tail_key(g, x) == tail_key(g, y))
+
+
+def test_point_table_folds_into_the_period(e1, f1):
+    table = PointTable(e1)
+    b = table.intern(pt(e1, "(b)*"))
+    assert table.cons(Edge("b", 0), b) == b and table.tail[b] == b
+    a = table.cons(Edge("a", 0), b)
+    assert a == table.intern(pt(e1, "a.(b)*")) and table.root[a] == b
+    table = PointTable(f1)
+    cd, dc = table.intern(pt(f1, "(c.d)*")), table.intern(pt(f1, "(d.c)*"))
+    assert table.cons(Edge("c", 0), dc) == cd and table.cons(Edge("d", 0), cd) == dc
+    assert table.cycle((Edge("c", 0), Edge("d", 0)) * 2) == cd
+    assert table.root[cd] == table.root[dc]
+
+
+def test_is_isolated_matches_loop_exit_on_pool():
+    """The out-degree reading of isolation agrees with loop_has_exit on every
+    simple loop of every graph in the <=3-vertex pool."""
+    for g in iter_small_graphs(3, 2):
+        for loop in enumerate_simple_loops(g, 3):
+            x = BoundaryPoint(loop.src, (), loop.edges)  # least rotations are canonical
+            assert is_isolated(g, x) == (not loop_has_exit(g, loop))

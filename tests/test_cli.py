@@ -299,7 +299,7 @@ _CLOSURES = {
     "groupoid compose": (
         ["groupoid", "compose", "E1", "(a.(b)* | 1 | (b)*)", "((b)* | 1 | (b)*)"], 0, {"groupoid"}
     ),
-    "weyl phi-check": (["weyl", "phi-check", "F1"], 0, {"groupoid", "weyl"}),
+    "weyl phi-check": (["weyl", "phi-check", "F1"], 0, {"groupoid", "pointtable", "weyl"}),
     "move out-split": (["move", "out-split", "E2", "split", "--map-point", "(a11)*"], 0, {"moves"}),
     "move saturate": (["move", "saturate", "amp", "A[0].B[0]", "--map-point", "M[3].(B[0])*"], 0, {"moves"}),
     "decide-amplified": (["decide-amplified", "E1", "F1"], 1, {"moves", "digraphs"}),

@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from conftest import pt
-from oeg.boundary import boundary_census, make_cylinder
+from oeg.boundary import boundary_census, make_cylinder, tail_classes, tail_key
 from oeg.dynamics import bisection_decomposition, identity_element, shift, shift_restriction
 from oeg.errors import CompositionError, DomainError, InputError
 from oeg.graphs import Graph
 from oeg.groupoid import (
+    GroupoidElement,
     compose,
     enumerate_elements,
     inverse,
@@ -17,8 +18,10 @@ from oeg.groupoid import (
     make_element,
     minimal_witness,
     principality_report,
+    shift_orbit,
     unit,
 )
+from oeg.weyl import representable_pool
 from oeg.zoo import iter_small_graphs, lone_loop, lone_vertex
 
 
@@ -207,6 +210,43 @@ def brute_elements(g, pool, bound):
                     if abs(m - n) <= bound and shift(g, x, m) == shift(g, y, n):
                         out.add((x, m - n, y))
     return out
+
+
+def elements_by_points(g, pool, bound):
+    """Oracle: the enumeration on BoundaryPoint values that the id-based
+    one replaced, kept as it was: shift orbits, tail classes and a scan of
+    every orbit pair for the first (m, n) of each cocycle."""
+    shifts = {x: shift_orbit(g, x, bound) for x in pool}
+    same_tail = tail_classes(g, pool)
+    out = []
+    for x in pool:
+        sx = shifts[x]
+        for y in same_tail[tail_key(g, x)]:
+            sy = shifts[y]
+            best: dict[int, tuple[int, int]] = {}
+            for m in range(len(sx)):
+                for n in range(len(sy)):
+                    k = m - n
+                    if abs(k) > bound or k in best:
+                        continue
+                    if sx[m] == sy[n]:
+                        best[k] = (m, n)
+            for k in sorted(best):
+                m, n = best[k]
+                out.append(GroupoidElement(x, k, y, m, n))
+    return out
+
+
+def test_enumerate_elements_matches_point_oracle_on_pool():
+    """The id-based enumeration returns the very list of the point-based one
+    on every graph of the <=3-vertex pool, over the phi check's pools."""
+    checked = 0
+    for g in iter_small_graphs(3, 2):
+        pool, _ = representable_pool(g, 3, max_points=18)
+        got = enumerate_elements(g, pool, 3)
+        assert got == elements_by_points(g, pool, 3)
+        checked += len(got)
+    assert checked > 300000
 
 
 def test_enumerate_elements_matches_brute_force(e1, f1, floop):

@@ -7,7 +7,7 @@ import pytest
 from conftest import pt
 from oeg.boundary import boundary_census
 from oeg.errors import CompositionError, InputError
-from oeg.groupoid import enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
+from oeg.groupoid import GroupoidElement, enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
 from oeg.weyl import (
     Germ,
     germ_apply,
@@ -207,6 +207,34 @@ def test_phi_check_rejects_negative_bound(f1):
     with pytest.raises(InputError):
         phi_bijectivity_check(f1, -1)
     assert phi_bijectivity_check(f1, 0).ok
+
+
+def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
+    """Each comparison of the id-based check still fails on bad input: a
+    lost element, an element whose witness sends phi to another class, and
+    a germ_equivalent that disagrees with the class keys."""
+    import oeg.weyl as weyl
+
+    real = weyl.enumerate_elements
+    lost = real(f1, list(boundary_census(f1).points), 3)[0]
+    monkeypatch.setattr(weyl, "enumerate_elements", lambda *a: real(*a)[1:])
+    rep = phi_bijectivity_check(f1, 3)
+    assert not rep.bijection_ok
+    assert rep.violations == [f"germ class without matching element: cocycle {lost.k}"]
+
+    def off_by_one(*a):
+        e, *rest = real(*a)
+        return [GroupoidElement(e.x, e.k, e.y, e.m + 1, e.n), *rest]
+
+    monkeypatch.setattr(weyl, "enumerate_elements", off_by_one)
+    rep = phi_bijectivity_check(f1, 3)
+    assert not rep.bijection_ok
+    assert rep.violations == ["phi lands outside the expected class"]
+
+    monkeypatch.setattr(weyl, "enumerate_elements", real)
+    monkeypatch.setattr(weyl, "germ_equivalent", lambda *a: True)
+    rep = phi_bijectivity_check(f1, 3)
+    assert rep.bijection_ok and not rep.equivalence_ok
 
 
 def test_winding_on_longer_exitless_cycles():
