@@ -401,6 +401,7 @@ def bounded_points(
 
     if prefix_budget is None:
         prefix_budget = 4000 if limit is None else max(200, 10 * limit)
+    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=inf_cap)] for v in g.vertices}
     # levels[d][v]: the (source, edges) of the length-d prefixes ending at v
     levels: list[dict[str, list[tuple[str, tuple[Edge, ...]]]]] = []
     level: list[tuple[str, str, tuple[Edge, ...]]] = [(v, v, ()) for v in g.vertices]
@@ -415,8 +416,7 @@ def bounded_points(
             break
         nxt = []
         for v0, end, edges in level:
-            for e in g.out_edges(end, inf_cap=inf_cap):
-                nxt.append((v0, g.edge_dst(e), edges + (e,)))
+            nxt += [(v0, w, edges + (e,)) for e, w in steps[end]]
             if total + len(nxt) >= prefix_budget:
                 break
         level = nxt[: max(0, prefix_budget - total)]

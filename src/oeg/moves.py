@@ -13,11 +13,11 @@ boundary spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .boundary import BoundaryPoint, canonicalize
+from .boundary import BoundaryPoint, _canonical, canonicalize
 from .errors import InputError
-from .graphs import INF, Edge, EdgeClass, Graph, Path, vertex_kind
+from .graphs import INF, Edge, EdgeClass, Graph, Path
 
 
 # -- out-splitting -----------------------------------------------------------
@@ -105,32 +105,24 @@ def check_partition(g: Graph, p: OutSplitPartition) -> None:
             raise InputError(f"blocks at {v!r} do not cover the outgoing edges")
 
 
-def _block_of(g: Graph, p: OutSplitPartition, e: Edge) -> int:
-    """1-based index of the block containing an edge."""
-    v = g.edge_src(e)
-    for i, b in enumerate(p.blocks[v], start=1):
-        if e in b.edges or e.cls in b.infinite_classes:
-            return i
-    raise InputError(f"edge {e.cls!r} not covered by the partition at {v!r}")
-
-
-def _infinite_block_index(g: Graph, p: OutSplitPartition, v: str) -> int:
-    for i, b in enumerate(p.blocks[v], start=1):
-        if b.is_infinite:
-            return i
-    raise InputError(f"vertex {v!r} has no infinite block")
-
-
 @dataclass(frozen=True)
 class OutSplit:
-    """An out-split graph together with the data needed to relabel paths."""
+    """An out-split graph with the edge table that relabels paths into it.
+
+    ``block`` gives the source block of each finite edge, and of each
+    infinite class by class id, as the vertex copy of that block.
+    ``edges`` maps ``(edge, range vertex)`` to ``(new edge, vertex copy)``
+    for each finite edge and each copy of its range (the range itself when
+    it is a sink); infinite classes are keyed by class id, map to the new
+    class id, and keep their indices.  ``ends`` gives each singular vertex
+    the vertex a finite path ending there ends at in the split: a sink
+    itself, an infinite emitter the copy of its infinite block."""
 
     graph: Graph
     partition: OutSplitPartition
-    # (class id, source block, range block or 0 for sink targets) -> new id
-    class_names: dict[tuple[str, int, int], str]
-    # per (class id, source block): original indices in that block, in order
-    member_ranks: dict[tuple[str, int], dict[int, int]]
+    block: dict[Edge | str, str]
+    edges: dict[tuple[Edge | str, str], tuple[Edge | str, str]]
+    ends: dict[str, str]
 
 
 def split_vertex_name(v: str, i: int) -> str:
@@ -139,49 +131,65 @@ def split_vertex_name(v: str, i: int) -> str:
 
 def out_split(g: Graph, p: OutSplitPartition) -> OutSplit:
     """The out-split graph: each non-sink vertex becomes one copy per block,
-    each edge becomes one copy per block of its range (sinks stay put)."""
+    each edge becomes one copy per block of its range (sinks stay put).
+
+    A class whose edges fall in several blocks is cut into pieces
+    ``cid_b<i>`` with members renumbered in order; a new name that is
+    already taken gets a ``_<k>`` suffix."""
     check_partition(g, p)
-    vertices = []
+    sinks = [v for v in g.vertices if not p.m(v)]
+    wanted = [(v, split_vertex_name(v, i)) for v in g.vertices for i in range(1, p.m(v) + 1)]
+    copies: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for (v, _), name in zip(wanted, _fresh_names([n for _, n in wanted], sinks)):
+        copies[v].append(name)
+    vertices = [u for v in g.vertices for u in copies[v] or [v]]
+    block: dict[Edge | str, str] = {}
+    ends = {v: v for v in sinks}
     for v in g.vertices:
-        if p.m(v) == 0:
-            vertices.append(v)
-        else:
-            vertices.extend(split_vertex_name(v, i) for i in range(1, p.m(v) + 1))
-    classes: list[EdgeClass] = []
-    names: dict[tuple[str, int, int], str] = {}
-    ranks: dict[tuple[str, int], dict[int, int]] = {}
+        for u, b in zip(copies[v], p.blocks.get(v, ())):
+            block.update(dict.fromkeys([*b.edges, *b.infinite_classes], u))
+            if b.is_infinite:
+                ends[v] = u
+    pieces = []  # (class, source copy, members or None if infinite, range, wanted id)
     for c in g.edge_classes:
-        per_block: dict[int, list[int]] = {}
-        if c.is_infinite:
-            i = _block_of(g, p, Edge(c.cid, 0))
-            per_block[i] = []  # wholesale; ranks are the identity
+        groups: dict[str, list[int] | None] = {block[c.cid]: None} if c.is_infinite else {}
+        for idx in range(0 if c.is_infinite else c.mult):
+            groups.setdefault(block[Edge(c.cid, idx)], []).append(idx)
+        for i, u in enumerate(copies[c.src], start=1):
+            if u in groups:
+                stem = c.cid if len(groups) == 1 else f"{c.cid}_b{i}"
+                targets = copies[c.dst] or [c.dst]
+                pieces.extend(
+                    (c, u, groups[u], t, f"{stem}^{j}" if copies[c.dst] else stem)
+                    for j, t in enumerate(targets, start=1)
+                )
+    classes = []
+    edges: dict[tuple[Edge | str, str], tuple[Edge | str, str]] = {}
+    for (c, u, members, t, _), cid in zip(pieces, _fresh_names([q[4] for q in pieces])):
+        if members is None:
+            classes.append(EdgeClass(cid, u, t, INF))
+            edges[(c.cid, t)] = (cid, u)
         else:
-            for idx in range(c.mult):
-                per_block.setdefault(_block_of(g, p, Edge(c.cid, idx)), []).append(idx)
-        whole = len(per_block) == 1
-        for i, members in sorted(per_block.items()):
-            if not c.is_infinite:
-                ranks[(c.cid, i)] = {idx: r for r, idx in enumerate(sorted(members))}
-            stem = c.cid if whole else f"{c.cid}_b{i}"
-            src = split_vertex_name(c.src, i)
-            mult = INF if c.is_infinite else len(members)
-            if p.m(c.dst) == 0:
-                names[(c.cid, i, 0)] = stem
-                classes.append(EdgeClass(stem, src, c.dst, mult))
-            else:
-                for j in range(1, p.m(c.dst) + 1):
-                    cid = f"{stem}^{j}"
-                    names[(c.cid, i, j)] = cid
-                    classes.append(EdgeClass(cid, src, split_vertex_name(c.dst, j), mult))
-    return OutSplit(Graph(vertices, classes), p, names, ranks)
+            classes.append(EdgeClass(cid, u, t, len(members)))
+            edges.update(((Edge(c.cid, idx), t), (Edge(cid, r), u)) for r, idx in enumerate(members))
+    return OutSplit(Graph(vertices, classes), p, block, edges, ends)
 
 
-def _split_edge(g: Graph, s: OutSplit, e: Edge, j: int) -> Edge:
-    """The copy of an edge aimed at range block j (0 for sink targets)."""
-    i = _block_of(g, s.partition, e)
-    cid = s.class_names[(e.cls, i, j)]
-    idx = e.idx if g.cls(e.cls).is_infinite else s.member_ranks[(e.cls, i)][e.idx]
-    return Edge(cid, idx)
+def _relabel(table: dict, path: tuple[Edge, ...], t: str | None):
+    """The copy of a path whose last edge aims at vertex copy ``t``, built
+    from its end, with the copy it starts at; None when a lookup fails."""
+    out = []
+    for e in reversed(path):
+        hit = table.get((e, t))
+        if hit is None:
+            hit = table.get((e.cls, t))  # an infinite class
+            if hit is None or e.idx < 0:
+                return None
+            hit = Edge(hit[0], e.idx), hit[1]
+        new, t = hit
+        out.append(new)
+    out.reverse()
+    return tuple(out), t
 
 
 def out_split_map(g: Graph, s: OutSplit, x: BoundaryPoint) -> BoundaryPoint:
@@ -189,86 +197,69 @@ def out_split_map(g: Graph, s: OutSplit, x: BoundaryPoint) -> BoundaryPoint:
 
     Every edge is relabelled by the block of its successor; the last edge of
     a finite path aims at the block whose vertex copy is the infinite
-    emitter, and edges into sinks keep their names.
+    emitter, and edges into sinks keep their names.  One table lookup per
+    edge relabels and checks it; when one fails, ``canonicalize`` names the
+    fault.
     """
-    p = s.partition
-
-    def new_vertex(v: str) -> str:
-        kind = vertex_kind(g, v)
-        if kind == "sink":
-            return v
-        if kind == "infinite-emitter":
-            return split_vertex_name(v, _infinite_block_index(g, p, v))
-        raise InputError("a finite boundary path must end at a singular vertex")
-
-    def relabel(edges: Sequence[Edge], successor: Edge | None) -> list[Edge]:
-        out = []
-        for t, e in enumerate(edges):
-            w = g.edge_dst(e)
-            if p.m(w) == 0:
-                out.append(_split_edge(g, s, e, 0))
-                continue
-            nxt = edges[t + 1] if t + 1 < len(edges) else successor
-            if nxt is None:
-                j = _infinite_block_index(g, p, w)
-            else:
-                j = _block_of(g, p, nxt)
-            out.append(_split_edge(g, s, e, j))
-        return out
-
-    if x.is_finite:
-        if not x.pre:
-            return canonicalize(s.graph, new_vertex(x.src))
-        edges = relabel(x.pre, None)
-        return canonicalize(s.graph, s.graph.edge_src(edges[0]), edges)
-    pre = relabel(x.pre, x.period[0])
-    period = relabel(x.period, x.period[0])
-    src = s.graph.edge_src((pre + period)[0])
-    return canonicalize(s.graph, src, pre, period)
+    if x.period:
+        head = x.period[0]
+        period = _relabel(s.edges, x.period, s.block.get(head, s.block.get(head.cls)))
+        pre = period and _relabel(s.edges, x.pre, period[1])
+        if pre:
+            return _canonical(s.graph, pre[1], pre[0], period[0])
+    elif x.pre:
+        pre = _relabel(s.edges, x.pre, s.ends.get(g.edge_dst(x.pre[-1])))
+        if pre:
+            return BoundaryPoint(pre[1], pre[0], ())
+    elif x.src in s.ends:
+        return BoundaryPoint(s.ends[x.src], (), ())
+    canonicalize(g, x.src, x.pre, x.period)
+    raise InputError("not a boundary path of the graph")
 
 
 # -- amplification and transitive closure ------------------------------------
 
 
-def _pair_class_names(pairs: Iterable[tuple[str, str]]) -> dict[tuple[str, str], str]:
+def _fresh_names(wanted: Iterable[str], taken: Iterable[str] = ()) -> list[str]:
+    """The wanted names in order, each kept unless ``taken`` or an earlier
+    name holds it; a clash gets the first ``name_<k>`` (k >= 2) that no
+    name, wanted or given, uses."""
+    wanted = list(wanted)
+    used = set(taken)
+    avoid = used | set(wanted)
+    out = []
+    for name in wanted:
+        new, k = name, 2
+        if name in used:
+            while new in avoid:
+                new, k = f"{name}_{k}", k + 1
+        used.add(new)
+        avoid.add(new)
+        out.append(new)
+    return out
+
+
+def _pair_graph(g: Graph, pairs: list[tuple[str, str]]) -> Graph:
     # Only uniqueness among the new names matters (every old class is
-    # replaced); keeping the scheme input-independent makes the move
-    # idempotent.
-    names: dict[tuple[str, str], str] = {}
-    taken: set[str] = set()
-    for v, w in pairs:
-        base = f"{v}_{w}"
-        cid = base
-        k = 2
-        while cid in taken:
-            cid = f"{base}_{k}"
-            k += 1
-        names[(v, w)] = cid
-        taken.add(cid)
-    return names
+    # replaced); naming by the vertex pair alone makes the moves idempotent.
+    names = _fresh_names(f"{v}_{w}" for v, w in pairs)
+    return Graph(g.vertices, [EdgeClass(n, v, w, INF) for n, (v, w) in zip(names, pairs)])
 
 
 def amplify(g: Graph) -> Graph:
     """Replace every connected ordered vertex pair by a single infinite
     parallel class.  Idempotent."""
-    pairs = []
-    seen = set()
-    for c in g.edge_classes:
-        if (c.src, c.dst) not in seen:
-            seen.add((c.src, c.dst))
-            pairs.append((c.src, c.dst))
-    names = _pair_class_names(pairs)
-    return Graph(g.vertices, [EdgeClass(names[p], p[0], p[1], INF) for p in pairs])
+    return _pair_graph(g, list(dict.fromkeys((c.src, c.dst) for c in g.edge_classes)))
 
 
 def amplified_transitive_closure(g: Graph) -> Graph:
-    """One infinite class for every pair joined by a path of length >= 1."""
-    from .invariants import reachability
+    """One infinite class for every pair joined by a path of length >= 1,
+    read off the bitset closure of the condensation."""
+    from .digraphs import condensation
 
-    reach = reachability(g)
-    pairs = [(v, w) for v in g.vertices for w in g.vertices if reach[(v, w)]]
-    names = _pair_class_names(pairs)
-    return Graph(g.vertices, [EdgeClass(names[p], p[0], p[1], INF) for p in pairs])
+    cond = condensation(g)
+    at = list(zip(g.vertices, cond.comp))
+    return _pair_graph(g, [(v, w) for v, c in at for w, d in at if cond.reach[c] >> d & 1])
 
 
 def decide_amplified_oe(E: Graph, F: Graph) -> tuple[bool, dict[str, str] | None]:

@@ -182,7 +182,7 @@ def test_criterion_7_out_split_suite():
         census_e, census_f = boundary_census(e1).points, boundary_census(f1).points
         for perm in itertools.permutations(census_f):
             ok = ok and not verify_conjugacy(e1, f1, dict(zip(census_e, perm)))
-    report("criterion 7: out-split conjugacy suite (200 random splits, depth 6)", ok, t.elapsed)
+    report("criterion 7: out-split conjugacy suite (200 random splits, depth 6)", ok, t.elapsed, 5.0)
 
 
 def test_criterion_8_amplified_suite():

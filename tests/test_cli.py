@@ -160,6 +160,30 @@ def test_move_commands(files, capsys, tmp_path):
     assert "edge M * inf: u -> v" in out and out.strip().endswith("A[6].(B[0])*")
 
 
+@pytest.mark.parametrize("point", ["q", "a11[1]", "a11[-1]", "a11.a22", "a11", "@1", "a12.(a11)*", "(a12)*"])
+def test_out_split_map_point_rejects_malformed_points(files, capsys, tmp_path, point):
+    part = tmp_path / "split.part"
+    part.write_text("split 1: {a11} | {a12}\n")
+    code, _ = run(capsys, "move", "out-split", files["E2"], str(part), "--map-point", point)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "graph, partition, point, image",
+    [
+        ("vertex v, v^1\nedge a: v -> v\nedge b: v -> v^1\n", "split v: {a} | {b}", "a.b", "a^2.b"),
+        ("vertex s, t\nedge a_b1: t -> t\nedge a * 2: s -> t\n", "split s: {a[0]} | {a[1]}",
+         "a[0].(a_b1)*", "a_b1^1_2.(a_b1^1)*"),
+    ],
+)
+def test_out_split_names_avoid_existing_ones(capsys, tmp_path, graph, partition, point, image):
+    (tmp_path / "g.graph").write_text("graph g\n" + graph)
+    (tmp_path / "g.part").write_text(partition + "\n")
+    code, out = run(capsys, "move", "out-split", str(tmp_path / "g.graph"), str(tmp_path / "g.part"),
+                    "--map-point", point)
+    assert code == 0 and out.strip().endswith(image)
+
+
 def test_extend_cocycles_command(files, capsys):
     code, out = run(capsys, "extend-cocycles", files["E1"], files["F1"], files["W1"], "2")
     assert code == 0

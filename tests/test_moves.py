@@ -4,10 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import pt
 from sampling import random_graph, random_proper_partition, sample_points
-from oeg.boundary import boundary_census, drop_edges
+from split_oracle import OracleSplit
+from oeg.boundary import BoundaryPoint, boundary_census, bounded_points, canonicalize, drop_edges, point_range
 from oeg.dynamics import verify_conjugacy
 from oeg.errors import InputError
 from oeg.graphs import INF, Edge, Graph
@@ -27,7 +29,7 @@ from oeg.moves import (
 )
 from oeg.dsl import parse_partition, parse_point, print_point
 from oeg.invariants import digraph_isomorphic, reachability
-from oeg.zoo import amplified_arrow_loop
+from oeg.zoo import amplified_arrow_loop, iter_small_graphs
 
 
 # -- out-split ---------------------------------------------------------------
@@ -138,6 +140,119 @@ def test_out_split_intertwines_random():
         assert _intertwines(g, s, points)
 
 
+@st.composite
+def split_case_st(draw):
+    """A graph on <= 4 vertices, in half the draws with an infinite class
+    forced onto one vertex pair, and a random proper partition of it."""
+    n = draw(st.integers(1, 4))
+    verts = [f"v{i}" for i in range(n)]
+    mults = [draw(st.sampled_from([0, 0, 0, 1, 2, INF])) for _ in range(n * n)]
+    if draw(st.booleans()):
+        mults[draw(st.integers(0, n * n - 1))] = INF
+    classes = [(f"e{k // n}_{k % n}", verts[k // n], verts[k % n], m) for k, m in enumerate(mults) if m]
+    g = Graph(verts, classes)
+    return g, random_proper_partition(draw(st.randoms(use_true_random=False)), g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_case_st())
+def test_out_split_map_matches_oracle(case):
+    g, p = case
+    s, oracle = out_split(g, p), OracleSplit(g, p)
+    assert s.graph == oracle.graph
+    points = bounded_points(g, 4, 3, inf_cap=2, limit=80)
+    census = boundary_census(g)
+    if census.finite:
+        event("finite census")
+        points += census.points
+    # every finite point of length <= 1 that ends at an infinite emitter
+    for c in g.edge_classes:
+        if c.is_infinite:
+            points.append(BoundaryPoint(c.src, (), ()))
+            points += [BoundaryPoint(d.src, (Edge(d.cid, i),), ()) for d in g.edge_classes
+                       if d.dst == c.src for i in range(2 if d.is_infinite else d.mult)]
+    emitters = {c.src for c in g.edge_classes if c.is_infinite}
+    if any(x.is_finite and point_range(g, x) in emitters for x in points):
+        event("finite points end at an infinite emitter")
+    for x in points:
+        assert out_split_map(g, s, x) == oracle.map(x)
+
+
+def _contract_split():
+    """u is regular with a finite class cut across its blocks, v an infinite
+    emitter with a loop class, z a sink."""
+    g = Graph(
+        ["u", "v", "z"],
+        [("a", "u", "v", 2), ("s", "u", "z", 1), ("b", "v", "v", INF), ("c", "v", "u", 1)],
+    )
+    return g, out_split(g, parse_partition(g, "split u: {a[0]} | {a[1], s}\nsplit v: {b} | {c}"))
+
+
+_MALFORMED = {
+    "unknown class": BoundaryPoint("u", (Edge("q", 0),), ()),
+    "unknown class in a period": BoundaryPoint("v", (), (Edge("q", 0),)),
+    "unknown vertex": BoundaryPoint("q", (), ()),
+    "index past a finite class": BoundaryPoint("u", (Edge("a", 2), Edge("b", 0)), ()),
+    "negative index in a finite class": BoundaryPoint("u", (Edge("a", -1),), ()),
+    "negative index in an infinite class": BoundaryPoint("v", (Edge("b", -1),), ()),
+    "negative index in an infinite period": BoundaryPoint("v", (), (Edge("b", -3),)),
+    "edges that do not compose": BoundaryPoint("u", (Edge("a", 0), Edge("a", 1)), ()),
+    "an edge out of a sink": BoundaryPoint("u", (Edge("s", 0), Edge("a", 0)), ()),
+    "a preperiod off the period": BoundaryPoint("u", (Edge("s", 0),), (Edge("b", 0),)),
+    "a period that does not close": BoundaryPoint("u", (), (Edge("a", 0),)),
+    "a finite path ending at a regular vertex": BoundaryPoint("u", (Edge("a", 0), Edge("c", 0)), ()),
+    "an empty path at a regular vertex": BoundaryPoint("u", (), ()),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MALFORMED))
+def test_out_split_map_rejects_malformed_points(fault):
+    g, s = _contract_split()
+    with pytest.raises(InputError):
+        out_split_map(g, s, _MALFORMED[fault])
+
+
+def _assert_conjugacy(g, s):
+    """Images are points of the split graph, the map is injective on a
+    sample, and it intertwines the shifts."""
+    points = sample_points(g, pre_len=4, per_len=3, inf_cap=2, limit=200)
+    images = [out_split_map(g, s, x) for x in points]
+    assert all(canonicalize(s.graph, y.src, y.pre, y.period) == y for y in images)
+    assert len(set(images)) == len(points)
+    assert _intertwines(g, s, points)
+
+
+def test_out_split_fresh_vertex_names():
+    """A sink named like a vertex copy keeps its name; the copy moves."""
+    g = Graph(["v", "v^1"], [("a", "v", "v", 1), ("b", "v", "v^1", 1)])
+    s = out_split(g, parse_partition(g, "split v: {a} | {b}"))
+    assert s.graph.vertices == ("v^1_2", "v^2", "v^1")
+    assert {(c.cid, c.src, c.dst) for c in s.graph.edge_classes} == {
+        ("a^1", "v^1_2", "v^1_2"), ("a^2", "v^1_2", "v^2"), ("b", "v^2", "v^1"),
+    }
+    assert print_point(s.graph, out_split_map(g, s, parse_point(g, "a.a.b"))) == "a^1.a^2.b"
+    assert out_split_map(g, s, parse_point(g, "@v^1")) == parse_point(s.graph, "@v^1")
+    _assert_conjugacy(g, s)
+
+
+def test_out_split_fresh_class_names():
+    """A class named like a block piece of another class keeps its name;
+    the piece made later in declaration order moves."""
+    g = Graph(["s", "t"], [("a_b1", "t", "t", 1), ("a", "s", "t", 2), ("a^1", "s", "s", 1)])
+    s = out_split(g, parse_partition(g, "split s: {a[0], a^1} | {a[1]}"))
+    got = [(c.cid, c.src, c.dst, c.mult) for c in s.graph.edge_classes]
+    assert got == [
+        ("a_b1^1", "t^1", "t^1", 1),
+        ("a_b1^1_2", "s^1", "t^1", 1),
+        ("a_b2^1", "s^2", "t^1", 1),
+        ("a^1^1", "s^1", "s^1", 1),
+        ("a^1^2", "s^1", "s^2", 1),
+    ]
+    y = out_split_map(g, s, parse_point(g, "a^1.a[0].(a_b1)*"))
+    assert print_point(s.graph, y) == "a^1^1.a_b1^1_2.(a_b1^1)*"
+    _assert_conjugacy(g, s)
+
+
 # -- amplification and closure -------------------------------------------------
 
 
@@ -178,6 +293,16 @@ def test_closure_idempotence():
         assert amplified_transitive_closure(t) == t
         assert amplified_transitive_closure(amplify(g)) == t
         assert amplify(amplify(g)) == amplify(g)
+
+
+def test_closure_matches_reachability_dict_on_pool():
+    """The closure read off the condensation bitsets is the one built from
+    the reachability dict, classes in the same order."""
+    for g in iter_small_graphs(3, 2):
+        reach = reachability(g)
+        pairs = [(v, w) for v in g.vertices for w in g.vertices if reach[(v, w)]]
+        want = Graph(g.vertices, [(f"{v}_{w}", v, w, INF) for v, w in pairs])
+        assert amplified_transitive_closure(g) == want
 
 
 def test_decide_examples(e1, f1, e2):
