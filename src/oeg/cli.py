@@ -256,7 +256,7 @@ def _run(args) -> int:
         doc = _load_graph(args.graph)
         el = dsl.parse_element(doc.graph, _read_text(args.element))
         ok = dynamics.verify_pseudogroup_element(el)
-        _emit({"ok": ok}, as_json, ["ok" if ok else "identity fails"])
+        _emit({"ok": ok}, as_json, ["ok" if ok else "not a pseudogroup element"])
         return EXIT_OK if ok else EXIT_NO
 
     if cmd == "conjugate-pseudo":

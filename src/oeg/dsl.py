@@ -214,16 +214,31 @@ def _json_tables(text: str, what: str, keys: tuple[str, ...]) -> dict:
     return data
 
 
+def _point_table(g: Graph, entries, value) -> dict:
+    """A table from ``[point, value]`` pairs; a point may appear once."""
+    table = {}
+    for a, v in entries:
+        x = parse_point(g, a)
+        if x in table:
+            raise ParseError(f"the point {a!r} is listed twice")
+        table[x] = value(v)
+    return table
+
+
+def _json_int(v) -> int:
+    if type(v) is not int:  # int() would truncate 1.9 and read true as 1
+        raise ParseError(f"a table value must be a JSON integer, got {json.dumps(v)}")
+    return v
+
+
 def parse_witness(E: Graph, F: Graph, text: str):
     from .dynamics import OrbitWitness
 
     data = _json_tables(text, "witness", ("h", "k1", "l1", "k1p", "l1p"))
     try:
-        h = {parse_point(E, a): parse_point(F, b) for a, b in data["h"]}
-        k1 = {parse_point(E, a): int(v) for a, v in data["k1"]}
-        l1 = {parse_point(E, a): int(v) for a, v in data["l1"]}
-        k1p = {parse_point(F, b): int(v) for b, v in data["k1p"]}
-        l1p = {parse_point(F, b): int(v) for b, v in data["l1p"]}
+        h = _point_table(E, data["h"], lambda b: parse_point(F, b))
+        k1, l1 = (_point_table(E, data[key], _json_int) for key in ("k1", "l1"))
+        k1p, l1p = (_point_table(F, data[key], _json_int) for key in ("k1p", "l1p"))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed witness table entry: {exc}") from exc
     return OrbitWitness(E, F, h, k1, l1, k1p, l1p)
@@ -245,9 +260,8 @@ def parse_element(g: Graph, text: str):
 
     data = _json_tables(text, "element", ("alpha", "m", "n"))
     try:
-        alpha = {parse_point(g, a): parse_point(g, b) for a, b in data["alpha"]}
-        m = {parse_point(g, a): int(v) for a, v in data["m"]}
-        n = {parse_point(g, a): int(v) for a, v in data["n"]}
+        alpha = _point_table(g, data["alpha"], lambda b: parse_point(g, b))
+        m, n = (_point_table(g, data[key], _json_int) for key in ("m", "n"))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed element table entry: {exc}") from exc
     return PseudogroupElement(g, alpha, m, n)

@@ -12,7 +12,8 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .boundary import (
     BoundaryPoint,
@@ -26,6 +27,7 @@ from .boundary import (
     shift,
     tail_classes,
 )
+from .dsl import print_point
 from .errors import InputError, UnsupportedScaleError
 from .graphs import Edge, Graph
 
@@ -71,12 +73,11 @@ class OrbitWitness:
     k1p: dict[BoundaryPoint, int]
     l1p: dict[BoundaryPoint, int]
 
-    def h_inverse(self) -> dict[BoundaryPoint, BoundaryPoint]:
-        return {y: x for x, y in self.h.items()}
-
     def inverse(self) -> "OrbitWitness":
-        """The same witness read in the other direction."""
-        return OrbitWitness(self.F, self.E, self.h_inverse(), dict(self.k1p), dict(self.l1p), dict(self.k1), dict(self.l1))
+        """The same witness read in the other direction; it shares the
+        cocycle tables."""
+        hinv = {y: x for x, y in self.h.items()}
+        return OrbitWitness(self.F, self.E, hinv, self.k1p, self.l1p, self.k1, self.l1)
 
 
 @dataclass
@@ -93,40 +94,59 @@ def _eq_after_shifts(g: Graph, k: int, a: BoundaryPoint, l: int, b: BoundaryPoin
     return drop_edges(g, a, k) == drop_edges(g, b, l)
 
 
+def _identity_failures(
+    src: Graph, dst: Graph, points: Iterable[BoundaryPoint], h: Callable, k: Callable, l: Callable, n: int, label: str
+) -> list[str]:
+    """One failure description for each of the points ``x`` (all of length
+    >= n) where sigma^k(x)(h(sigma^n x)) == sigma^l(x)(h(x)) does not hold.
+    ``h``, ``k`` and ``l`` are point functions; a table lookup that misses a
+    point raises InputError."""
+    failures = []
+    try:
+        for x in points:
+            if not _eq_after_shifts(dst, k(x), h(drop_edges(src, x, n)), l(x), h(x)):
+                failures.append(f"{label} identity fails at {print_point(src, x)}")
+    except KeyError as exc:
+        raise InputError(f"a witness table misses the point {print_point(src, exc.args[0])}") from None
+    return failures
+
+
+def _checked_census(w: OrbitWitness, names: tuple[str, str, str] = ("h", "k1", "l1")) -> tuple[BoundaryPoint, ...]:
+    """The census of ``w.E``, once ``h`` is checked to be total on it and
+    ``k1``, ``l1`` to be total and natural-valued on its points of length
+    >= 1.  ``names`` calls the three tables in error messages."""
+    census = require_finite_census(w.E)
+    h, k1, l1 = names
+    if len(w.h) != len(census) or not all(map(w.h.__contains__, census)):
+        raise InputError(f"{h} is not total on the boundary of its source graph")
+    ge1 = [x for x in w.h if x.length >= 1]  # tables built alongside h share its key objects
+    for table, name in ((w.k1, k1), (w.l1, l1)):
+        if len(table) != len(ge1) or not all(map(table.__contains__, ge1)):
+            raise InputError(f"table {name} is not total on the length->=1 points")
+        if min(table.values(), default=0) < 0:
+            raise InputError(f"table {name} must take natural values")
+    return census
+
+
+def _halves(w: OrbitWitness) -> tuple[tuple[str, OrbitWitness, tuple[str, str, str]], ...]:
+    """The two directions of a witness, each as the forward direction of a
+    witness (``w`` and its inverse), with the names of its tables."""
+    return ("forward", w, ("h", "k1", "l1")), ("backward", w.inverse(), ("h^-1", "k1p", "l1p"))
+
+
 def verify_oe_witness(w: OrbitWitness) -> WitnessReport:
     """Check every defining identity of an orbit-equivalence witness on all
     census points, reporting each failure."""
-    from .dsl import print_point
-
-    census_e = require_finite_census(w.E)
-    census_f = require_finite_census(w.F)
-    failures: list[str] = []
-    if set(w.h) != set(census_e):
-        raise InputError("h is not total on the boundary of E")
-    if set(w.h.values()) != set(census_f) or len(set(w.h.values())) != len(w.h):
+    halves = [(side, v, _checked_census(v, names)) for side, v, names in _halves(w)]
+    census_e, census_f = (census for _, _, census in halves)
+    if len(census_e) != len(census_f):  # h is total on E and onto F: injective iff the sizes agree
         raise InputError("h is not a bijection onto the boundary of F")
-    ge1 = [x for x in census_e if x.length >= 1]
-    gf1 = [y for y in census_f if y.length >= 1]
-    for table, dom, side in ((w.k1, ge1, "k1"), (w.l1, ge1, "l1"), (w.k1p, gf1, "k1p"), (w.l1p, gf1, "l1p")):
-        if set(table) != set(dom):
-            raise InputError(f"table {side} is not total on the length->=1 points")
-        if any(v < 0 for v in table.values()):
-            raise InputError(f"table {side} must take natural values")
-    hinv = w.h_inverse()
-    for x in ge1:
-        lhs_pt = w.h[shift(w.E, x)]
-        rhs_pt = w.h[x]
-        if not _eq_after_shifts(w.F, w.k1[x], lhs_pt, w.l1[x], rhs_pt):
-            failures.append(
-                f"forward identity fails at {print_point(w.E, x)}"
-            )
-    for y in gf1:
-        lhs_pt = hinv[shift(w.F, y)]
-        rhs_pt = hinv[y]
-        if not _eq_after_shifts(w.E, w.k1p[y], lhs_pt, w.l1p[y], rhs_pt):
-            failures.append(
-                f"backward identity fails at {print_point(w.F, y)}"
-            )
+    # the gates made k1's keys the census points of length >= 1
+    failures = [
+        f
+        for side, v, _ in halves
+        for f in _identity_failures(v.E, v.F, v.k1, v.h.__getitem__, v.k1.__getitem__, v.l1.__getitem__, 1, side)
+    ]
     return WitnessReport(not failures, failures)
 
 
@@ -139,69 +159,51 @@ class CocycleTables:
     lp: dict[BoundaryPoint, int]
 
 
-def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
-    """Extend the degree-one cocycle tables to degree ``n`` by the witness
-    recursion:
+def _cocycle_degrees(w: OrbitWitness, census: Iterable[BoundaryPoint]) -> Iterator[tuple[dict, dict]]:
+    """The forward cocycle tables ``(k, l)`` of degree 0, 1, 2, ..., each on
+    the census points of length >= its degree, by the witness recursion
 
         k[m+1](x) = k1(s^m x) + max(l1(s^m x), k[m](x)) - l1(s^m x)
         l[m+1](x) = l[m](x)   + max(l1(s^m x), k[m](x)) - k[m](x)
 
-    and the mirror-image recursion for the primed tables.  Degree 0 tables
-    vanish; degree 1 returns the witness tables themselves.
-    """
+    from vanishing degree-0 tables; degree 1 gives back ``k1, l1``."""
+    zero = dict.fromkeys(census, 0)
+    yield zero, dict(zero)
+    k = dict(w.k1)
+    l = {x: w.l1[x] for x in k}  # in the key order of k
+    for m in count(1):
+        yield k, l
+        k_next, l_next = {}, {}
+        for (x, kx), lx in zip(k.items(), l.values()):
+            if x.length > m:
+                sx = drop_edges(w.E, x, m)
+                k1, l1 = w.k1[sx], w.l1[sx]
+                hi = max(l1, kx)
+                k_next[x] = k1 + hi - l1
+                l_next[x] = lx + hi - kx
+        k, l = k_next, l_next
+
+
+def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
+    """The degree-``n`` cocycle tables of a witness; the primed tables are
+    those of the inverse witness."""
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
-    census_e = require_finite_census(w.E)
-    census_f = require_finite_census(w.F)
-    k = {x: 0 for x in census_e}
-    l = {x: 0 for x in census_e}
-    kp = {y: 0 for y in census_f}
-    lp = {y: 0 for y in census_f}
-    for m in range(n):
-        k_next, l_next, kp_next, lp_next = {}, {}, {}, {}
-        for x in census_e:
-            if x.length < m + 1:
-                continue
-            if m == 0:
-                k_next[x], l_next[x] = w.k1[x], w.l1[x]
-                continue
-            sx = shift(w.E, x, m)
-            hi = max(w.l1[sx], k[x])
-            k_next[x] = w.k1[sx] + hi - w.l1[sx]
-            l_next[x] = l[x] + hi - k[x]
-        for y in census_f:
-            if y.length < m + 1:
-                continue
-            if m == 0:
-                kp_next[y], lp_next[y] = w.k1p[y], w.l1p[y]
-                continue
-            sy = shift(w.F, y, m)
-            hi = max(w.l1p[sy], kp[y])
-            kp_next[y] = w.k1p[sy] + hi - w.l1p[sy]
-            lp_next[y] = lp[y] + hi - kp[y]
-        k, l, kp, lp = k_next, l_next, kp_next, lp_next
+    (k, l), (kp, lp) = (
+        next(islice(_cocycle_degrees(v, _checked_census(v, names)), n, None)) for _, v, names in _halves(w)
+    )
     return CocycleTables(n, k, l, kp, lp)
 
 
 def check_extended_identity(w: OrbitWitness, tables: CocycleTables) -> list[str]:
     """The degree-n analogue of the witness identities, on every point where
     the n-fold shift is defined."""
-    from .dsl import print_point
-
     n = tables.n
-    hinv = w.h_inverse()
-    failures = []
-    for x, kx in tables.k.items():
-        lhs = w.h[shift(w.E, x, n)]
-        rhs = w.h[x]
-        if not _eq_after_shifts(w.F, kx, lhs, tables.l[x], rhs):
-            failures.append(f"degree-{n} forward identity fails at {print_point(w.E, x)}")
-    for y, ky in tables.kp.items():
-        lhs = hinv[shift(w.F, y, n)]
-        rhs = hinv[y]
-        if not _eq_after_shifts(w.E, ky, lhs, tables.lp[y], rhs):
-            failures.append(f"degree-{n} backward identity fails at {print_point(w.F, y)}")
-    return failures
+    return [
+        f
+        for (side, v, _), (k, l) in zip(_halves(w), ((tables.k, tables.l), (tables.kp, tables.lp)))
+        for f in _identity_failures(v.E, v.F, k, v.h.__getitem__, k.__getitem__, l.__getitem__, n, f"degree-{n} {side}")
+    ]
 
 
 # -- pseudogroup elements ----------------------------------------------------
@@ -281,19 +283,38 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
     if not verify_pseudogroup_element(p):
         raise InputError("not a valid pseudogroup element")
     depth = max([0, *p.m.values(), *p.n.values()])
-    tables = [extend_cocycles(w, j) for j in range(depth + 1)]
+    degrees = list(islice(_cocycle_degrees(w, _checked_census(w)), depth + 1))
     alpha2: dict[BoundaryPoint, BoundaryPoint] = {}
     m2: dict[BoundaryPoint, int] = {}
     n2: dict[BoundaryPoint, int] = {}
     for x, ax in p.alpha.items():
         y = w.h[x]
         alpha2[y] = w.h[ax]
-        km = tables[p.m[x]].k[x]
-        kn = tables[p.n[x]].k[ax]
+        (k_m, l_m), (k_n, l_n) = degrees[p.m[x]], degrees[p.n[x]]
+        km, kn = k_m[x], k_n[ax]
         hi = max(kn, km)
-        m2[y] = tables[p.m[x]].l[x] + hi - km
-        n2[y] = tables[p.n[x]].l[ax] + hi - kn
+        m2[y] = l_m[x] + hi - km
+        n2[y] = l_n[ax] + hi - kn
     return PseudogroupElement(w.F, alpha2, m2, n2)
+
+
+def _transported_tables(src: Graph, h: Mapping, elements: Mapping[str, PseudogroupElement]) -> tuple[dict, dict]:
+    """Tables ``k1(x) = n'_{x_1}(h(x))`` and ``l1(x) = m'_{x_1}(h(x))`` on the
+    points of ``src`` of length >= 1, read off the transported edge shifts."""
+    k1, l1 = {}, {}
+    for x in require_finite_census(src):
+        if x.length < 1:
+            continue
+        cid = x.edge_at(0).cls
+        if cid not in elements:
+            raise InputError(f"missing transported element for edge class {cid!r}")
+        el = elements[cid]
+        y = h.get(x)
+        if y not in el.m:
+            raise InputError(f"h or the transported element for {cid!r} misses the point {print_point(src, x)}")
+        k1[x] = el.n[y]
+        l1[x] = el.m[y]
+    return k1, l1
 
 
 def cocycles_from_pseudogroup_transport(
@@ -311,36 +332,9 @@ def cocycles_from_pseudogroup_transport(
     the exponents at the first edge:  k1(x) = n'_{x_1}(h(x)),
     l1(x) = m'_{x_1}(h(x)).
     """
-    census_e = require_finite_census(E)
-    census_f = require_finite_census(F)
     h = dict(h)
     hinv = {y: x for x, y in h.items()}
-    k1, l1, k1p, l1p = {}, {}, {}, {}
-    for x in census_e:
-        if x.length < 1:
-            continue
-        cid = x.edge_at(0).cls
-        if cid not in elements_e:
-            raise InputError(f"missing transported element for edge class {cid!r}")
-        el = elements_e[cid]
-        y = h[x]
-        if y not in el.m:
-            raise InputError(f"transported element for {cid!r} misses a domain point")
-        k1[x] = el.n[y]
-        l1[x] = el.m[y]
-    for y in census_f:
-        if y.length < 1:
-            continue
-        cid = y.edge_at(0).cls
-        if cid not in elements_f:
-            raise InputError(f"missing transported element for edge class {cid!r}")
-        el = elements_f[cid]
-        x = hinv[y]
-        if x not in el.m:
-            raise InputError(f"transported element for {cid!r} misses a domain point")
-        k1p[y] = el.n[x]
-        l1p[y] = el.m[x]
-    return OrbitWitness(E, F, h, k1, l1, k1p, l1p)
+    return OrbitWitness(E, F, h, *_transported_tables(E, h, elements_e), *_transported_tables(F, hinv, elements_f))
 
 
 # -- deciding orbit equivalence and conjugacy --------------------------------
@@ -406,14 +400,5 @@ def conjugacy_witness(E: Graph, F: Graph, h: Mapping[BoundaryPoint, BoundaryPoin
     if not verify_conjugacy(E, F, h):
         raise InputError("h is not a conjugacy")
     h = dict(h)
-    ge1 = [x for x in h if x.length >= 1]
-    gf1 = [y for y in h.values() if y.length >= 1]
-    return OrbitWitness(
-        E,
-        F,
-        h,
-        {x: 0 for x in ge1},
-        {x: 1 for x in ge1},
-        {y: 0 for y in gf1},
-        {y: 1 for y in gf1},
-    )
+    tables = [dict.fromkeys([x for x in side if x.length >= 1], d) for side in (h, h.values()) for d in (0, 1)]
+    return OrbitWitness(E, F, h, *tables)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .boundary import BoundaryPoint, CylinderSet, minimal_witness, shift
+from .boundary import BoundaryPoint, CylinderSet, canonicalize, minimal_witness, shift
 from .errors import CompositionError, DomainError, InputError
-from .graphs import Graph, condition_l
+from .graphs import Edge, Graph, condition_l, is_singular
 
 if TYPE_CHECKING:
     from .pointtable import PointTable
@@ -105,8 +105,6 @@ def principality_report(g: Graph, probe: CylinderSet | None = None) -> Principal
     """
     ok, loop = condition_l(g)
     if not ok:
-        from .boundary import canonicalize
-
         x = canonicalize(g, loop.src, (), loop.edges)
         return PrincipalityReport(False, unit(g, x), isotropy(g, x))
     if probe is None:
@@ -121,31 +119,29 @@ def principality_report(g: Graph, probe: CylinderSet | None = None) -> Principal
     )
 
 
-def _finite_point_in(g: Graph, z: CylinderSet, depth: int | None = None) -> BoundaryPoint | None:
-    """Bounded search for a finite boundary point inside a cylinder."""
-    from .boundary import canonicalize, cyl_membership
-    from .graphs import is_singular
-
-    if depth is None:
-        depth = len(g.vertices) + 1
+def _finite_point_in(g: Graph, z: CylinderSet) -> BoundaryPoint | None:
+    """The shortest finite boundary point inside a cylinder, ties going by
+    out-edge order, or None: a breadth-first search over vertices from the
+    range of the base, whose first step avoids the excluded edges."""
     base = z.base
-
-    def walk(v, edges, d):
-        if is_singular(g, v):
-            pt = canonicalize(g, base.src, base.edges + tuple(edges))
-            if cyl_membership(g, pt, z):
-                return pt
-        if d == 0:
-            return None
-        for e in g.out_edges(v, inf_cap=1):
-            if not edges and e in z.excluded:
+    if is_singular(g, base.dst):
+        return canonicalize(g, base.src, base.edges)
+    came: dict[str, tuple[str | None, Edge]] = {}  # vertex -> (vertex before, edge) on its first path
+    queue: list[str | None] = [None]  # None is the range of the base before the first step
+    for u in queue:
+        for e in g.out_edges(base.dst if u is None else u):
+            v = g.edge_dst(e)
+            if v in came or (u is None and e in z.excluded):
                 continue
-            got = walk(g.edge_dst(e), edges + [e], d - 1)
-            if got is not None:
-                return got
-        return None
-
-    return walk(base.dst, [], depth)
+            came[v] = (u, e)
+            if is_singular(g, v):
+                edges = []
+                while v is not None:
+                    v, e = came[v]
+                    edges.append(e)
+                return canonicalize(g, base.src, base.edges + tuple(reversed(edges)))
+            queue.append(v)
+    return None
 
 
 def enumerate_elements(

@@ -13,7 +13,8 @@ boundary spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable
 
 from .boundary import BoundaryPoint, _canonical, canonicalize
 from .errors import InputError
@@ -63,6 +64,8 @@ def trivial_partition(g: Graph) -> OutSplitPartition:
 
 def check_partition(g: Graph, p: OutSplitPartition) -> None:
     """Validate properness, raising with the violated clause."""
+    for v in p.blocks:
+        g.check_vertex(v)
     for v in g.vertices:
         out = g.out_classes(v)
         cells = p.blocks.get(v, ())
@@ -201,7 +204,10 @@ def out_split_map(g: Graph, s: OutSplit, x: BoundaryPoint) -> BoundaryPoint:
     edge relabels and checks it; when one fails, ``canonicalize`` names the
     fault.
     """
-    if x.period:
+    edges = x.pre or x.period
+    if edges and g.edge_src(edges[0]) != x.src:
+        pass  # a source off the first edge; canonicalize names the fault
+    elif x.period:
         head = x.period[0]
         period = _relabel(s.edges, x.period, s.block.get(head, s.block.get(head.cls)))
         pre = period and _relabel(s.edges, x.pre, period[1])
@@ -385,18 +391,20 @@ def saturate(g: Graph, pattern: Path) -> tuple[Graph, RewritingWitness]:
     return sat, RewritingWitness(g, sat, pattern, cid, indexing)
 
 
-def _edge_stream(x: BoundaryPoint) -> Iterator[Edge]:
-    yield from x.pre
-    if x.period:
-        while True:
-            yield from x.period
+def _occurs_at(w: RewritingWitness, x: BoundaryPoint, pos: int, length: int | float) -> bool:
+    """Whether a pattern occurrence starts at position ``pos`` of ``x``, a
+    point of the given length: a parallel of the pattern head followed by
+    the pattern tail."""
+    edges = w.pattern.edges
+    if pos + len(edges) > length or not w.indexing.contains(x.edge_at(pos)):
+        return False
+    for i in range(1, len(edges)):
+        if x.edge_at(pos + i) != edges[i]:
+            return False
+    return True
 
 
-def _rewrite_stream(
-    w: RewritingWitness,
-    x: BoundaryPoint,
-    forward: bool,
-) -> BoundaryPoint:
+def _rewrite(w: RewritingWitness, x: BoundaryPoint, forward: bool) -> BoundaryPoint:
     """Run the greedy left-to-right rewriting over a representable point and
     detect the eventual period of the output.
 
@@ -413,79 +421,44 @@ def _rewrite_stream(
     tail = w.pattern.edges[1:]
     pre_len = len(x.pre)
     per = len(x.period)
-
-    def lookahead(buf: list[Edge], stream: Iterator[Edge], upto: int) -> bool:
-        while len(buf) < upto:
-            try:
-                buf.append(next(stream))
-            except StopIteration:
-                return False
-        return True
-
-    stream = _edge_stream(x)
-    buf: list[Edge] = []
+    length = x.length
     out: list[Edge] = []
     pos = 0  # index into x of the next unconsumed edge
     cut: dict[int, int] = {}  # scanner state -> length of `out` when seen
-    out_pre: list[Edge] | None = None
-    out_period: list[Edge] | None = None
-    while True:
+    while pos < length:
         if per and pos >= pre_len:
             state = (pos - pre_len) % per
             if state in cut:
-                out_pre = out[: cut[state]]
-                out_period = out[cut[state] :]
-                break
+                c = cut[state]
+                return canonicalize(gdst, x.src, out[:c], out[c:])
             cut[state] = len(out)
-        if not lookahead(buf, stream, 1):
-            break
-        head = buf[0]
-        step = 1
-        if forward:
-            if head.cls == w.new_class:
-                out.append(w.eta1(head.idx))
-                out.extend(tail)
-            elif (
-                w.indexing.contains(head)
-                and lookahead(buf, stream, m)
-                and tuple(buf[1:m]) == tail
-            ):
-                out.append(w.eta2(head))
-                out.extend(tail)
-                step = m
+        head = x.edge_at(pos)
+        if forward and head.cls == w.new_class:
+            out.append(w.eta1(head.idx))
+            out.extend(tail)
+            pos += 1
+        elif _occurs_at(w, x, pos, length):
+            n = None if forward else w.eta1_inverse(head)
+            if n is not None:
+                out.append(Edge(w.new_class, n))
             else:
-                out.append(head)
+                out.append(w.eta2(head) if forward else w.eta2_inverse(head))
+                out.extend(tail)
+            pos += m
         else:
-            if (
-                w.indexing.contains(head)
-                and lookahead(buf, stream, m)
-                and tuple(buf[1:m]) == tail
-            ):
-                n = w.eta1_inverse(head)
-                if n is not None:
-                    out.append(Edge(w.new_class, n))
-                else:
-                    out.append(w.eta2_inverse(head))
-                    out.extend(tail)
-                step = m
-            else:
-                out.append(head)
-        del buf[:step]
-        pos += step
-    if out_period is None:  # finite input
-        return canonicalize(gdst, x.src, out)
-    src = x.src if out_pre else gdst.edge_src(out_period[0])
-    return canonicalize(gdst, src, out_pre, out_period)
+            out.append(head)
+            pos += 1
+    return canonicalize(gdst, x.src, out)
 
 
 def saturate_map(w: RewritingWitness, x: BoundaryPoint) -> BoundaryPoint:
     """The rewriting homeomorphism from the saturated boundary to the
     original one, on a representable point."""
-    return _rewrite_stream(w, x, forward=True)
+    return _rewrite(w, x, forward=True)
 
 
 def saturate_map_inverse(w: RewritingWitness, y: BoundaryPoint) -> BoundaryPoint:
-    return _rewrite_stream(w, y, forward=False)
+    return _rewrite(w, y, forward=False)
 
 
 def saturation_cocycles(
@@ -499,7 +472,6 @@ def saturation_cocycles(
       l1p = 1.
     """
     m = w.pattern.length
-    tail = w.pattern.edges[1:]
 
     def k1(x: BoundaryPoint) -> int:
         return 0
@@ -507,14 +479,8 @@ def saturation_cocycles(
     def l1(x: BoundaryPoint) -> int:
         return m if x.edge_at(0).cls == w.new_class else 1
 
-    def starts_occurrence(y: BoundaryPoint) -> bool:
-        head = y.edge_at(0)
-        if not w.indexing.contains(head) or y.length < m:
-            return False
-        return tuple(y.edge_at(i) for i in range(1, m)) == tail
-
     def k1p(y: BoundaryPoint) -> int:
-        if starts_occurrence(y) and w.eta1_inverse(y.edge_at(0)) is not None:
+        if _occurs_at(w, y, 0, y.length) and w.eta1_inverse(y.edge_at(0)) is not None:
             return m - 1
         return 0
 
@@ -531,22 +497,11 @@ def check_saturation_identity(
 ) -> list[str]:
     """Sampled verification of the witness identities for a saturation, in
     both directions; returns a list of failure descriptions."""
-    from .dynamics import _eq_after_shifts, shift
+    from .dynamics import _identity_failures
 
     k1, l1, k1p, l1p = saturation_cocycles(w)
-    failures = []
-    for x in points_sat:
-        if x.length < 1:
-            continue
-        lhs = saturate_map(w, shift(w.saturated, x))
-        rhs = saturate_map(w, x)
-        if not _eq_after_shifts(w.original, k1(x), lhs, l1(x), rhs):
-            failures.append(f"forward identity fails at {x}")
-    for y in points_orig:
-        if y.length < 1:
-            continue
-        lhs = saturate_map_inverse(w, shift(w.original, y))
-        rhs = saturate_map_inverse(w, y)
-        if not _eq_after_shifts(w.saturated, k1p(y), lhs, l1p(y), rhs):
-            failures.append(f"backward identity fails at {y}")
-    return failures
+    sat, orig = ([x for x in points if x.length >= 1] for points in (points_sat, points_orig))
+    forward = _identity_failures(w.saturated, w.original, sat, partial(saturate_map, w), k1, l1, 1, "forward")
+    inverse = partial(saturate_map_inverse, w)
+    backward = _identity_failures(w.original, w.saturated, orig, inverse, k1p, l1p, 1, "backward")
+    return forward + backward

@@ -93,6 +93,16 @@ def test_verify_oe_negative(files, capsys, tmp_path):
     assert code == 1 and "fails" in out
 
 
+@pytest.mark.parametrize("fault", ["a fractional value", "a point mapped twice"])
+def test_verify_oe_rejects_bad_tables(files, capsys, tmp_path, fault):
+    from test_dsl import bad_witness_text
+
+    f = tmp_path / "bad.json"
+    f.write_text(bad_witness_text(fault))
+    code, _ = run(capsys, "verify-oe", files["E1"], files["F1"], str(f))
+    assert code == 2
+
+
 def test_search_oe(files, capsys):
     code, out = run(capsys, "search-oe", files["G0"], files["Floop"])
     assert code == 0 and json.loads(out)["h"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from oeg.dsl import (
     GraphDocument,
     parse_germ,
     parse_graph,
+    parse_element,
     parse_groupoid_element,
     parse_partition,
     parse_path,
@@ -24,7 +26,7 @@ from oeg.dsl import (
 )
 from oeg.errors import ParseError
 from oeg.graphs import INF, Edge
-from oeg.zoo import amplified_arrow_loop, arrow_into_loop
+from oeg.zoo import amplified_arrow_loop, arrow_into_loop, two_cycle
 
 
 E1_TEXT = """graph E1
@@ -110,6 +112,41 @@ def test_witness_roundtrip():
         parse_witness(w.E, w.F, "{}")
     with pytest.raises(ParseError):
         parse_witness(w.E, w.F, "not json")
+
+
+# (table, entries) replacing one table of the example witness's JSON
+BAD_WITNESS_TABLES = {
+    "a fractional value": ("k1", [["(b)*", 0], ["a.(b)*", 1.9]]),
+    "a boolean value": ("l1", [["(b)*", True], ["a.(b)*", 0]]),
+    "a value in a string": ("k1p", [["(c.d)*", "0"], ["(d.c)*", 1]]),
+    "a point mapped twice": ("h", [["(b)*", "(d.c)*"], ["a.(b)*", "(d.c)*"], ["a.(b)*", "(c.d)*"]]),
+    "a point listed twice": ("l1p", [["(c.d)*", 1], ["(d.c)*", 0], ["(c.d)*", 1]]),
+    "a point listed twice in another spelling": ("k1", [["(b)*", 0], ["a.(b)*", 1], ["a.b.(b)*", 1]]),
+}
+
+
+def bad_witness_text(fault: str) -> str:
+    from test_dynamics import example_witness
+
+    key, entries = BAD_WITNESS_TABLES[fault]
+    return json.dumps({**json.loads(print_witness(example_witness())), key: entries})
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_WITNESS_TABLES))
+def test_witness_tables_reject_non_integers_and_repeats(fault):
+    E, F = arrow_into_loop(), two_cycle()
+    with pytest.raises(ParseError):
+        parse_witness(E, F, bad_witness_text(fault))
+
+
+def test_element_tables_reject_non_integers_and_repeats(e1):
+    for data in (
+        {"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 1.5]], "n": [["(b)*", 0]]},
+        {"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 1]], "n": [["(b)*", False]]},
+        {"alpha": [["(b)*", "(b)*"], ["b.(b)*", "(b)*"]], "m": [["(b)*", 1]], "n": [["(b)*", 0]]},
+    ):
+        with pytest.raises(ParseError):
+            parse_element(e1, json.dumps(data))
 
 
 def test_groupoid_element_roundtrip(e1):

@@ -10,6 +10,7 @@ from sampling import random_functional_graph
 from oeg.boundary import boundary_census
 from oeg.dynamics import (
     OrbitWitness,
+    PseudogroupElement,
     check_extended_identity,
     cocycles_from_pseudogroup_transport,
     conjugacy_witness,
@@ -104,6 +105,58 @@ def test_partial_tables_rejected():
     k1.pop(pt(w1.E, "(b)*"))
     with pytest.raises(InputError):
         verify_oe_witness(OrbitWitness(w1.E, w1.F, w1.h, k1, w1.l1, w1.k1p, w1.l1p))
+
+
+def test_non_injective_h_rejected(e1, floop):
+    """h onto a smaller census passes both totality gates and every
+    identity; only the size comparison refuses it."""
+    h = {pt(e1, "a.(b)*"): pt(floop, "(e)*"), pt(e1, "(b)*"): pt(floop, "(e)*")}
+    zeros = {x: 0 for x in h}
+    with pytest.raises(InputError, match="bijection"):
+        verify_oe_witness(OrbitWitness(e1, floop, h, zeros, zeros, {pt(floop, "(e)*"): 0}, {pt(floop, "(e)*"): 0}))
+
+
+def test_partial_witness_is_an_input_error():
+    """A witness whose table misses a point is an input error when the
+    cocycles are extended and when the extended identity is checked."""
+    w1 = example_witness()
+    x = pt(w1.E, "(b)*")
+    k1 = dict(w1.k1)
+    k1.pop(x)
+    with pytest.raises(InputError):
+        extend_cocycles(OrbitWitness(w1.E, w1.F, w1.h, k1, w1.l1, w1.k1p, w1.l1p), 2)
+    h = dict(w1.h)
+    h.pop(x)
+    partial = OrbitWitness(w1.E, w1.F, h, w1.k1, w1.l1, w1.k1p, w1.l1p)
+    with pytest.raises(InputError, match=r"misses the point \(b\)\*"):
+        check_extended_identity(partial, extend_cocycles(w1, 2))
+    tables = extend_cocycles(w1, 1)
+    tables.lp.pop(pt(w1.F, "(c.d)*"))
+    with pytest.raises(InputError):
+        check_extended_identity(w1, tables)
+
+
+def test_census_calls(monkeypatch):
+    """Each call censuses each graph at most once, and the extended identity
+    check not at all."""
+    from oeg import dynamics
+
+    w = example_witness()
+    ident = identity_element(w.E, boundary_census(w.E).points)
+    deep = PseudogroupElement(w.E, dict(ident.alpha), dict.fromkeys(ident.alpha, 3), dict.fromkeys(ident.alpha, 3))
+    tables = extend_cocycles(w, 3)
+    calls = []
+    census = dynamics.boundary_census
+    monkeypatch.setattr(dynamics, "boundary_census", lambda g: calls.append(g) or census(g))
+    for run, most in (
+        (lambda: verify_oe_witness(w), 2),
+        (lambda: extend_cocycles(w, 3), 2),
+        (lambda: check_extended_identity(w, tables), 0),
+        (lambda: conjugate_pseudogroup(w, deep), 2),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) <= most
 
 
 def test_unsupported_scale(e2, f1):
@@ -202,6 +255,14 @@ def test_transport_missing_edge(e1):
     h = {x: x for x in census}
     with pytest.raises(InputError):
         cocycles_from_pseudogroup_transport(e1, e1, h, {}, {})
+    # an h that misses a point of length >= 1
+    w1 = example_witness()
+    h = dict(w1.h)
+    h.pop(pt(w1.E, "(b)*"))
+    with pytest.raises(InputError, match=r"misses the point \(b\)\*"):
+        cocycles_from_pseudogroup_transport(
+            w1.E, w1.F, h, _transport_edge_shifts(w1), _transport_edge_shifts(w1.inverse())
+        )
 
 
 def test_roundtrip_on_corpus():

@@ -127,6 +127,9 @@ def test_partition_errors(e1, e2):
     g0 = Graph(["v"])
     with pytest.raises(InputError):
         check_partition(g0, OutSplitPartition({"v": (Block(frozenset()),)}))
+    with pytest.raises(InputError):
+        # blocks under a vertex the graph does not have
+        check_partition(e2, OutSplitPartition({**trivial_partition(e2).blocks, "zz": trivial_partition(e2).blocks["1"]}))
 
 
 def test_codec_errors(e1):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 
 from conftest import pt
-from oeg.boundary import boundary_census, make_cylinder, tail_classes, tail_key
+from oeg.boundary import boundary_census, canonicalize, cyl_membership, make_cylinder, tail_classes, tail_key
 from oeg.dynamics import bisection_decomposition, identity_element, shift, shift_restriction
 from oeg.errors import CompositionError, DomainError, InputError
-from oeg.graphs import Graph
+from oeg.graphs import Edge, Graph, is_singular
 from oeg.groupoid import (
     GroupoidElement,
+    _finite_point_in,
     compose,
     enumerate_elements,
     inverse,
@@ -146,6 +149,80 @@ def test_principality_probe(e2, g0):
     g = lone_vertex()
     rep2 = principality_report(g, probe=make_cylinder(g, g.path((), at="v")))
     assert rep2.trivial_point == pt(g, "@v")
+
+
+def test_principality_probe_finds_shortest_point():
+    """The shortest finite point of the cylinder, ties going by out-edge
+    order; a path may come back to the base range and leave it by an edge
+    excluded as the first step."""
+    g = Graph(["v", "w", "s", "t"], [("x", "v", "w", 1), ("y", "v", "s", 1), ("z", "v", "t", 1), ("p", "w", "s", 1)])
+    assert principality_report(g, make_cylinder(g, g.path((), at="v"))).trivial_point == pt(g, "y")
+    back = Graph(["v", "w", "s"], [("x", "v", "s", 1), ("y", "v", "w", 1), ("z", "w", "v", 1)])
+    z = make_cylinder(back, back.path((), at="v"), [Edge("x", 0)])
+    assert principality_report(back, z).trivial_point == pt(back, "y.z.x")
+
+
+@pytest.mark.parametrize("shape", ["chain", "ring"])
+def test_principality_probe_scales(shape):
+    """A 1500-vertex chain (past the recursion limit of a depth-first walk)
+    and a ring of 22 doubled edges (2**22 paths, no singular vertex) each
+    take well under a second."""
+    if shape == "chain":
+        verts = [f"v{i}" for i in range(1500)]
+        g = Graph(verts, [(f"e{i}", v, w, 1) for i, (v, w) in enumerate(zip(verts, verts[1:]))])
+    else:
+        verts = [f"a{i}" for i in range(23)]
+        classes = [(f"x{i}", v, w, 2) for i, (v, w) in enumerate(zip(verts, verts[1:]))]
+        g = Graph(verts, classes + [("l", "a22", "a22", 1), ("m", "a22", "a0", 1)])
+    start = time.perf_counter()
+    rep = principality_report(g, make_cylinder(g, g.path((), at=verts[0])))
+    assert time.perf_counter() - start < 1.0
+    if shape == "chain":
+        assert rep.trivial_point.pre == tuple(Edge(f"e{i}", 0) for i in range(1499))
+    else:
+        assert rep.principal and rep.trivial_point is None and rep.probe_note
+
+
+def _depth_first_point(g, z):
+    """The recursive walk the breadth-first search replaced: the first
+    finite point in out-edge order within |V| + 1 edges of the base."""
+
+    def walk(v, edges, d):
+        if is_singular(g, v):
+            x = canonicalize(g, z.base.src, z.base.edges + tuple(edges))
+            if cyl_membership(g, x, z):
+                return x
+        if d == 0:
+            return None
+        for e in g.out_edges(v):
+            if not (not edges and e in z.excluded):
+                got = walk(g.edge_dst(e), edges + [e], d - 1)
+                if got is not None:
+                    return got
+        return None
+
+    return walk(z.base.dst, [], len(g.vertices) + 1)
+
+
+def test_finite_point_search_matches_depth_first_on_pool():
+    """On random cylinders over the <=3-vertex pool graphs that have a
+    singular vertex, both searches find a point or both find none, and the
+    breadth-first point lies in the cylinder and is no longer than the
+    depth-first one."""
+    from sampling import random_cylinders
+
+    rng = random.Random(77)
+    found = 0
+    for g in iter_small_graphs(3, 2):
+        if not any(is_singular(g, v) for v in g.vertices):
+            continue
+        for z in random_cylinders(rng, g, 2):
+            got, want = _finite_point_in(g, z), _depth_first_point(g, z)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.is_finite and cyl_membership(g, got, z) and len(got.pre) <= len(want.pre)
+                found += 1
+    assert found > 500
 
 
 def test_principality_cross_check():

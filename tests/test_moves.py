@@ -8,8 +8,9 @@ from hypothesis import event, given, settings, strategies as st
 
 from conftest import pt
 from sampling import random_graph, random_proper_partition, sample_points
+from saturation_oracle import _rewrite_stream
 from split_oracle import OracleSplit
-from oeg.boundary import BoundaryPoint, boundary_census, bounded_points, canonicalize, drop_edges, point_range
+from oeg.boundary import BoundaryPoint, boundary_census, bounded_points, canonicalize, drop_edges, point_range, prepend
 from oeg.dynamics import verify_conjugacy
 from oeg.errors import InputError
 from oeg.graphs import INF, Edge, Graph
@@ -202,6 +203,7 @@ _MALFORMED = {
     "a period that does not close": BoundaryPoint("u", (), (Edge("a", 0),)),
     "a finite path ending at a regular vertex": BoundaryPoint("u", (Edge("a", 0), Edge("c", 0)), ()),
     "an empty path at a regular vertex": BoundaryPoint("u", (), ()),
+    "a source off the first edge": BoundaryPoint("v", (Edge("a", 0),), (Edge("b", 0),)),
 }
 
 
@@ -481,6 +483,56 @@ def test_saturate_longer_pattern(amp):
     for x in pts_sat:
         assert saturate_map_inverse(w, saturate_map(w, x)) == x
     assert check_saturation_identity(w, pts_sat, pts_orig) == []
+
+
+def test_saturate_maps_match_oracle():
+    """Both rewriting directions agree with the stream rewriter on sampled
+    finite and eventually periodic points, for patterns of length 1 to 3 on
+    random graphs; points are also made to start with the pattern or with a
+    new-class edge, so that occurrences are met at position 0 and later."""
+    rng = random.Random(2024)
+    rewritten = {(forward, finite): 0 for forward in (True, False) for finite in (True, False)}
+    done = 0
+    while done < 45:
+        g = random_graph(rng, max_vertices=3, max_mult=2, edge_prob=0.5, inf_prob=0.4)
+        heads = [c for c in g.edge_classes if c.is_infinite]
+        if not heads:
+            continue
+        edges = [Edge(rng.choice(heads).cid, rng.randrange(3))]
+        while len(edges) < 1 + done % 3:
+            options = list(g.out_edges(g.edge_dst(edges[-1]), inf_cap=2))
+            if not options:
+                break
+            edges.append(rng.choice(options))
+        if len(edges) < 1 + done % 3:
+            continue
+        pattern = g.path(edges)
+        sat, w = saturate(g, pattern)
+        new_edge = sat.path([(w.new_class, rng.randrange(4))])
+        points = {
+            True: sample_points(sat, pre_len=4, per_len=2, inf_cap=3, limit=150),
+            False: sample_points(g, pre_len=4, per_len=2, inf_cap=3, limit=150),
+        }
+        points[True] += [prepend(sat, new_edge, x) for x in points[True] if x.src == pattern.dst]
+        points[False] += [prepend(g, pattern, y) for y in points[False] if y.src == pattern.dst]
+        for forward, mapped in ((True, saturate_map), (False, saturate_map_inverse)):
+            for x in points[forward]:
+                got = mapped(w, x)
+                assert got == _rewrite_stream(w, x, forward), (forward, x)
+                rewritten[forward, x.is_finite] += got != x
+        done += 1
+    assert min(rewritten.values()) > 50, rewritten
+
+
+def test_saturation_failures_print_points(amp, monkeypatch):
+    """A failing identity names its point in the point notation."""
+    from oeg import moves
+
+    sat, w = saturate(amp, amp.path([("A", 0), ("B", 0)]))
+    k1, _, k1p, l1p = moves.saturation_cocycles(w)
+    monkeypatch.setattr(moves, "saturation_cocycles", lambda w: (k1, lambda x: 1, k1p, l1p))
+    failures = check_saturation_identity(w, [parse_point(sat, "M[3].B[1].(B[2])*")], [])
+    assert failures == ["forward identity fails at M[3].B[1].(B[2])*"]
 
 
 def test_out_split_edges_into_sinks_keep_names():
