@@ -10,7 +10,6 @@ short as possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InputError
@@ -26,8 +25,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Canonical boundary path: finite (``period == ()``) or eventually
     periodic.  Construct with :func:`canonicalize`."""
 
@@ -214,8 +212,7 @@ def minimal_witness(g: Graph, x: BoundaryPoint, y: BoundaryPoint, k: int) -> tup
 # -- cylinder sets ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CylinderSet:
+class CylinderSet(NamedTuple):
     """The set of boundary paths extending ``base`` whose next edge avoids
     the finite excluded set; compact and open."""
 
@@ -457,18 +454,24 @@ def _infinite_boundary_witness(g: Graph) -> str | None:
         if c.is_infinite:
             return f"infinite parallel class {c.cid!r}"
     # A loop with an exit pumps out infinitely many distinct points, and it
-    # exists iff some cycle passes through a vertex of out-degree >= 2.
-    for u in g.vertices:
-        if g.out_degree(u) < 2:
-            continue
-        loop = _cycle_through(g, u)
-        if loop is not None:
-            text = ".".join(e.cls for e in loop.edges)
+    # exists iff some cycle passes through a vertex of out-degree >= 2.  One
+    # condensation pass tells which vertices lie on a cycle; the loop is
+    # traced through the first such vertex in declaration order.
+    branching = [i for i, v in enumerate(g.vertices) if g.out_degree(v) >= 2]
+    if not branching:
+        return None
+    from .digraphs import condensation  # loaded on use: graphs without a branching vertex never need it
+
+    cond = condensation(g)
+    for i in branching:
+        if cond.label[cond.comp[i]][1]:
+            text = ".".join(e.cls for e in _cycle_through(g, g.vertices[i]).edges)
             return f"loop {text} has an exit"
     return None
 
 
-def _cycle_through(g: Graph, u: str) -> Path | None:
+def _cycle_through(g: Graph, u: str) -> Path:
+    """A shortest loop through ``u``, which must lie on a cycle."""
     parent: dict[str, Edge] = {}
     frontier = [u]
     seen = {u}
@@ -489,7 +492,6 @@ def _cycle_through(g: Graph, u: str) -> Path | None:
                     parent[w] = Edge(c.cid, 0)
                     nxt.append(w)
         frontier = nxt
-    return None
 
 
 def boundary_census(g: Graph) -> CensusResult:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Mapping
+import sys
+from typing import Mapping, NamedTuple
 
 from .boundary import BoundaryPoint, canonicalize, minimal_witness
 from .errors import InputError, ParseError
@@ -34,8 +34,7 @@ _EDGE_RE = re.compile(
 _EDGE_TOKEN_RE = re.compile(rf"^({_IDENT})(?:\[(\d+)\])?$")
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     name: str
     graph: Graph
     lines: dict[str, int]  # vertex/class identifier -> source line
@@ -85,7 +84,7 @@ def parse_graph(text: str) -> GraphDocument:
             elif mult_tok == "inf":
                 mult = INF
             else:
-                mult = int(mult_tok)
+                mult = _int_token(mult_tok, "multiplicity", lineno, raw.find(mult_tok) + 1)
                 if mult < 1:
                     raise ParseError("multiplicity must be >= 1", lineno, raw.find(mult_tok) + 1)
             classes.append((cid, src, dst, mult))
@@ -115,6 +114,17 @@ def print_graph(doc: GraphDocument | Graph, name: str | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _int_token(tok: str, what: str, line: int | None = None, column: int | None = None) -> int:
+    """The integer a token spells.  A token ``int`` refuses (not an integer,
+    or more digits than Python's conversion limit) is a ParseError."""
+    try:
+        return int(tok)
+    except ValueError:
+        shown = repr(tok) if len(tok) <= 24 else f"{tok[:12]!r}... ({len(tok)} characters)"
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{what} must be an integer of at most {limit} digits, got {shown}", line, column) from None
+
+
 # -- edges, paths, points ----------------------------------------------------
 
 
@@ -122,7 +132,7 @@ def parse_edge(g: Graph, token: str) -> Edge:
     m = _EDGE_TOKEN_RE.match(token.strip())
     if not m:
         raise ParseError(f"bad edge token {token!r}")
-    cid, idx = m.group(1), int(m.group(2) or 0)
+    cid, idx = m.group(1), _int_token(m.group(2) or "0", "edge index")
     return g.check_edge(Edge(cid, idx))
 
 
@@ -204,7 +214,7 @@ def _json_tables(text: str, what: str, keys: tuple[str, ...]) -> dict:
     """A JSON object that holds (at least) the named tables."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{what} JSON must be an object")
@@ -284,10 +294,7 @@ def parse_groupoid_element(g: Graph, text: str):
     if len(parts) != 3:
         raise ParseError("groupoid element must have three | -separated parts")
     x = parse_point(g, parts[0])
-    try:
-        k = int(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"cocycle must be an integer, got {parts[1]!r}") from exc
+    k = _int_token(parts[1], "cocycle")
     y = parse_point(g, parts[2])
     witness = minimal_witness(g, x, y, k)
     if witness is None:
@@ -355,7 +362,7 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
                     else:
                         edges.update(Edge(cid, i) for i in range(c.mult))
                 else:
-                    edges.add(g.check_edge(Edge(cid, int(idx))))
+                    edges.add(g.check_edge(Edge(cid, _int_token(idx, "edge index", lineno))))
             cells.append(Block(frozenset(edges), frozenset(infs)))
         blocks[v] = tuple(cells)
     return OutSplitPartition(blocks)

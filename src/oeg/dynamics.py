@@ -11,9 +11,8 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .boundary import (
     BoundaryPoint,
@@ -59,8 +58,7 @@ def require_finite_census(g: Graph) -> tuple[BoundaryPoint, ...]:
     return census.points
 
 
-@dataclass(frozen=True)
-class OrbitWitness:
+class OrbitWitness(NamedTuple):
     """Candidate orbit-equivalence data between graphs ``E`` and ``F``:
     a bijection table ``h`` on the full boundary censuses and cocycle tables
     ``k1, l1`` (on E-points of length >= 1) and ``k1p, l1p`` (on F-points)."""
@@ -80,10 +78,9 @@ class OrbitWitness:
         return OrbitWitness(self.F, self.E, hinv, self.k1p, self.l1p, self.k1, self.l1)
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(NamedTuple):
     ok: bool
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
 
 def _eq_after_shifts(g: Graph, k: int, a: BoundaryPoint, l: int, b: BoundaryPoint) -> bool:
@@ -150,8 +147,7 @@ def verify_oe_witness(w: OrbitWitness) -> WitnessReport:
     return WitnessReport(not failures, failures)
 
 
-@dataclass
-class CocycleTables:
+class CocycleTables(NamedTuple):
     n: int
     k: dict[BoundaryPoint, int]
     l: dict[BoundaryPoint, int]
@@ -209,8 +205,7 @@ def check_extended_identity(w: OrbitWitness, tables: CocycleTables) -> list[str]
 # -- pseudogroup elements ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PseudogroupElement:
+class PseudogroupElement(NamedTuple):
     """A partial bijection of representable boundary points together with
     shift exponents witnessing sigma^m(x) = sigma^n(alpha(x))."""
 

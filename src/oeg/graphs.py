@@ -9,7 +9,6 @@ multiplicity carries one edge per natural number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -149,8 +148,7 @@ class Graph:
         return p
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(NamedTuple):
     """A finite path; ``src == dst`` with no edges is the empty path at a vertex."""
 
     src: str

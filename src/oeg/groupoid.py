@@ -8,8 +8,7 @@ form unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .boundary import BoundaryPoint, CylinderSet, canonicalize, minimal_witness, shift
 from .errors import CompositionError, DomainError, InputError
@@ -19,8 +18,7 @@ if TYPE_CHECKING:
     from .pointtable import PointTable
 
 
-@dataclass(frozen=True, slots=True)
-class GroupoidElement:
+class GroupoidElement(NamedTuple):
     x: BoundaryPoint
     k: int
     y: BoundaryPoint
@@ -64,8 +62,7 @@ def inverse(g: Graph, e: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(e.y, -e.k, e.x, e.n, e.m)
 
 
-@dataclass(frozen=True, slots=True)
-class IsotropyGroup:
+class IsotropyGroup(NamedTuple):
     """The subgroup d*Z of cocycles fixing a point; d = 0 means trivial."""
 
     d: int
@@ -84,8 +81,7 @@ def isotropy(g: Graph, x: BoundaryPoint) -> IsotropyGroup:
     return IsotropyGroup(0 if x.is_finite else len(x.period))
 
 
-@dataclass(frozen=True)
-class PrincipalityReport:
+class PrincipalityReport(NamedTuple):
     principal: bool
     witness_unit: GroupoidElement | None = None  # isolated unit with isotropy
     witness_isotropy: IsotropyGroup | None = None

@@ -8,8 +8,8 @@ first use so that commands which need neither do not load it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .boundary import boundary_census, is_isolated
 from .errors import InputError, UnsupportedScaleError
@@ -170,8 +170,7 @@ def digraph_isomorphic(g1: Graph, g2: Graph) -> dict[str, str] | None:
     return None if phi is None else {v: g2.vertices[j] for v, j in zip(g1.vertices, phi)}
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     condition_l: bool
     exitless_loop: str | None
     singular_vertices: dict[str, str]

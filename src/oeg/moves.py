@@ -12,9 +12,8 @@ boundary spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .boundary import BoundaryPoint, _canonical, canonicalize
 from .errors import InputError
@@ -24,8 +23,7 @@ from .graphs import INF, Edge, EdgeClass, Graph, Path
 # -- out-splitting -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One cell of an out-edge partition: finitely many named edges plus
     whole infinite classes."""
 
@@ -37,8 +35,7 @@ class Block:
         return bool(self.infinite_classes)
 
 
-@dataclass(frozen=True)
-class OutSplitPartition:
+class OutSplitPartition(NamedTuple):
     """Ordered blocks partitioning the outgoing edges of every non-sink
     vertex; sinks get no blocks."""
 
@@ -108,8 +105,7 @@ def check_partition(g: Graph, p: OutSplitPartition) -> None:
             raise InputError(f"blocks at {v!r} do not cover the outgoing edges")
 
 
-@dataclass(frozen=True)
-class OutSplit:
+class OutSplit(NamedTuple):
     """An out-split graph with the edge table that relabels paths into it.
 
     ``block`` gives the source block of each finite edge, and of each
@@ -336,8 +332,7 @@ class ParallelIndexing:
         return e in self.finite or e.cls in self.infinite
 
 
-@dataclass(frozen=True)
-class RewritingWitness:
+class RewritingWitness(NamedTuple):
     """The data of a saturation move: the pattern path, the new class, and
     the even/odd splitting of the pattern-parallel edges.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .boundary import (
     BoundaryPoint,
@@ -30,9 +30,11 @@ from .graphs import Graph, Path
 from .groupoid import GroupoidElement, enumerate_elements
 from .pointtable import PointTable
 
+# germ pairs the phi check cross-checks against germ_equivalent per call
+PAIR_SAMPLE = 40
 
-@dataclass(frozen=True, slots=True)
-class Germ:
+
+class Germ(NamedTuple):
     mu: Path
     nu: Path
     x: BoundaryPoint
@@ -141,8 +143,7 @@ def germ_class_key(g: Graph, germ: Germ) -> tuple:
     return (germ.x, germ.cocycle, germ_apply(g, germ))
 
 
-@dataclass
-class PhiReport:
+class PhiReport(NamedTuple):
     bound: int
     pool_size: int
     pool_complete: bool
@@ -152,7 +153,7 @@ class PhiReport:
     bijection_ok: bool
     equivalence_ok: bool
     winding_ok: bool
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
@@ -171,23 +172,18 @@ def representable_pool(
     return pts, False
 
 
-def phi_bijectivity_check(
-    g: Graph,
-    bound: int,
-    max_points: int | None = 24,
-    pair_sample: int = 40,
-) -> PhiReport:
+def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> PhiReport:
     """Compare germ classes with groupoid elements over a common pool.
 
     Counts all germs ``(mu, nu, x)`` with path lengths <= bound whose anchor
     and image both lie in the pool, partitions them into classes, and
     checks that the class keys coincide with the enumerated elements
     ``(image, cocycle, anchor)`` and that each element's canonical germ lands
-    in its own class.  Within every class a bounded sample of germ pairs is
-    cross-checked against `germ_equivalent`, and at every isolated
-    eventually periodic anchor the cocycles of one image are checked to be
-    congruent mod the period, which is what makes the winding index an
-    integer.  A negative bound is an input error.
+    in its own class.  Within every class a sample of ``PAIR_SAMPLE`` germ
+    pairs per call is cross-checked against `germ_equivalent`, and at every
+    isolated eventually periodic anchor the cocycles of one image are
+    checked to be congruent mod the period, which is what makes the winding
+    index an integer.  A negative bound is an input error.
 
     Points are compared as ids of one :class:`PointTable`, built for the
     call and dropped with it: shift orbits, the germ classes, the element
@@ -248,7 +244,7 @@ def phi_bijectivity_check(
     # Key-grouping must agree with germ_equivalent (sampled pairs, budgeted
     # per run); germs are built only for the pairs the budget reaches.
     equivalence_ok = True
-    budget = pair_sample
+    budget = PAIR_SAMPLE
     points = dict(zip(ids, pool))
     for anchor in sorted(pool, key=point_sort_key):
         if budget <= 0 or not equivalence_ok:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from conftest import pt, small_graph_st
 from sampling import random_cylinders, random_graph, sample_points
 from oeg.boundary import (
     BoundaryPoint,
+    _cycle_through,
     boundary_census,
     bounded_points,
     canonicalize,
@@ -439,3 +441,49 @@ def test_is_isolated_matches_loop_exit_on_pool():
         for loop in enumerate_simple_loops(g, 3):
             x = BoundaryPoint(loop.src, (), loop.edges)  # least rotations are canonical
             assert is_isolated(g, x) == (not loop_has_exit(g, loop))
+
+
+def _loop_exit_scan(g: Graph) -> str | None:
+    """Oracle for the finiteness witness: a reachability search from each
+    vertex of out-degree >= 2 in declaration order, stopping at the first
+    that lies on a cycle, in O(V.(V+E)) time."""
+    for c in g.edge_classes:
+        if c.is_infinite:
+            return f"infinite parallel class {c.cid!r}"
+    for u in g.vertices:
+        if g.out_degree(u) < 2:
+            continue
+        seen: set[str] = set()
+        todo = [c.dst for c in g.out_classes(u)]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo += [c.dst for c in g.out_classes(v)]
+        if u in seen:
+            return f"loop {'.'.join(e.cls for e in _cycle_through(g, u).edges)} has an exit"
+    return None
+
+
+def test_census_witness_matches_the_scan_on_pool():
+    for g in iter_small_graphs(3, 2):
+        assert boundary_census(g).witness == _loop_exit_scan(g)
+
+
+def _ladder(n: int) -> Graph:
+    """v0 .. v(n-1) with edges v_i -> v_(i+1) and v_i -> v_(i+2), running into
+    z, which has a loop l and an edge x to the sink s: every ladder vertex
+    branches, and none lies on a cycle."""
+    rung = [f"v{i}" for i in range(n)] + ["z", "z"]  # steps past the end land on z
+    classes = [(f"r{i}_{d}", rung[i], rung[i + d], 1) for i in range(n) for d in (1, 2)]
+    return Graph(rung[:n] + ["z", "s"], classes + [("l", "z", "z", 1), ("x", "z", "s", 1)])
+
+
+def test_census_witness_is_linear_on_a_ladder():
+    """A cycle search from every branching vertex is quadratic on a ladder;
+    the census finds its witness from one condensation pass."""
+    g = _ladder(2000)
+    start = time.perf_counter()
+    census = boundary_census(g)
+    assert time.perf_counter() - start < 1.0
+    assert census.witness == "loop l has an exit" == _loop_exit_scan(_ladder(50))

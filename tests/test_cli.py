@@ -317,6 +317,38 @@ def test_phi_check_negative_bound_exits_2(files, capsys):
     assert _one_error_line(captured.err)
 
 
+# an integer token longer than the 4300 digits Python's int() converts
+_HUGE = "9" * 5000
+
+# (argv over the ``files`` fixture's names and the huge-token files below)
+_HUGE_SITES = {
+    "graph multiplicity": ["census", "huge_graph"],
+    "point edge index": ["shift", "E1", f"a[{_HUGE}]", "0"],
+    "partition edge index": ["move", "out-split", "E2", "huge_part"],
+    "witness table": ["verify-oe", "E1", "F1", "huge_witness"],
+}
+
+
+@pytest.mark.parametrize("site", list(_HUGE_SITES))
+def test_huge_integer_tokens_exit_2(site, files, tmp_path, capsys):
+    """An integer token too long for int() is an input error wherever the
+    formats read one."""
+    texts = {
+        "huge_graph": f"graph G\nvertex u, v\nedge a * {_HUGE}: u -> v\n",
+        "huge_part": f"split 1: {{a11[{_HUGE}]}} | {{a12}}\n",
+        # json.dumps cannot print such an integer, so the text is written out
+        "huge_witness": '{"h": [], "k1": [["a.(b)*", %s]], "l1": [], "k1p": [], "l1p": []}' % _HUGE,
+    }
+    named = dict(files)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        named[name] = str(tmp_path / name)
+    code = main([named.get(w, w) for w in _HUGE_SITES[site]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert _one_error_line(captured.err), captured.err
+
+
 # -- which modules each command loads --------------------------------------------
 
 _BASE_MODULES = {"oeg.boundary", "oeg.cli", "oeg.dsl", "oeg.errors", "oeg.graphs"}
@@ -339,33 +371,62 @@ _CLOSURES = {
     "decide-amplified": (["decide-amplified", "E1", "F1"], 1, {"moves", "digraphs"}),
 }
 
+# the generated-code machinery that records as NamedTuples keep out of a run
+_HEAVY = ("dataclasses", "inspect")
+
 _PROBE = """
 import contextlib, io, json, sys
 from oeg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("oeg."))]))
-"""
+heavy = [m for m in %r if m in sys.modules]
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("oeg.")), heavy]))
+""" % (_HEAVY,)
+
+
+def _src_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's
+    ``oeg``."""
+    import oeg
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oeg.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("command", list(_CLOSURES))
 def test_command_imports_only_its_modules(command, files, tmp_path):
     """Each command, run in a fresh interpreter, loads the DSL's modules and
-    the library modules it runs, and no others."""
-    import oeg
-
+    the library modules it runs, and no others, and neither ``dataclasses``
+    nor ``inspect``."""
     (tmp_path / "split.part").write_text("split 1: {a11} | {a12}\n")
     (tmp_path / "amp.graph").write_text("graph amp\nvertex u, v\nedge A * inf: u -> v\nedge B * inf: v -> v\n")
     named = dict(files, split=str(tmp_path / "split.part"), amp=str(tmp_path / "amp.graph"))
     words, want_code, extra = _CLOSURES[command]
     argv = [named.get(w, w) for w in words]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(oeg.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+    code, loaded, heavy = json.loads(proc.stdout)
     assert code == want_code
     assert set(loaded) == _BASE_MODULES | {f"oeg.{m}" for m in extra}
+    assert heavy == []
+
+
+def test_library_imports_neither_dataclasses_nor_inspect():
+    """Importing every ``oeg`` module, in a fresh interpreter, loads
+    neither ``dataclasses`` nor ``inspect``."""
+    import oeg
+
+    package = os.path.dirname(os.path.abspath(oeg.__file__))
+    names = sorted(f"oeg.{f[:-3]}" for f in os.listdir(package) if f.endswith(".py") and f != "__init__.py")
+    probe = (
+        "import importlib, json, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps([m for m in %r if m in sys.modules]))\n" % (_HEAVY,)
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *names], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "oeg.weyl" in names and json.loads(proc.stdout) == []
 
 
 # -- exit-code fuzzing -----------------------------------------------------------
@@ -397,7 +458,9 @@ _FUZZ_COMMANDS = [
     (["decide-amplified"], "gg"),
 ]
 _OPTIONS = {"phi-check": ("--bound", "n"), "out-split": ("--map-point", "p"), "saturate": ("--map-point", "p")}
-_JUNK = ["", "zz", "@", "@zz", "(", ")*", "a.(", "|", "[x]", "e0_0[9]", "((v0))*", "1"]
+_JUNK = ["", "zz", "@", "@zz", "(", ")*", "a.(", "|", "[x]", "e0_0[9]", "((v0))*", "1", f"e0_0[{_HUGE}]"]
+# JSON text with an integer past the digit limit, which json.dumps cannot print
+_HUGE_JSON = '{"h": [["@v0", "@v0"]], "k1": [["@v0", %s]], "alpha": [], "m": [["@v0", %s]]}' % (_HUGE, _HUGE)
 
 
 @st.composite
@@ -417,7 +480,7 @@ def _fuzz_case(draw):
     names = [c.cid for c in g.edge_classes] + [f"@{v}" for v in g.vertices]
     word = st.sampled_from(points + names + _JUNK) if points else st.sampled_from(names + _JUNK)
     path = st.lists(st.sampled_from(names + _JUNK), min_size=1, max_size=3).map(".".join)
-    integer = st.integers(-2, 3).map(str) | st.sampled_from(["x", "1.5"])
+    integer = st.integers(-2, 3).map(str) | st.sampled_from(["x", "1.5", _HUGE])
     leaf = st.none() | st.integers(-2, 3) | word
     json_value = st.recursive(
         leaf,
@@ -435,13 +498,14 @@ def _fuzz_case(draw):
     graph_text = print_graph(g, "G")
     lines = graph_text.splitlines()
     broken = st.sampled_from(
-        ["\n".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))] + [graph_text + "edge ?: v0 -> v0\n"]
+        ["\n".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))]
+        + [graph_text + "edge ?: v0 -> v0\n", graph_text + f"edge big * {_HUGE}: v0 -> v0\n"]
     ) | st.text(max_size=20)
     files = {
         # mostly valid, so that the later arguments get read too
         "g": st.one_of(st.just(graph_text), st.just(graph_text), st.just(graph_text), broken),
-        "w": witness.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10),
-        "e": element.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10),
+        "w": witness.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10) | st.just(_HUGE_JSON),
+        "e": element.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10) | st.just(_HUGE_JSON),
         "s": partition,
     }
     triple = st.tuples(word, st.integers(-2, 3), word)
