@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, UnsupportedScaleError
 from .graphs import (
     INF,
     Edge,
@@ -449,25 +449,39 @@ class CensusResult(NamedTuple):
     witness: str | None  # reason the space is infinite
 
 
-def _infinite_boundary_witness(g: Graph) -> str | None:
-    for c in g.edge_classes:
-        if c.is_infinite:
-            return f"infinite parallel class {c.cid!r}"
-    # A loop with an exit pumps out infinitely many distinct points, and it
-    # exists iff some cycle passes through a vertex of out-degree >= 2.  One
-    # condensation pass tells which vertices lie on a cycle; the loop is
-    # traced through the first such vertex in declaration order.
-    branching = [i for i, v in enumerate(g.vertices) if g.out_degree(v) >= 2]
-    if not branching:
-        return None
-    from .digraphs import condensation  # loaded on use: graphs without a branching vertex never need it
+# the most points boundary_census lists; a larger finite boundary is an error
+CENSUS_LIMIT = 10**6
 
-    cond = condensation(g)
-    for i in branching:
-        if cond.label[cond.comp[i]][1]:
-            text = ".".join(e.cls for e in _cycle_through(g, g.vertices[i]).edges)
+
+def _loop_exit_witness(g: Graph, cond) -> str | None:
+    """A loop with an exit, named, or None; ``cond`` is the condensation.
+
+    Such a loop pumps out infinitely many distinct points, and it exists iff
+    some cycle passes through a vertex of out-degree >= 2.  The loop is
+    traced through the first such vertex in declaration order."""
+    for i, v in enumerate(g.vertices):
+        if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
+            text = ".".join(e.cls for e in _cycle_through(g, v).edges)
             return f"loop {text} has an exit"
     return None
+
+
+def _census_size(g: Graph, cond) -> int:
+    """The number of points of a finite boundary, counted without listing
+    them.  A sink, or a vertex on a cycle (which has no exit here), starts
+    one point; any other vertex starts those of its out-edges' ranges, each
+    class counted with its multiplicity.  Tarjan's condensation numbers
+    every component after the components it reaches, so one pass in that
+    order finds every range already counted."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    count = [1] * len(g.vertices)
+    for k, members in enumerate(cond.members):
+        if not cond.label[k][1]:
+            (i,) = members
+            classes = g.out_classes(g.vertices[i])
+            if classes:
+                count[i] = sum(c.mult * count[index[c.dst]] for c in classes)
+    return sum(count)
 
 
 def _cycle_through(g: Graph, u: str) -> Path:
@@ -500,11 +514,28 @@ def boundary_census(g: Graph) -> CensusResult:
 
     The space is finite iff the graph has no infinite class and no loop with
     an exit; then every vertex on a cycle has a single out-edge, so the walks
-    below branch only off cycles and terminate.
+    below branch only off cycles and terminate.  A finite space of more than
+    ``CENSUS_LIMIT`` points is counted first and refused with an
+    :class:`UnsupportedScaleError` instead of listed.
     """
-    witness = _infinite_boundary_witness(g)
-    if witness is not None:
-        return CensusResult(False, (), witness)
+    for c in g.edge_classes:
+        if c.is_infinite:
+            return CensusResult(False, (), f"infinite parallel class {c.cid!r}")
+    # Only a vertex of out-degree >= 2 can close a loop with an exit or start
+    # more than one point, so graphs without one skip both passes.
+    if any(g.out_degree(v) >= 2 for v in g.vertices):
+        from .digraphs import condensation  # loaded on use: graphs without a branching vertex never need it
+
+        cond = condensation(g)
+        witness = _loop_exit_witness(g, cond)
+        if witness is not None:
+            return CensusResult(False, (), witness)
+        size = _census_size(g, cond)
+        if size > CENSUS_LIMIT:
+            text = str(size) if size.bit_length() <= 64 else f"more than 2^{size.bit_length() - 1}"
+            raise UnsupportedScaleError(
+                f"the boundary has {text} points, over the census limit of {CENSUS_LIMIT} points"
+            )
     points: set[BoundaryPoint] = set()
 
     def walk(v0: str, chain: list[str], edges: list[Edge]):

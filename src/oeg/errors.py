@@ -20,7 +20,7 @@ class CompositionError(OegError):
 
 class UnsupportedScaleError(OegError):
     """The operation needs a finite boundary space but the graph has an
-    infinite one."""
+    infinite one, or a finite one too large to list."""
 
 
 class ParseError(OegError):

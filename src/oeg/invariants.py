@@ -1,8 +1,8 @@
-"""Numeric and structural invariants: adjacency matrices, exact integer
-determinants of I - A, reachability, digraph isomorphism, and a consolidated
-report.  The determinant is a sparse fraction-free elimination with
-sparsity-first (Markowitz-style) pivots, so a graph with a few edges per
-vertex costs far less than n^3 steps.  Reachability and isomorphism rest on
+"""Numeric and structural invariants: exact integer determinants of I - A,
+reachability, digraph isomorphism, and a consolidated report.  The
+determinant is a sparse fraction-free elimination with sparsity-first
+(Markowitz-style) pivots, so a graph with a few edges per vertex costs far
+less than n^3 steps.  Reachability and isomorphism rest on
 the condensation and the refinement search in ``oeg.digraphs``, imported on
 first use so that commands which need neither do not load it."""
 
@@ -14,21 +14,6 @@ from typing import NamedTuple
 from .boundary import boundary_census, is_isolated
 from .errors import InputError, UnsupportedScaleError
 from .graphs import Graph, condition_l, is_singular, vertex_kind
-
-
-def adjacency_matrix(g: Graph) -> list[list[int]]:
-    """Total edge multiplicity per ordered vertex pair; only defined when
-    every class is finite."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    a = [[0] * n for _ in range(n)]
-    for c in g.edge_classes:
-        if c.is_infinite:
-            raise UnsupportedScaleError(
-                "graphs with infinite classes have no adjacency matrix here"
-            )
-        a[index[c.src]][index[c.dst]] += c.mult
-    return a
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:

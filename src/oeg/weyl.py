@@ -11,7 +11,6 @@ transported prefixes along the anchor.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import NamedTuple
 
 from .boundary import (
@@ -20,7 +19,6 @@ from .boundary import (
     bounded_points,
     drop_edges,
     is_isolated,
-    point_sort_key,
     prefix_path,
     prepend,
     starts_with,
@@ -29,10 +27,6 @@ from .errors import CompositionError, InputError
 from .graphs import Graph, Path
 from .groupoid import GroupoidElement, enumerate_elements
 from .pointtable import PointTable
-
-# germ pairs the phi check cross-checks against germ_equivalent per call
-PAIR_SAMPLE = 40
-
 
 class Germ(NamedTuple):
     mu: Path
@@ -172,6 +166,28 @@ def representable_pool(
     return pts, False
 
 
+def _germs_agree(heads: dict[int, tuple], x: int, period: int | None, a: tuple, b: tuple) -> bool:
+    """`germ_equivalent` on point-table ids.  ``a`` and ``b`` are germs at
+    the anchor ``x`` given as ``(|nu|, |mu|, alpha, image)``: ``mu`` is the
+    first ``|mu|`` edges of the pool point ``alpha`` and ``nu`` the first
+    ``|nu|`` of ``x``.  ``period`` is None at a non-isolated anchor, 0 at an
+    isolated finite one and the period length at an isolated periodic one.
+    ``heads[i]`` holds the first ``bound`` edges of point ``i``."""
+    if a[3] != b[3]:
+        return False
+    if period == 0:
+        return True
+    if period:
+        # the winding index (k_a - k_b) / period vanishes iff the cocycles agree
+        return a[1] - a[0] == b[1] - b[0]
+    if a[0] > b[0]:
+        a, b = b, a
+    # the aligned path, mu_a followed by nu_b past nu_a, must be mu_b
+    if a[1] + b[0] - a[0] != b[1]:
+        return False
+    return heads[a[2]][: a[1]] + heads[x][a[0] : b[0]] == heads[b[2]][: b[1]]
+
+
 def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> PhiReport:
     """Compare germ classes with groupoid elements over a common pool.
 
@@ -179,17 +195,20 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     and image both lie in the pool, partitions them into classes, and
     checks that the class keys coincide with the enumerated elements
     ``(image, cocycle, anchor)`` and that each element's canonical germ lands
-    in its own class.  Within every class a sample of ``PAIR_SAMPLE`` germ
-    pairs per call is cross-checked against `germ_equivalent`, and at every
-    isolated eventually periodic anchor the cocycles of one image are
-    checked to be congruent mod the period, which is what makes the winding
-    index an integer.  A negative bound is an input error.
+    in its own class.  Every germ is checked against `germ_equivalent`'s
+    rule: its image must be the pool point it was enumerated for, it must
+    be equivalent to its class's first germ, and every two classes at one
+    anchor that share their image (or, at an isolated anchor, their
+    cocycle) must be inequivalent.  At every isolated eventually periodic
+    anchor the cocycles of one image are checked to be congruent mod the
+    period, which is what makes the winding index an integer.  A negative
+    bound is an input error.
 
     Points are compared as ids of one :class:`PointTable`, built for the
     call and dropped with it: shift orbits, the germ classes, the element
-    keys and each canonical germ's image (a cons-walk of the element's
-    first ``m`` edges onto ``sigma^n`` of its source) are all int work.
-    Germs are built as values only for the sampled pairs.
+    keys, every germ's image (a cons-walk of its ``mu`` onto ``sigma^|nu|``
+    of its anchor) and the rule itself are all int and edge-tuple work, so
+    no germ is built as a value.
     """
     if bound < 0:
         raise InputError("the path-length bound must be a natural number")
@@ -199,78 +218,93 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     ids = [table.intern(x) for x in pool]
     index = dict(zip(pool, ids))
     orbits = {i: table.orbit(i, bound) for i in ids}
+    head, cons = table.head, table.cons
+    # the first min(length, bound) edges of each pool point
+    heads = {i: tuple(head[z] for z in orbits[i][:-1]) for i in ids}
     violations: list[str] = []
 
     # Germ enumeration: nu is forced to be a prefix of x, and a germ whose
     # image alpha lies in the pool satisfies sigma^{|mu|}(alpha) = sigma^{|nu|}(x),
     # so alpha and |mu| can be looked up by the shared tail instead of
-    # enumerating mu itself.
-    by_tail: dict[int, list[tuple[int, int]]] = {}
+    # enumerating mu itself.  The germ's image, mu consed back onto that
+    # tail, depends on (alpha, |mu|) only and is walked once here.
+    by_tail: dict[int, list[tuple[int, int, int]]] = {}
+    images: dict[tuple[int, int], int] = {}
     for alpha in ids:
         for mlen, z in enumerate(orbits[alpha]):
-            by_tail.setdefault(z, []).append((alpha, mlen))
+            image = z
+            for e in reversed(heads[alpha][:mlen]):
+                image = cons(e, image)
+            images[alpha, mlen] = image
+            by_tail.setdefault(z, []).append((alpha, mlen, image))
+    image_ok = all(alpha == image for (alpha, _), image in images.items())
 
-    def germ_shapes(x: int):
-        """(class key, |nu|, |mu|) of every germ anchored at x."""
+    # One pass over the germs, anchor by anchor, builds the classes
+    # (anchor, cocycle, alpha) and runs germ_equivalent's rule on ids.  The
+    # first germ of a class has the least |nu|; every later one must agree
+    # with it.  Then every two classes at the anchor that only the cocycle
+    # (or winding) can tell apart, because they share an image, must
+    # disagree; at an isolated anchor so must two that only the image can
+    # tell apart, because they share a cocycle.  Other pairs differ in both.
+    isolated = {index[x]: len(x.period) for x in pool if is_isolated(g, x)}
+    classes: set[tuple[int, int, int]] = set()
+    germ_count = 0
+    agree_ok = True
+    for x in ids:
+        period = isolated.get(x)
+        first: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         for nlen, z in enumerate(orbits[x]):
-            for alpha, mlen in by_tail[z]:
-                yield (x, mlen - nlen, alpha), nlen, mlen
-
-    classes = Counter(key for x in ids for key, _, _ in germ_shapes(x))
+            tails = by_tail[z]
+            germ_count += len(tails)
+            for alpha, mlen, image in tails:
+                key = (mlen - nlen, alpha)
+                rep = first.get(key)
+                if rep is None:
+                    first[key] = (nlen, mlen, alpha, image)
+                elif not _germs_agree(heads, x, period, rep, (nlen, mlen, alpha, image)):
+                    agree_ok = False
+        classes.update((x, k, alpha) for k, alpha in first)
+        by_image: dict[int, list[tuple[int, int, int, int]]] = {}
+        by_cocycle: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (k, _), rep in first.items():
+            by_image.setdefault(rep[3], []).append(rep)
+            if period is not None:
+                by_cocycle.setdefault(k, []).append(rep)
+        for reps in itertools.chain(by_image.values(), by_cocycle.values()):
+            for a, b in itertools.combinations(reps, 2):
+                if _germs_agree(heads, x, period, a, b):
+                    agree_ok = False
+    equivalence_ok = image_ok and agree_ok
 
     # phi(e) exchanges the first m edges of x for the first n of y at the
     # anchor y; its class key is (y, m - n, image), the image being x's
-    # first m edges consed onto sigma^n(y).
+    # first m edges consed onto sigma^n(y).  Consing is injective, so that
+    # walk gives x only when sigma^n(y) = sigma^m(x), and then it is the
+    # memoised image of (x, m).
     element_keys = set()
     phi_ok = True
-    head, cons = table.head, table.cons
     for e in elements:
         x, y = index[e.x], index[e.y]
         element_keys.add((y, e.k, x))
         if phi_ok:
-            image = orbits[y][e.n]
-            for z in reversed(orbits[x][: e.m]):
-                image = cons(head[z], image)
+            meets = orbits[x][e.m : e.m + 1] == orbits[y][e.n : e.n + 1]
+            image = images.get((x, e.m)) if meets else None
             phi_ok = (y, e.m - e.n, image) == (y, e.k, x)
-    class_keys = set(classes)
-    bijection_ok = element_keys == class_keys and phi_ok
-    for key in sorted(class_keys - element_keys)[:5]:
+    bijection_ok = element_keys == classes and phi_ok
+    for key in sorted(classes - element_keys)[:5]:
         violations.append(f"germ class without matching element: cocycle {key[1]}")
-    for key in sorted(element_keys - class_keys)[:5]:
+    for key in sorted(element_keys - classes)[:5]:
         violations.append(f"element without matching germ class: cocycle {key[1]}")
     if not phi_ok:
         violations.append("phi lands outside the expected class")
-
-    # Key-grouping must agree with germ_equivalent (sampled pairs, budgeted
-    # per run); germs are built only for the pairs the budget reaches.
-    equivalence_ok = True
-    budget = PAIR_SAMPLE
-    points = dict(zip(ids, pool))
-    for anchor in sorted(pool, key=point_sort_key):
-        if budget <= 0 or not equivalence_ok:
-            break
-        grouped: dict[tuple, list[tuple[int, int]]] = {}
-        for key, nlen, mlen in germ_shapes(index[anchor]):
-            grouped.setdefault(key, []).append((nlen, mlen))
-        # the first `budget` pairs of combinations() use the first budget + 1 germs
-        shapes = [(key, n, m) for key, nms in grouped.items() for n, m in nms][: budget + 1]
-        tagged = [
-            (key, Germ(prefix_path(g, points[key[2]], mlen), prefix_path(g, anchor, nlen), anchor))
-            for key, nlen, mlen in shapes
-        ]
-        for (k1, a), (k2, b) in itertools.islice(itertools.combinations(tagged, 2), budget):
-            budget -= 1
-            if germ_equivalent(g, a, b) != (k1 == k2):
-                equivalence_ok = False
-                violations.append("germ_equivalent disagrees with the class normal form")
-                break
+    if not equivalence_ok:
+        violations.append("germ equivalence disagrees with the class normal form")
 
     # At an isolated eventually periodic anchor two germs with one image
     # differ by whole turns around the period: their winding index is the
     # cocycle difference over the period, so the cocycles must agree mod the
     # period.  Antisymmetry and additivity of the index follow by arithmetic.
-    period = {index[x]: len(x.period) for x in pool if not x.is_finite and is_isolated(g, x)}
-    residues = {(x, alpha, k % period[x]) for x, k, alpha in classes if x in period}
+    residues = {(x, alpha, k % isolated[x]) for x, k, alpha in classes if isolated.get(x)}
     winding_ok = len(residues) == len({(x, alpha) for x, alpha, _ in residues})
     if not winding_ok:
         violations.append("cocycles with one image are not congruent mod the period")
@@ -280,7 +314,7 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
         pool_complete=complete,
         element_count=len(elements),
         class_count=len(classes),
-        germ_count=sum(classes.values()),
+        germ_count=germ_count,
         bijection_ok=bijection_ok,
         equivalence_ok=equivalence_ok,
         winding_ok=winding_ok,

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import pt, small_graph_st
 from sampling import random_cylinders, random_graph, sample_points
 from oeg.boundary import (
+    CENSUS_LIMIT,
     BoundaryPoint,
+    _census_size,
     _cycle_through,
     boundary_census,
     bounded_points,
@@ -28,7 +30,8 @@ from oeg.boundary import (
     shift,
     tail_key,
 )
-from oeg.errors import InputError
+from oeg.digraphs import condensation
+from oeg.errors import InputError, UnsupportedScaleError
 from oeg.graphs import Edge, Graph, enumerate_simple_loops, loop_has_exit
 from oeg.pointtable import PointTable
 from oeg.zoo import amplified_arrow_loop, full_shift_two, iter_small_graphs
@@ -487,3 +490,46 @@ def test_census_witness_is_linear_on_a_ladder():
     census = boundary_census(g)
     assert time.perf_counter() - start < 1.0
     assert census.witness == "loop l has an exit" == _loop_exit_scan(_ladder(50))
+
+
+def _doubled_chain(rungs: int) -> Graph:
+    """v0 -> v1 -> ... -> v_rungs, two parallel edges per step: 2^(rungs+1) - 1
+    boundary points."""
+    verts = [f"v{i}" for i in range(rungs + 1)]
+    return Graph(verts, [(f"e{i}", verts[i], verts[i + 1], 2) for i in range(rungs)])
+
+
+def test_census_size_matches_the_listing():
+    """The counted size equals the listed census on every finite-boundary
+    graph of the pool and on doubled chains, sinks, cycles and multiplicities
+    included."""
+    finite = 0
+    for g in iter_small_graphs(3, 2):
+        census = boundary_census(g)
+        if census.finite:
+            finite += 1
+            assert _census_size(g, condensation(g)) == len(census.points)
+    assert finite == 70
+    for rungs in range(1, 11):
+        g = _doubled_chain(rungs)
+        assert _census_size(g, condensation(g)) == len(boundary_census(g).points) == 2 ** (rungs + 1) - 1
+
+
+@pytest.mark.parametrize(
+    "graph, size",
+    [
+        (Graph(["u", "v"], [("a", "u", "v", 10**12)]), "1000000000001"),
+        (Graph(["u", "v"], [("a", "u", "v", CENSUS_LIMIT)]), str(CENSUS_LIMIT + 1)),
+        (_doubled_chain(40), str(2**41 - 1)),
+        (Graph(["u", "v"], [("a", "u", "v", 10**4000)]), "more than 2^13287"),
+    ],
+    ids=["10^12 parallel edges", "one past the limit", "40-rung doubled chain", "4001-digit multiplicity"],
+)
+def test_census_refuses_a_boundary_over_the_limit(graph, size):
+    """A finite boundary too large to list is counted, not walked, and
+    refused at once with its size and the limit."""
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedScaleError) as err:
+        boundary_census(graph)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"the boundary has {size} points, over the census limit of {CENSUS_LIMIT} points"

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,33 @@ def test_internal_errors_exit_3(files, capsys, monkeypatch):
 def _one_error_line(err: str) -> bool:
     lines = err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_OVER_LIMIT = {
+    "10^12 parallel edges": ("graph H\nvertex u, v\nedge a * 1000000000000: u -> v\n", "1000000000001"),
+    "40-rung doubled chain": (
+        "graph C\nvertex " + ", ".join(f"v{i}" for i in range(41)) + "\n"
+        + "".join(f"edge e{i} * 2: v{i} -> v{i + 1}\n" for i in range(40)),
+        str(2**41 - 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["census", "info", "search-oe"])
+@pytest.mark.parametrize("graph", sorted(_OVER_LIMIT))
+def test_census_over_the_limit_exits_2(command, graph, tmp_path, capsys):
+    """A finite boundary too large to list exits 2 at once, naming its size
+    and the census limit, wherever a command needs the census."""
+    text, size = _OVER_LIMIT[graph]
+    p = tmp_path / "big.graph"
+    p.write_text(text)
+    argv = [command, str(p)] + ([str(p)] if command == "search-oe" else [])
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: the boundary has {size} points, over the census limit of 1000000 points\n"
 
 
 def test_unreadable_files_are_input_errors(files, tmp_path, capsys):

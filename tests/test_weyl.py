@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from conftest import pt
-from oeg.boundary import boundary_census
+from oeg.boundary import boundary_census, drop_edges, is_isolated, prefix_path
 from oeg.errors import CompositionError, InputError
 from oeg.groupoid import GroupoidElement, enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
 from oeg.weyl import (
@@ -212,7 +212,7 @@ def test_phi_check_rejects_negative_bound(f1):
 def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
     """Each comparison of the id-based check still fails on bad input: a
     lost element, an element whose witness sends phi to another class, and
-    a germ_equivalent that disagrees with the class keys."""
+    an id-level germ comparison that disagrees with the class keys."""
     import oeg.weyl as weyl
 
     real = weyl.enumerate_elements
@@ -232,9 +232,88 @@ def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
     assert rep.violations == ["phi lands outside the expected class"]
 
     monkeypatch.setattr(weyl, "enumerate_elements", real)
-    monkeypatch.setattr(weyl, "germ_equivalent", lambda *a: True)
+    monkeypatch.setattr(weyl, "_germs_agree", lambda *a: True)
     rep = phi_bijectivity_check(f1, 3)
     assert rep.bijection_ok and not rep.equivalence_ok
+    assert rep.violations == ["germ equivalence disagrees with the class normal form"]
+
+
+def _ignore_winding(agree, heads, x, period, a, b):
+    return agree(heads, x, 0 if period else period, a, b)
+
+
+def _skip_aligned_prefix(agree, heads, x, period, a, b):
+    return a[3] == b[3] if period is None else agree(heads, x, period, a, b)
+
+
+def _skip_image(agree, heads, x, period, a, b):
+    return agree(heads, x, period, a, b[:3] + a[3:])
+
+
+@pytest.mark.parametrize(
+    "weaken, graph",
+    [(_ignore_winding, "f1"), (_skip_aligned_prefix, "e2"), (_skip_image, "e1")],
+    ids=["winding", "aligned prefix", "image"],
+)
+def test_phi_check_catches_each_weakened_rule(monkeypatch, request, weaken, graph):
+    """Dropping any one step of the id-level germ rule makes some two
+    classes at one anchor come out equivalent, and the check says so."""
+    import oeg.weyl as weyl
+
+    g = request.getfixturevalue(graph)
+    assert phi_bijectivity_check(g, 3).ok
+    real = weyl._germs_agree
+    monkeypatch.setattr(weyl, "_germs_agree", lambda *a: weaken(real, *a))
+    rep = phi_bijectivity_check(g, 3)
+    assert rep.bijection_ok and rep.winding_ok and not rep.equivalence_ok
+
+
+def _value_germs(g, pool, bound):
+    """Every germ of the phi check as a value: (nu, mu, anchor) over the
+    pool, with both |nu| and |mu| at most ``bound``, in anchor order and
+    then by |nu|."""
+    tails = {}
+    for alpha in pool:
+        for mlen in range(int(min(alpha.length, bound)) + 1):
+            tails.setdefault(drop_edges(g, alpha, mlen), []).append(prefix_path(g, alpha, mlen))
+    for x in pool:
+        for nlen in range(int(min(x.length, bound)) + 1):
+            nu = prefix_path(g, x, nlen)
+            for mu in tails.get(drop_edges(g, x, nlen), []):
+                yield Germ(mu, nu, x)
+
+
+def _check_by_germ_equivalent(g, bound=3, max_points=18):
+    """The phi check's germ comparisons, run with the value-level
+    `germ_equivalent` on the class keys of `germ_class_key`: every germ
+    against its class's first germ, and the first germs of every two
+    classes at one anchor that share their image or, at an isolated anchor,
+    their cocycle.  Returns (class count, germ count)."""
+    pool, _ = representable_pool(g, bound, max_points)
+    first, germs = {}, 0
+    for germ in _value_germs(g, pool, bound):
+        germs += 1
+        rep = first.setdefault(germ_class_key(g, germ), germ)
+        assert germ_equivalent(g, rep, germ)
+    shared = {}
+    for (x, k, image), rep in first.items():
+        shared.setdefault((x, "image", image), []).append(rep)
+        if is_isolated(g, x):
+            shared.setdefault((x, "cocycle", k), []).append(rep)
+    for reps in shared.values():
+        for a, b in itertools.combinations(reps, 2):
+            assert not germ_equivalent(g, a, b)
+    return len(first), germs
+
+
+def test_germ_equivalent_oracle_on_pool():
+    """On every graph of the <=2-vertex pool the value-level germ_equivalent
+    agrees with the class keys on each comparison the id-level check makes,
+    over the same classes and germs."""
+    for g in iter_small_graphs(2, 2):
+        classes, germs = _check_by_germ_equivalent(g)
+        rep = phi_bijectivity_check(g, 3, max_points=18)
+        assert rep.ok and (rep.class_count, rep.germ_count) == (classes, germs)
 
 
 def test_winding_on_longer_exitless_cycles():
