@@ -16,6 +16,7 @@ from .errors import DomainError, InputError, UnsupportedScaleError
 from .graphs import (
     INF,
     Edge,
+    EdgeClass,
     Graph,
     Path,
     _least_rotation,
@@ -398,6 +399,7 @@ def bounded_points(
 
     if prefix_budget is None:
         prefix_budget = 4000 if limit is None else max(200, 10 * limit)
+    check_listable(g.edge_classes, inf_cap)
     steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=inf_cap)] for v in g.vertices}
     # levels[d][v]: the (source, edges) of the length-d prefixes ending at v
     levels: list[dict[str, list[tuple[str, tuple[Edge, ...]]]]] = []
@@ -449,8 +451,25 @@ class CensusResult(NamedTuple):
     witness: str | None  # reason the space is infinite
 
 
-# the most points boundary_census lists; a larger finite boundary is an error
+# the most points boundary_census lists, and the most edges the other
+# listings spell out; a larger finite boundary or edge listing is an error
 CENSUS_LIMIT = 10**6
+
+
+def _count_text(n: int) -> str:
+    # str() refuses integers of more than 4300 digits
+    return str(n) if n.bit_length() <= 64 else f"more than 2^{n.bit_length() - 1}"
+
+
+def check_listable(classes: Iterable[EdgeClass], inf_cap: int = 0) -> None:
+    """Refuse, with an :class:`UnsupportedScaleError` naming the count and
+    the limit, to list the edges of ``classes`` one by one when they hold
+    more than ``CENSUS_LIMIT`` edges; an infinite class lists ``inf_cap``."""
+    total = sum(inf_cap if c.is_infinite else c.mult for c in classes)
+    if total > CENSUS_LIMIT:
+        raise UnsupportedScaleError(
+            f"listing {_count_text(total)} edges one by one is over the census limit of {CENSUS_LIMIT}"
+        )
 
 
 def _loop_exit_witness(g: Graph, cond) -> str | None:
@@ -532,9 +551,8 @@ def boundary_census(g: Graph) -> CensusResult:
             return CensusResult(False, (), witness)
         size = _census_size(g, cond)
         if size > CENSUS_LIMIT:
-            text = str(size) if size.bit_length() <= 64 else f"more than 2^{size.bit_length() - 1}"
             raise UnsupportedScaleError(
-                f"the boundary has {text} points, over the census limit of {CENSUS_LIMIT} points"
+                f"the boundary has {_count_text(size)} points, over the census limit of {CENSUS_LIMIT} points"
             )
     points: set[BoundaryPoint] = set()
 

@@ -18,7 +18,6 @@ from .boundary import (
     BoundaryPoint,
     CylinderSet,
     boundary_census,
-    canonicalize,
     drop_edges,
     isolating_cylinder,
     minimal_witness,
@@ -28,25 +27,15 @@ from .boundary import (
 )
 from .dsl import print_point
 from .errors import InputError, UnsupportedScaleError
-from .graphs import Edge, Graph
+from .graphs import Graph, enumerate_simple_loops
 
 
 def fixed_points(g: Graph) -> list[BoundaryPoint]:
     """Shift-fixed representable points.  A boundary path equals its own
-    shift exactly when it repeats a single loop edge forever, so the list is
-    complete whenever all loop classes are finite; an infinite loop class
-    contributes its index-0 representative."""
-    out = []
-    for c in g.edge_classes:
-        if c.src == c.dst:
-            cap = 1 if c.is_infinite else c.mult
-            for i in range(cap):
-                out.append(canonical_loop_tail(g, c.cid, i))
-    return sorted(set(out), key=point_sort_key)
-
-
-def canonical_loop_tail(g: Graph, cid: str, idx: int = 0) -> BoundaryPoint:
-    return canonicalize(g, g.cls(cid).src, (), (Edge(cid, idx),))
+    shift exactly when it repeats a single loop edge forever, so these are
+    the loops of length 1; an infinite loop class contributes its index-0
+    representative."""
+    return [BoundaryPoint(l.src, (), l.edges) for l in enumerate_simple_loops(g, 1)]
 
 
 def require_finite_census(g: Graph) -> tuple[BoundaryPoint, ...]:
@@ -108,11 +97,12 @@ def _identity_failures(
     return failures
 
 
-def _checked_census(w: OrbitWitness, names: tuple[str, str, str] = ("h", "k1", "l1")) -> tuple[BoundaryPoint, ...]:
-    """The census of ``w.E``, once ``h`` is checked to be total on it and
-    ``k1``, ``l1`` to be total and natural-valued on its points of length
-    >= 1.  ``names`` calls the three tables in error messages."""
-    census = require_finite_census(w.E)
+def _checked_census(
+    w: OrbitWitness, census: tuple[BoundaryPoint, ...], names: tuple[str, str, str] = ("h", "k1", "l1")
+) -> tuple[BoundaryPoint, ...]:
+    """The given census of ``w.E``, once ``h`` is checked to be total on it
+    and ``k1``, ``l1`` to be total and natural-valued on its points of
+    length >= 1.  ``names`` calls the three tables in error messages."""
     h, k1, l1 = names
     if len(w.h) != len(census) or not all(map(w.h.__contains__, census)):
         raise InputError(f"{h} is not total on the boundary of its source graph")
@@ -134,8 +124,17 @@ def _halves(w: OrbitWitness) -> tuple[tuple[str, OrbitWitness, tuple[str, str, s
 def verify_oe_witness(w: OrbitWitness) -> WitnessReport:
     """Check every defining identity of an orbit-equivalence witness on all
     census points, reporting each failure."""
-    halves = [(side, v, _checked_census(v, names)) for side, v, names in _halves(w)]
-    census_e, census_f = (census for _, _, census in halves)
+    return _verify(w, require_finite_census(w.E), require_finite_census(w.F))
+
+
+def _verify(
+    w: OrbitWitness, census_e: tuple[BoundaryPoint, ...], census_f: tuple[BoundaryPoint, ...]
+) -> WitnessReport:
+    """:func:`verify_oe_witness` against the given censuses of ``w.E`` and
+    ``w.F``."""
+    halves = _halves(w)
+    for (_, v, names), census in zip(halves, (census_e, census_f)):
+        _checked_census(v, census, names)
     if len(census_e) != len(census_f):  # h is total on E and onto F: injective iff the sizes agree
         raise InputError("h is not a bijection onto the boundary of F")
     # the gates made k1's keys the census points of length >= 1
@@ -186,7 +185,8 @@ def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
     (k, l), (kp, lp) = (
-        next(islice(_cocycle_degrees(v, _checked_census(v, names)), n, None)) for _, v, names in _halves(w)
+        next(islice(_cocycle_degrees(v, _checked_census(v, require_finite_census(v.E), names)), n, None))
+        for _, v, names in _halves(w)
     )
     return CocycleTables(n, k, l, kp, lp)
 
@@ -233,15 +233,23 @@ def shift_restriction(g: Graph, points: Iterable[BoundaryPoint]) -> PseudogroupE
 def verify_pseudogroup_element(p: PseudogroupElement) -> bool:
     """True iff alpha is injective and the shift-equalizer identity holds at
     every domain point."""
-    require_finite_census(p.graph)
+    return _verify_element(p, require_finite_census(p.graph))
+
+
+def _verify_element(p: PseudogroupElement, census: tuple[BoundaryPoint, ...]) -> bool:
+    """:func:`verify_pseudogroup_element` against the given census of
+    ``p.graph``, which every domain point and every image must lie in."""
     if set(p.m) != set(p.alpha) or set(p.n) != set(p.alpha):
         raise InputError("exponent tables must share the domain of alpha")
+    points = set(census)
+    if not points.issuperset(p.alpha) or not points.issuperset(p.alpha.values()):
+        raise InputError("alpha must map boundary points of its graph to boundary points")
+    for table, name in ((p.m, "m"), (p.n, "n")):
+        if min(table.values(), default=0) < 0:
+            raise InputError(f"table {name} must take natural values")
     if len(set(p.alpha.values())) != len(p.alpha):
         return False
-    for x, ax in p.alpha.items():
-        if not _eq_after_shifts(p.graph, p.m[x], x, p.n[x], ax):
-            return False
-    return True
+    return all(_eq_after_shifts(p.graph, p.m[x], x, p.n[x], ax) for x, ax in p.alpha.items())
 
 
 def bisection_decomposition(p: PseudogroupElement) -> list[tuple[CylinderSet, int, int]]:
@@ -275,10 +283,11 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
     """
     if p.graph is not w.E and p.graph != w.E:
         raise InputError("the element must live over the witness source graph")
-    if not verify_pseudogroup_element(p):
+    census = require_finite_census(w.E)
+    if not _verify_element(p, census):
         raise InputError("not a valid pseudogroup element")
     depth = max([0, *p.m.values(), *p.n.values()])
-    degrees = list(islice(_cocycle_degrees(w, _checked_census(w)), depth + 1))
+    degrees = list(islice(_cocycle_degrees(w, _checked_census(w, census)), depth + 1))
     alpha2: dict[BoundaryPoint, BoundaryPoint] = {}
     m2: dict[BoundaryPoint, int] = {}
     n2: dict[BoundaryPoint, int] = {}
@@ -361,39 +370,38 @@ def search_oe_witness(E: Graph, F: Graph) -> OrbitWitness | None:
     equivalent exactly when their multisets of class sizes agree.  Classes
     of equal size are paired, and their points, in census order.
     """
-    classes_e = sorted(tail_classes(E, require_finite_census(E)).values(), key=len)
-    classes_f = sorted(tail_classes(F, require_finite_census(F)).values(), key=len)
+    census_e, census_f = require_finite_census(E), require_finite_census(F)
+    classes_e = sorted(tail_classes(E, census_e).values(), key=len)
+    classes_f = sorted(tail_classes(F, census_f).values(), key=len)
     if [len(c) for c in classes_e] != [len(c) for c in classes_f]:
         return None
     h = {x: y for ce, cf in zip(classes_e, classes_f) for x, y in zip(ce, cf)}
     w = OrbitWitness(E, F, h, *_delay_tables(E, F, h), *_delay_tables(F, E, {y: x for x, y in h.items()}))
-    report = verify_oe_witness(w)
+    report = _verify(w, census_e, census_f)
     if not report.ok:
         raise RuntimeError(f"constructed witness fails verification: {report.failures[0]}")
     return w
 
 
 def verify_conjugacy(E: Graph, F: Graph, h: Mapping[BoundaryPoint, BoundaryPoint]) -> bool:
-    """Whether ``h`` is a length-class-preserving bijection intertwining the
-    shifts on the nose."""
-    census_e = require_finite_census(E)
-    census_f = require_finite_census(F)
-    h = dict(h)
-    if set(h) != set(census_e) or set(h.values()) != set(census_f):
+    """Whether ``h`` is a bijection of the boundaries intertwining the
+    shifts on the nose: an orbit equivalence with trivial cocycles."""
+    try:
+        conjugacy_witness(E, F, h)
+    except InputError:
         return False
-    if {x for x in census_e if x.length >= 1} != {x for x, y in h.items() if y.length >= 1}:
-        return False
-    for x in census_e:
-        if x.length >= 1 and h[shift(E, x)] != shift(F, h[x]):
-            return False
     return True
 
 
 def conjugacy_witness(E: Graph, F: Graph, h: Mapping[BoundaryPoint, BoundaryPoint]) -> OrbitWitness:
-    """The orbit-equivalence witness carried by a conjugacy (k tables 0,
-    l tables 1)."""
-    if not verify_conjugacy(E, F, h):
-        raise InputError("h is not a conjugacy")
+    """The orbit-equivalence witness carried by a conjugacy: k tables 0 and
+    l tables 1.  A shift past the end of a point fails an identity, so they
+    hold exactly when ``h`` and its inverse commute with the shift and keep
+    the empty points apart from the others; the gate raises InputError when
+    ``h`` is not a bijection of the censuses."""
     h = dict(h)
     tables = [dict.fromkeys([x for x in side if x.length >= 1], d) for side in (h, h.values()) for d in (0, 1)]
-    return OrbitWitness(E, F, h, *tables)
+    w = OrbitWitness(E, F, h, *tables)
+    if not verify_oe_witness(w).ok:
+        raise InputError("h is not a conjugacy")
+    return w

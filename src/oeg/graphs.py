@@ -215,8 +215,11 @@ def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
     A loop is simple when it is not a proper power of a shorter loop; it may
     revisit vertices.  Infinite classes contribute the index-0 edge only.
     """
+    from .boundary import check_listable  # boundary imports this module
+
     if max_len is None:
         max_len = default_loop_search_length(g)
+    check_listable(g.edge_classes, inf_cap=1)
     steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=1)] for v in g.vertices}
     found: set[tuple[Edge, ...]] = set()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple
 
-from .boundary import boundary_census, is_isolated
+from .boundary import boundary_census
 from .errors import InputError, UnsupportedScaleError
 from .graphs import Graph, condition_l, is_singular, vertex_kind
 
@@ -193,7 +193,6 @@ def invariant_report(g: Graph) -> InvariantReport:
     invariant of the edge shift; its invariance presumes irreducibility
     hypotheses that are not checked here.
     """
-    from .dynamics import fixed_points
     from .groupoid import isotropy
 
     ok, loop = condition_l(g)
@@ -209,10 +208,9 @@ def invariant_report(g: Graph) -> InvariantReport:
     iso_census = None
     if census.finite:
         iso_census = {}
-        for x in census.points:
-            if is_isolated(g, x):
-                d = isotropy(g, x).d
-                iso_census[d] = iso_census.get(d, 0) + 1
+        for x in census.points:  # every point of a finite boundary is isolated
+            d = isotropy(g, x).d
+            iso_census[d] = iso_census.get(d, 0) + 1
     return InvariantReport(
         condition_l=ok,
         exitless_loop=witness_text,
@@ -221,6 +219,7 @@ def invariant_report(g: Graph) -> InvariantReport:
         boundary_size=len(census.points) if census.finite else None,
         boundary_witness=census.witness,
         det_i_minus_a=det,
-        fixed_point_count=len(fixed_points(g)),
+        # a fixed point repeats one loop edge; an infinite class gives one
+        fixed_point_count=sum(1 if c.is_infinite else c.mult for c in g.edge_classes if c.src == c.dst),
         isotropy_census=iso_census,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
-from .boundary import BoundaryPoint, _canonical, canonicalize
+from .boundary import BoundaryPoint, _canonical, canonicalize, check_listable
 from .errors import InputError
 from .graphs import INF, Edge, EdgeClass, Graph, Path
 
@@ -46,6 +46,7 @@ class OutSplitPartition(NamedTuple):
 
 
 def trivial_partition(g: Graph) -> OutSplitPartition:
+    check_listable(g.edge_classes)
     blocks = {}
     for v in g.vertices:
         out = g.out_classes(v)
@@ -63,6 +64,7 @@ def check_partition(g: Graph, p: OutSplitPartition) -> None:
     """Validate properness, raising with the violated clause."""
     for v in p.blocks:
         g.check_vertex(v)
+    check_listable(g.edge_classes)
     for v in g.vertices:
         out = g.out_classes(v)
         cells = p.blocks.get(v, ())
@@ -304,16 +306,12 @@ class ParallelIndexing:
     declaration order, then the infinite classes interleaved round-robin."""
 
     def __init__(self, g: Graph, src: str, dst: str):
-        self.finite: list[Edge] = []
-        self.infinite: list[str] = []
-        for c in g.edge_classes:
-            if c.src == src and c.dst == dst:
-                if c.is_infinite:
-                    self.infinite.append(c.cid)
-                else:
-                    self.finite.extend(Edge(c.cid, i) for i in range(c.mult))
+        parallel = [c for c in g.edge_classes if c.src == src and c.dst == dst]
+        self.infinite = [c.cid for c in parallel if c.is_infinite]
         if not self.infinite:
             raise InputError(f"the parallel class {src!r} -> {dst!r} is finite")
+        check_listable(parallel)
+        self.finite = [Edge(c.cid, i) for c in parallel if not c.is_infinite for i in range(c.mult)]
 
     def edge(self, n: int) -> Edge:
         if n < len(self.finite):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import small_graph_st
 from oeg.boundary import bounded_points
@@ -306,6 +307,65 @@ def test_census_over_the_limit_exits_2(command, graph, tmp_path, capsys):
     assert captured.err == f"error: the boundary has {size} points, over the census limit of 1000000 points\n"
 
 
+_HUGE_LOOP = "graph B\nvertex u\nedge a * 1000000000000: u -> u\n"
+
+
+def test_info_counts_the_fixed_points_of_a_huge_loop_class(tmp_path, capsys):
+    p = tmp_path / "loop.graph"
+    p.write_text(_HUGE_LOOP)
+    start = time.perf_counter()
+    code = main(["--json", "info", str(p)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(capsys.readouterr().out)["fixedPoints"] == 10**12
+
+
+@pytest.mark.parametrize(
+    "graph, command, rest",
+    [
+        (_HUGE_LOOP, ["weyl", "phi-check"], []),
+        (_HUGE_LOOP, ["move", "out-split"], ["{empty}"]),
+        (
+            "graph S\nvertex u, v\nedge a * 1000000000000: u -> v\nedge b * inf: u -> v\nedge c: v -> v\n",
+            ["move", "saturate"],
+            ["b[0].c"],
+        ),
+    ],
+    ids=["phi-check", "out-split", "saturate"],
+)
+def test_listing_a_huge_class_exits_2(graph, command, rest, tmp_path, capsys):
+    """A command that would list a class of 10^12 parallel edges one by one
+    exits 2 at once, naming the count and the census limit."""
+    (tmp_path / "g.graph").write_text(graph)
+    (tmp_path / "empty.part").write_text("")
+    argv = [*command, str(tmp_path / "g.graph"), *(str(tmp_path / "empty.part") if w == "{empty}" else w for w in rest)]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: listing 1000000000000 edges one by one is over the census limit of 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "element",
+    [
+        {"alpha": [["a.(b)*", "(b)*"]], "m": [["a.(b)*", -1]], "n": [["a.(b)*", 0]]},
+        {"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 0]], "n": [["(b)*", -2]]},
+    ],
+    ids=["m", "n"],
+)
+@pytest.mark.parametrize("command", ["verify-pseudo", "conjugate-pseudo"])
+def test_negative_element_exponents_exit_2(command, element, files, tmp_path, capsys):
+    f = tmp_path / "el.json"
+    f.write_text(json.dumps(element))
+    graphs = [files["E1"]] if command == "verify-pseudo" else [files["E1"], files["F1"], files["W1"]]
+    code = main([command, *graphs, str(f)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert _one_error_line(captured.err), captured.err
+    assert "must take natural values" in captured.err
+
+
 def test_unreadable_files_are_input_errors(files, tmp_path, capsys):
     """A directory or a file that is not UTF-8 text, in any file argument,
     exits 2 with one error line."""
@@ -385,7 +445,7 @@ _BASE_MODULES = {"oeg.boundary", "oeg.cli", "oeg.dsl", "oeg.errors", "oeg.graphs
 _CLOSURES = {
     "census": (["census", "E1"], 0, set()),
     "det": (["det", "E2"], 0, {"invariants"}),
-    "info": (["info", "E1"], 0, {"invariants", "dynamics", "groupoid"}),
+    "info": (["info", "E1"], 0, {"invariants", "groupoid"}),
     "shift": (["shift", "E1", "a.(b)*", "1"], 0, set()),
     "search-oe": (["search-oe", "G0", "Floop"], 0, {"dynamics"}),
     "verify-oe": (["verify-oe", "E1", "F1", "W1"], 0, {"dynamics"}),
@@ -486,17 +546,67 @@ _FUZZ_COMMANDS = [
     (["decide-amplified"], "gg"),
 ]
 _OPTIONS = {"phi-check": ("--bound", "n"), "out-split": ("--map-point", "p"), "saturate": ("--map-point", "p")}
+_E1_TEXT = print_graph(arrow_into_loop(), "E1").encode("utf-8")
 _JUNK = ["", "zz", "@", "@zz", "(", ")*", "a.(", "|", "[x]", "e0_0[9]", "((v0))*", "1", f"e0_0[{_HUGE}]"]
 # JSON text with an integer past the digit limit, which json.dumps cannot print
 _HUGE_JSON = '{"h": [["@v0", "@v0"]], "k1": [["@v0", %s]], "alpha": [], "m": [["@v0", %s]]}' % (_HUGE, _HUGE)
 
 
+def _leaf_commands(parser, words=()):
+    """``(words, number of positionals, option flags)`` of each leaf command
+    under an argparse parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, (*words, name))
+            return
+    flags = {f for a in parser._actions for f in a.option_strings if f not in ("-h", "--help")}
+    yield words, sum(not a.option_strings for a in parser._actions), flags
+
+
+def test_fuzz_covers_every_command_and_option():
+    """Every leaf command of the parser is fuzzed with its arity, and every
+    option it takes is in ``_OPTIONS``."""
+    leaves = {words: (arity, flags) for words, arity, flags in _leaf_commands(build_parser())}
+    assert sorted(tuple(words) for words, _ in _FUZZ_COMMANDS) == sorted(leaves)
+    for words, kinds in _FUZZ_COMMANDS:
+        arity, flags = leaves[tuple(words)]
+        assert len(kinds) == arity, words
+        assert flags == ({_OPTIONS[words[-1]][0]} if words[-1] in _OPTIONS else set()), words
+
+
 @st.composite
 def _fuzz_graph(draw):
-    """A graph with at most four vertices, one class possibly infinite."""
+    """A graph with at most four vertices: one class possibly infinite, or,
+    half the time, one edge out of each non-sink vertex, so that the
+    boundary is finite and files reach the witness and element gates."""
     g = draw(small_graph_st(max_vertices=4))
+    if draw(st.booleans()):
+        first = {c.src: c for c in reversed(g.edge_classes)}
+        return Graph(g.vertices, [(c.cid, c.src, c.dst, 1) for c in first.values()])
     inf_cid = draw(st.sampled_from([None, *(c.cid for c in g.edge_classes)]))
     return Graph(g.vertices, [(c.cid, c.src, c.dst, INF if c.cid == inf_cid else c.mult) for c in g.edge_classes])
+
+
+@st.composite
+def _sample_tables(draw, points: list[str], long: list[str], kind: str) -> dict:
+    """Witness (``kind`` "w") or element ("e") tables over the sample points
+    of a graph, given as text with ``long`` those of length >= 1: ``h`` or
+    ``alpha`` maps some or all of them to sample points, and the exponent
+    tables map its domain (an element), or each side's points of length
+    >= 1 (a witness), to -2..3."""
+    dom = draw(st.just(points) | st.lists(st.sampled_from(points), unique=True, max_size=6))
+    image = draw(st.permutations(points) | st.lists(st.sampled_from(points), min_size=len(dom), max_size=len(dom)))
+    pairs = [list(p) for p in zip(dom, image)]
+
+    def exponents(keys):
+        return [[x, draw(st.integers(-2, 3))] for x in keys]
+
+    if kind == "e":
+        return {"alpha": pairs, "m": exponents(dom), "n": exponents(dom)}
+    e_long = [x for x, _ in pairs if x in long]
+    f_long = [y for _, y in pairs if y in long]
+    return dict(h=pairs, k1=exponents(e_long), l1=exponents(e_long), k1p=exponents(f_long), l1p=exponents(f_long))
 
 
 @st.composite
@@ -504,7 +614,8 @@ def _fuzz_case(draw):
     """An argv over a drawn command, and the files it names: valid,
     malformed, non-UTF-8, missing or a directory."""
     g = draw(_fuzz_graph())
-    points = [print_point(g, x) for x in bounded_points(g, pre_len=1, per_len=2, limit=6)]
+    sample = bounded_points(g, pre_len=1, per_len=2, limit=6)
+    points = [print_point(g, x) for x in sample]
     names = [c.cid for c in g.edge_classes] + [f"@{v}" for v in g.vertices]
     word = st.sampled_from(points + names + _JUNK) if points else st.sampled_from(names + _JUNK)
     path = st.lists(st.sampled_from(names + _JUNK), min_size=1, max_size=3).map(".".join)
@@ -536,6 +647,7 @@ def _fuzz_case(draw):
         "e": element.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=10) | st.just(_HUGE_JSON),
         "s": partition,
     }
+    long = [print_point(g, x) for x in sample if x.length >= 1]
     triple = st.tuples(word, st.integers(-2, 3), word)
     inline = {
         "p": word,
@@ -550,8 +662,12 @@ def _fuzz_case(draw):
     written = []
     for kind in kinds:
         if kind in files:
-            how = draw(st.sampled_from(["text"] * 12 + ["binary", "missing", "directory"]))
-            if how == "text":
+            # witness and element tables over the sample get past the parser to the gates
+            tables = ["tables"] * 36 if kind in "we" and points else []
+            how = draw(st.sampled_from(tables + ["text"] * 12 + ["binary", "missing", "directory"]))
+            if how == "tables":
+                written.append(json.dumps(draw(_sample_tables(points, long, kind))).encode("utf-8"))
+            elif how == "text":
                 written.append(draw(files[kind]).encode("utf-8"))
             elif how == "binary":
                 written.append(b"graph G\nvertex v0\xff\n")
@@ -568,6 +684,7 @@ def _fuzz_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_fuzz_case())
+@example(case=(["verify-pseudo", 0, 1], [_E1_TEXT, b'{"alpha": [["a.(b)*", "(b)*"]], "m": [["a.(b)*", -1]], "n": [["a.(b)*", 0]]}']))
 def test_exit_codes_fuzz(case):
     """Every run exits 0, 1 or 2, never 3; an input error that argparse did
     not report prints exactly one error line."""

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import pt
 from sampling import random_functional_graph
-from oeg.boundary import boundary_census
+from oeg.boundary import BoundaryPoint, boundary_census
 from oeg.dynamics import (
     OrbitWitness,
     PseudogroupElement,
@@ -26,7 +26,7 @@ from oeg.dynamics import (
     verify_pseudogroup_element,
 )
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
-from oeg.graphs import Graph
+from oeg.graphs import Edge, Graph
 from oeg.zoo import arrow_into_loop, iter_small_graphs, lone_loop, lone_vertex, two_cycle
 
 
@@ -150,9 +150,11 @@ def test_census_calls(monkeypatch):
     monkeypatch.setattr(dynamics, "boundary_census", lambda g: calls.append(g) or census(g))
     for run, most in (
         (lambda: verify_oe_witness(w), 2),
+        (lambda: search_oe_witness(w.E, w.F), 2),
         (lambda: extend_cocycles(w, 3), 2),
         (lambda: check_extended_identity(w, tables), 0),
-        (lambda: conjugate_pseudogroup(w, deep), 2),
+        (lambda: verify_pseudogroup_element(deep), 1),
+        (lambda: conjugate_pseudogroup(w, deep), 1),
     ):
         calls.clear()
         run()
@@ -195,6 +197,31 @@ def test_pseudogroup_examples(e1):
     assert verify_pseudogroup_element(fixed)
     bad = type(alpha_b)(e1, {bstar: pt(e1, "a.(b)*")}, {bstar: 0}, {bstar: 0})
     assert not verify_pseudogroup_element(bad)
+
+
+def _element(g, alpha, m, n):
+    return PseudogroupElement(g, alpha, dict.fromkeys(alpha, m), dict.fromkeys(alpha, n))
+
+
+def test_pseudogroup_element_gate(e1, f1):
+    """An element is checked against the census of its graph: every domain
+    point and every image is a boundary point there, and the exponents are
+    natural numbers."""
+    w = example_witness()
+    a, b = pt(e1, "a.(b)*"), pt(e1, "(b)*")
+    stray = BoundaryPoint("u", (Edge("a", 0),), ())  # a path ending at the regular vertex v
+    cases = [
+        (_element(e1, {a: b}, -1, 0), "table m must take natural values"),
+        (_element(e1, {a: b}, 1, -2), "table n must take natural values"),
+        (_element(e1, {pt(f1, "(c.d)*"): b}, 0, 0), "boundary points"),
+        (_element(e1, {stray: stray}, 0, 0), "boundary points"),
+        (_element(e1, {b: stray}, 0, 0), "boundary points"),
+    ]
+    for el, message in cases:
+        with pytest.raises(InputError, match=message):
+            verify_pseudogroup_element(el)
+        with pytest.raises(InputError, match=message):
+            conjugate_pseudogroup(w, el)
 
 
 def test_conjugate_pseudogroup_examples():
@@ -399,6 +426,34 @@ def test_conjugacy_examples(e1, f1):
         assert not verify_conjugacy(e1, f1, dict(zip(census_e, perm)))
     assert fixed_points(e1) == [pt(e1, "(b)*")]
     assert fixed_points(f1) == []
+
+
+def test_fixed_points_oracle_on_pool():
+    """The loops of length 1 are shift-fixed, the report counts them in
+    closed form, and on a finite boundary they are exactly the census
+    points that the shift fixes."""
+    from oeg.graphs import INF
+    from oeg.invariants import invariant_report
+
+    for g in iter_small_graphs(2, 2):
+        for inf in (None, *(c.cid for c in g.edge_classes)):
+            h = Graph(g.vertices, [(c.cid, c.src, c.dst, INF if c.cid == inf else c.mult) for c in g.edge_classes])
+            fixed = fixed_points(h)
+            assert all(shift(h, x) == x for x in fixed)
+            assert invariant_report(h).fixed_point_count == len(fixed)
+            census = boundary_census(h)
+            if census.finite:
+                assert set(fixed) == {x for x in census.points if x.length >= 1 and shift(h, x) == x}
+
+
+def test_conjugacy_rejects_a_map_that_is_not_injective():
+    """Both empty points onto the one empty point commutes with the shift
+    vacuously; it is still no conjugacy, and no witness comes of it."""
+    E, F = Graph(["w0", "w1"]), Graph(["w0"])
+    h = {pt(E, "@w0"): pt(F, "@w0"), pt(E, "@w1"): pt(F, "@w0")}
+    assert not verify_conjugacy(E, F, h)
+    with pytest.raises(InputError):
+        conjugacy_witness(E, F, h)
 
 
 def test_conjugacy_witness_shape(e1):
