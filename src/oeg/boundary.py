@@ -210,6 +210,16 @@ def minimal_witness(g: Graph, x: BoundaryPoint, y: BoundaryPoint, k: int) -> tup
     return m, n
 
 
+def exponent_product(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The bicyclic product of shift-exponent pairs: from
+    ``sigma^m1(x) = sigma^n1(y)`` and ``sigma^m2(y) = sigma^n2(z)`` it gives
+    ``(m, n)`` with ``sigma^m(x) = sigma^n(z)``, both sides shifted on to
+    ``t = max(n1, m2)`` at ``y``.  It is associative with unit ``(0, 0)``."""
+    (m1, n1), (m2, n2) = a, b
+    t = max(n1, m2)
+    return m1 + t - n1, n2 + t - m2
+
+
 # -- cylinder sets ---------------------------------------------------------
 
 

@@ -11,14 +11,14 @@ directly.
 
 from __future__ import annotations
 
-from itertools import count, islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .boundary import (
     BoundaryPoint,
     CylinderSet,
     boundary_census,
     drop_edges,
+    exponent_product,
     isolating_cylinder,
     minimal_witness,
     point_sort_key,
@@ -154,29 +154,26 @@ class CocycleTables(NamedTuple):
     lp: dict[BoundaryPoint, int]
 
 
-def _cocycle_degrees(w: OrbitWitness, census: Iterable[BoundaryPoint]) -> Iterator[tuple[dict, dict]]:
-    """The forward cocycle tables ``(k, l)`` of degree 0, 1, 2, ..., each on
-    the census points of length >= its degree, by the witness recursion
+def _degree(w: OrbitWitness, census: tuple[BoundaryPoint, ...], n: int) -> dict[BoundaryPoint, tuple[int, int]]:
+    """The degree-``n`` cocycle pairs ``(l, k)`` of a witness gated against
+    the census of ``w.E``: the unit ``(0, 0)`` on every census point at
+    degree 0, ``(l1, k1)`` at degree 1, and on the points of length >= n
 
-        k[m+1](x) = k1(s^m x) + max(l1(s^m x), k[m](x)) - l1(s^m x)
-        l[m+1](x) = l[m](x)   + max(l1(s^m x), k[m](x)) - k[m](x)
+        (l, k)[a + b](x) = (l, k)[a](x) * (l, k)[b](sigma^a x)
 
-    from vanishing degree-0 tables; degree 1 gives back ``k1, l1``."""
-    zero = dict.fromkeys(census, 0)
-    yield zero, dict(zero)
-    k = dict(w.k1)
-    l = {x: w.l1[x] for x in k}  # in the key order of k
-    for m in count(1):
-        yield k, l
-        k_next, l_next = {}, {}
-        for (x, kx), lx in zip(k.items(), l.values()):
-            if x.length > m:
-                sx = drop_edges(w.E, x, m)
-                k1, l1 = w.k1[sx], w.l1[sx]
-                hi = max(l1, kx)
-                k_next[x] = k1 + hi - l1
-                l_next[x] = lx + hi - kx
-        k, l = k_next, l_next
+    with ``*`` the associative :func:`exponent_product`.  So degree ``n`` is
+    reached by doubling, in at most two table products per bit of ``n``."""
+    if n == 0:
+        return dict.fromkeys(census, (0, 0))
+    one = acc = {x: (w.l1[x], w.k1[x]) for x in w.k1}
+    a = 1
+    for bit in bin(n)[3:]:  # the bits after the leading one
+        acc = {x: exponent_product(p, acc[drop_edges(w.E, x, a)]) for x, p in acc.items() if x.length >= 2 * a}
+        a *= 2
+        if bit == "1":
+            acc = {x: exponent_product(p, one[drop_edges(w.E, x, a)]) for x, p in acc.items() if x.length > a}
+            a += 1
+    return acc
 
 
 def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
@@ -184,11 +181,11 @@ def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
     those of the inverse witness."""
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
-    (k, l), (kp, lp) = (
-        next(islice(_cocycle_degrees(v, _checked_census(v, require_finite_census(v.E), names)), n, None))
-        for _, v, names in _halves(w)
-    )
-    return CocycleTables(n, k, l, kp, lp)
+    tables = []
+    for _, v, names in _halves(w):
+        pairs = _degree(v, _checked_census(v, require_finite_census(v.E), names), n)
+        tables += [{x: k for x, (_, k) in pairs.items()}, {x: l for x, (l, _) in pairs.items()}]
+    return CocycleTables(n, *tables)
 
 
 def check_extended_identity(w: OrbitWitness, tables: CocycleTables) -> list[str]:
@@ -274,31 +271,27 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
     """Transport a pseudogroup element of E through a verified witness to a
     pseudogroup element of F.
 
-    The new exponents come from the extended cocycle tables:
+    The new exponents are the product of the extended cocycle pairs
 
-        m'(y) = l[m(x)](x)      + max(k[n(x)](a(x)), k[m(x)](x)) - k[m(x)](x)
-        n'(y) = l[n(x)](a(x))   + max(k[n(x)](a(x)), k[m(x)](x)) - k[n(x)](a(x))
+        (m'(y), n'(y)) = (l, k)[m(x)](x) * (k, l)[n(x)](a(x))
 
-    where x = h^-1(y) and a = alpha.
+    where x = h^-1(y), a = alpha and ``*`` is :func:`exponent_product`.
     """
     if p.graph is not w.E and p.graph != w.E:
         raise InputError("the element must live over the witness source graph")
     census = require_finite_census(w.E)
     if not _verify_element(p, census):
         raise InputError("not a valid pseudogroup element")
-    depth = max([0, *p.m.values(), *p.n.values()])
-    degrees = list(islice(_cocycle_degrees(w, _checked_census(w, census)), depth + 1))
+    _checked_census(w, census)
+    degrees = {d: _degree(w, census, d) for d in {*p.m.values(), *p.n.values()}}
     alpha2: dict[BoundaryPoint, BoundaryPoint] = {}
     m2: dict[BoundaryPoint, int] = {}
     n2: dict[BoundaryPoint, int] = {}
     for x, ax in p.alpha.items():
         y = w.h[x]
         alpha2[y] = w.h[ax]
-        (k_m, l_m), (k_n, l_n) = degrees[p.m[x]], degrees[p.n[x]]
-        km, kn = k_m[x], k_n[ax]
-        hi = max(kn, km)
-        m2[y] = l_m[x] + hi - km
-        n2[y] = l_n[ax] + hi - kn
+        l_n, k_n = degrees[p.n[x]][ax]
+        m2[y], n2[y] = exponent_product(degrees[p.m[x]][x], (k_n, l_n))
     return PseudogroupElement(w.F, alpha2, m2, n2)
 
 

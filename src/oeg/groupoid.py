@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import BoundaryPoint, CylinderSet, canonicalize, minimal_witness, shift
+from .boundary import BoundaryPoint, CylinderSet, canonicalize, exponent_product, minimal_witness, shift
 from .errors import CompositionError, DomainError, InputError
 from .graphs import Edge, Graph, condition_l, is_singular
 
@@ -52,9 +52,7 @@ def compose(g: Graph, e1: GroupoidElement, e2: GroupoidElement) -> GroupoidEleme
     must match."""
     if e1.y != e2.x:
         raise CompositionError("source of the left factor differs from range of the right")
-    t = max(e1.n, e2.m)
-    m = e1.m + (t - e1.n)
-    n = e2.n + (t - e2.m)
+    m, n = exponent_product((e1.m, e1.n), (e2.m, e2.n))
     return make_element(g, e1.x, m, n, e2.y)
 
 
@@ -118,16 +116,20 @@ def principality_report(g: Graph, probe: CylinderSet | None = None) -> Principal
 def _finite_point_in(g: Graph, z: CylinderSet) -> BoundaryPoint | None:
     """The shortest finite boundary point inside a cylinder, ties going by
     out-edge order, or None: a breadth-first search over vertices from the
-    range of the base, whose first step avoids the excluded edges."""
+    range of the base, whose first step avoids the excluded edges.  Parallel
+    edges share their range, so each step takes one edge of each class."""
     base = z.base
     if is_singular(g, base.dst):
         return canonicalize(g, base.src, base.edges)
     came: dict[str, tuple[str | None, Edge]] = {}  # vertex -> (vertex before, edge) on its first path
     queue: list[str | None] = [None]  # None is the range of the base before the first step
-    for u in queue:
-        for e in g.out_edges(base.dst if u is None else u):
-            v = g.edge_dst(e)
-            if v in came or (u is None and e in z.excluded):
+    for u in queue:  # every vertex searched is regular, so its classes are finite
+        for c in g.out_classes(base.dst if u is None else u):
+            e = Edge(c.cid, 0)
+            while u is None and e in z.excluded:
+                e = Edge(c.cid, e.idx + 1)
+            v = c.dst
+            if v in came or e.idx == c.mult:
                 continue
             came[v] = (u, e)
             if is_singular(g, v):

@@ -58,19 +58,14 @@ def identity_germ(g: Graph, x: BoundaryPoint) -> Germ:
 
 def germ_compose(g: Graph, g1: Germ, g2: Germ) -> Germ:
     """Compose two germs anchored compatibly: the image of the second must
-    be the anchor of the first.  The paths merge along the shared point and
-    the cocycles add."""
+    be the anchor of the first.  One of ``nu1``, ``mu2`` extends the other,
+    and its extra edges go onto the other side (the other slice is empty):
+    the paths merge along the shared point and the cocycles add."""
     if germ_apply(g, g2) != g1.x:
         raise CompositionError("germs do not compose: anchor mismatch")
-    if g1.nu.length <= g2.mu.length:
-        # mu2 = nu1 . tau
-        tau = g2.mu.edges[g1.nu.length :]
-        mu = g.path(g1.mu.edges + tau, at=g1.mu.src)
-        return germ_make(g, mu, g2.nu, g2.x)
-    # nu1 = mu2 . tau
-    tau = g1.nu.edges[g2.mu.length :]
-    nu = g.path(g2.nu.edges + tau, at=g2.nu.src)
-    return germ_make(g, g1.mu, nu, g2.x)
+    mu = g.path(g1.mu.edges + g2.mu.edges[g1.nu.length :], at=g1.mu.src)
+    nu = g.path(g2.nu.edges + g1.nu.edges[g2.mu.length :], at=g2.nu.src)
+    return germ_make(g, mu, nu, g2.x)
 
 
 def germ_invert(g: Graph, germ: Germ) -> Germ:

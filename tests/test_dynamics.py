@@ -85,6 +85,11 @@ def test_verify_witness_examples():
     broken.k1[pt(w1.E, "a.(b)*")] = 0
     report = verify_oe_witness(broken)
     assert not report.ok and "a.(b)*" in report.failures[0]
+    # k1(a) shifts h(sigma a) = @v, of length 0, past its end: a failure, not an exception
+    g = Graph(["u", "v"], [("a", "u", "v", 1)])
+    a, v = pt(g, "a"), pt(g, "@v")
+    short = OrbitWitness(g, g, {a: a, v: v}, {a: 1}, {a: 1}, {a: 0}, {a: 1})
+    assert verify_oe_witness(short).failures == ["forward identity fails at a"]
 
 
 def test_identity_needs_a_delay(e1):
@@ -105,6 +110,10 @@ def test_partial_tables_rejected():
     k1.pop(pt(w1.E, "(b)*"))
     with pytest.raises(InputError):
         verify_oe_witness(OrbitWitness(w1.E, w1.F, w1.h, k1, w1.l1, w1.k1p, w1.l1p))
+    h = dict(w1.h)
+    h.pop(pt(w1.E, "(b)*"))
+    with pytest.raises(InputError, match="h is not total"):
+        verify_oe_witness(OrbitWitness(w1.E, w1.F, h, w1.k1, w1.l1, w1.k1p, w1.l1p))
 
 
 def test_non_injective_h_rejected(e1, floop):
@@ -185,6 +194,59 @@ def test_extend_cocycles_whole_corpus():
         assert verify_oe_witness(w).ok
         for n in range(6):
             assert check_extended_identity(w, extend_cocycles(w, n)) == []
+
+
+def step_degrees(w: OrbitWitness):
+    """Oracle: the forward cocycle tables ``(k, l)`` of degree 0, 1, 2, ...,
+    each on the census points of length >= its degree, by the witness
+    recursion one degree at a time
+
+        k[m+1](x) = k1(s^m x) + max(l1(s^m x), k[m](x)) - l1(s^m x)
+        l[m+1](x) = l[m](x)   + max(l1(s^m x), k[m](x)) - k[m](x)
+
+    from vanishing degree-0 tables; degree 1 gives back ``k1, l1``."""
+    zero = dict.fromkeys(boundary_census(w.E).points, 0)
+    yield zero, dict(zero)
+    k = dict(w.k1)
+    l = {x: w.l1[x] for x in k}
+    for m in itertools.count(1):
+        yield k, l
+        k_next, l_next = {}, {}
+        for (x, kx), lx in zip(k.items(), l.values()):
+            if x.length > m:
+                sx = shift(w.E, x, m)
+                k1, l1 = w.k1[sx], w.l1[sx]
+                hi = max(l1, kx)
+                k_next[x] = k1 + hi - l1
+                l_next[x] = lx + hi - kx
+        k, l = k_next, l_next
+
+
+@pytest.fixture(scope="module")
+def pool_witnesses() -> list[OrbitWitness]:
+    """The witnesses the search finds between ordered pairs of the
+    finite-boundary graphs on at most 3 vertices with multiplicities <= 2."""
+    pool = [g for g in iter_small_graphs(3, 2) if boundary_census(g).finite]
+    found = [w for E in pool for F in pool if (w := search_oe_witness(E, F)) is not None]
+    assert len(pool) == 70 and len(found) == 382
+    return found
+
+
+def test_extend_cocycles_matches_the_step_recursion(pool_witnesses):
+    """Doubling gives the tables of the step recursion, on the corpus up to
+    degree 40 and on the pool witnesses up to degree 12."""
+    for witnesses, top in ((witness_corpus(), 40), (pool_witnesses, 12)):
+        for w in witnesses:
+            steps = zip(step_degrees(w), step_degrees(w.inverse()))
+            for n, ((k, l), (kp, lp)) in zip(range(top + 1), steps):
+                assert extend_cocycles(w, n) == (n, k, l, kp, lp)
+
+
+def test_extended_identity_at_a_huge_degree(pool_witnesses):
+    """Degree 10^12 takes 51 table products per direction, and its
+    identity holds on every pool witness."""
+    for w in pool_witnesses:
+        assert check_extended_identity(w, extend_cocycles(w, 10**12)) == []
 
 
 def test_pseudogroup_examples(e1):

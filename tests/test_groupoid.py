@@ -162,25 +162,33 @@ def test_principality_probe_finds_shortest_point():
     assert principality_report(back, z).trivial_point == pt(back, "y.z.x")
 
 
-@pytest.mark.parametrize("shape", ["chain", "ring"])
+@pytest.mark.parametrize("shape", ["chain", "ring", "parallel"])
 def test_principality_probe_scales(shape):
-    """A 1500-vertex chain (past the recursion limit of a depth-first walk)
-    and a ring of 22 doubled edges (2**22 paths, no singular vertex) each
-    take well under a second."""
+    """A 1500-vertex chain (past the recursion limit of a depth-first walk),
+    a ring of 22 doubled edges (2**22 paths, no singular vertex) and a class
+    of 10**12 parallel edges, of which only the first one the probe allows
+    counts, each take well under a second."""
+    excluded = []
     if shape == "chain":
         verts = [f"v{i}" for i in range(1500)]
         g = Graph(verts, [(f"e{i}", v, w, 1) for i, (v, w) in enumerate(zip(verts, verts[1:]))])
-    else:
+    elif shape == "ring":
         verts = [f"a{i}" for i in range(23)]
         classes = [(f"x{i}", v, w, 2) for i, (v, w) in enumerate(zip(verts, verts[1:]))]
         g = Graph(verts, classes + [("l", "a22", "a22", 1), ("m", "a22", "a0", 1)])
+    else:
+        verts = ["u", "v", "w"]
+        g = Graph(verts, [("a", "u", "v", 10**12), ("b", "v", "v", 1), ("c", "v", "w", 1), ("d", "u", "u", 1)])
+        excluded = [Edge("d", 0), Edge("a", 0)]
     start = time.perf_counter()
-    rep = principality_report(g, make_cylinder(g, g.path((), at=verts[0])))
+    rep = principality_report(g, make_cylinder(g, g.path((), at=verts[0]), excluded))
     assert time.perf_counter() - start < 1.0
     if shape == "chain":
         assert rep.trivial_point.pre == tuple(Edge(f"e{i}", 0) for i in range(1499))
-    else:
+    elif shape == "ring":
         assert rep.principal and rep.trivial_point is None and rep.probe_note
+    else:
+        assert rep.trivial_point == pt(g, "a[1].c")
 
 
 def _depth_first_point(g, z):
