@@ -5,6 +5,9 @@ verification, determinants, winding indices, move decisions), and finishes
 by driving the CLI on generated files.
 
 Run:  python scripts/showcase.py [workdir]
+
+The generated files are kept in ``workdir`` when one is given, and go into
+a temporary directory removed at the end otherwise.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ def banner(text: str):
     print(f"\n== {text} " + "=" * max(0, 60 - len(text)))
 
 
-def main() -> int:
-    workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tempfile.mkdtemp(prefix="oeg-"))
+def main(workdir: Path) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
 
     e1, f1 = arrow_into_loop(), two_cycle()
@@ -109,4 +111,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) > 1:
+        sys.exit(main(Path(sys.argv[1])))
+    with tempfile.TemporaryDirectory(prefix="oeg-") as tmp:
+        code = main(Path(tmp))
+    sys.exit(code)

@@ -10,7 +10,8 @@ short as possible.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InputError, UnsupportedScaleError
 from .graphs import (
@@ -21,6 +22,7 @@ from .graphs import (
     Path,
     _least_rotation,
     _primitive_root_edges,
+    _primitive_walks,
     is_singular,
     vertex_kind,
 )
@@ -398,28 +400,24 @@ def bounded_points(
     prefix_budget: int | None = None,
 ) -> list[BoundaryPoint]:
     """A deterministic finite sample of representable points: finite points
-    whose path has length <= pre_len, and eventually periodic points with
-    preperiod <= pre_len over simple-loop periods of length <= per_len (all
-    rotations).  Sorted canonically and truncated to ``limit``.
+    whose path has length <= pre_len, then eventually periodic points with
+    preperiod <= pre_len whose period is a primitive closed walk of length
+    <= per_len, in :func:`point_sort_key` order and cut to ``limit``.
 
     Prefix enumeration is breadth-first under a budget, so deep samples of
-    wide graphs stay cheap (and deterministic) instead of exhaustive.
+    wide graphs stay cheap (and deterministic) instead of exhaustive.  The
+    periodic points are generated in order, so the work stops at ``limit``.
     """
-    from .graphs import enumerate_simple_loops
-
     if prefix_budget is None:
         prefix_budget = 4000 if limit is None else max(200, 10 * limit)
-    check_listable(g.edge_classes, inf_cap)
+    check_listable(g.edge_classes, max(inf_cap, 1))
     steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=inf_cap)] for v in g.vertices}
-    # levels[d][v]: the (source, edges) of the length-d prefixes ending at v
-    levels: list[dict[str, list[tuple[str, tuple[Edge, ...]]]]] = []
-    level: list[tuple[str, str, tuple[Edge, ...]]] = [(v, v, ()) for v in g.vertices]
+    # levels[d]: the (source, range, edges) of the length-d prefixes
+    levels: list[list[tuple[str, str, tuple[Edge, ...]]]] = []
+    level = [(v, v, ()) for v in g.vertices]
     total = 0
     for depth in range(pre_len + 1):
-        ends: dict[str, list[tuple[str, tuple[Edge, ...]]]] = {v: [] for v in g.vertices}
-        for v0, end, edges in level:
-            ends[end].append((v0, edges))
-        levels.append(ends)
+        levels.append(level)
         total += len(level)
         if depth == pre_len or total >= prefix_budget:
             break
@@ -429,30 +427,24 @@ def bounded_points(
             if total + len(nxt) >= prefix_budget:
                 break
         level = nxt[: max(0, prefix_budget - total)]
-    singular = [v for v in g.vertices if is_singular(g, v)]
-    finite = {BoundaryPoint(v0, edges, ()) for ends in levels for v in singular for v0, edges in ends[v]}
+    singular = {v for v in g.vertices if is_singular(g, v)}
+    finite = [BoundaryPoint(v0, edges, ()) for level in levels for v0, end, edges in level if end in singular]
     out = sorted(finite, key=point_sort_key)
-    rotations = [
-        loop.edges[i:] + loop.edges[:i]
-        for loop in enumerate_simple_loops(g, per_len)
-        for i in range(loop.length)
-    ]
-    # Periodic points sort after the finite ones and then by preperiod
-    # length, one level at a time, so levels past the limit are never built.
-    for ends in levels:
-        if limit is not None and len(out) >= limit:
-            break
-        pts: set[BoundaryPoint] = set()
-        for rot in rotations:
-            base = g.edge_src(rot[0])
-            for v0, edges in ends[base]:
-                # pairs whose preperiod tail absorbs into the period are the
-                # canonical forms of shorter pairs already enumerated
-                if edges and edges[-1] == rot[-1]:
-                    continue
-                pts.add(BoundaryPoint(v0 if edges else base, edges, rot))
-        out += sorted(pts, key=point_sort_key)
-    return out if limit is None else out[:limit]
+
+    def periodic() -> Iterator[BoundaryPoint]:
+        # point_sort_key order.  The empty preperiod comes first and takes
+        # every walk; later levels are only reached once it has run out.
+        walks_at: dict[str, list[tuple[Edge, ...]]] = {v: [] for v in g.vertices}
+        for w in _primitive_walks(g, per_len):
+            walks_at[g.edge_src(w[0])].append(w)
+            yield BoundaryPoint(g.edge_src(w[0]), (), w)
+        for level in levels[1:]:
+            for v0, end, edges in sorted(level, key=lambda p: p[2]):
+                # a period ending in the preperiod's last edge would absorb it
+                yield from (BoundaryPoint(v0, edges, w) for w in walks_at[end] if w[-1] != edges[-1])
+
+    out += islice(periodic(), None if limit is None else max(0, limit - len(out)))
+    return out[:limit]
 
 
 class CensusResult(NamedTuple):

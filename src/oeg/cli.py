@@ -235,11 +235,12 @@ def _run(args) -> int:
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
         w = dsl.parse_witness(E, F, _read_text(args.witness))
-        report = dynamics.verify_oe_witness(w)
+        census_e, census_f = dynamics.require_finite_census(E), dynamics.require_finite_census(F)
+        report = dynamics._verify(w, census_e, census_f)
         if not report.ok:
             _emit({"ok": False, "failures": report.failures}, as_json, report.failures)
             return EXIT_NO
-        tables = dynamics.extend_cocycles(w, args.n)
+        tables = dynamics._extend_cocycles(w, args.n, (census_e, census_f))
         payload = {
             "n": args.n,
             "k": dsl.table_json(E, tables.k),
@@ -265,11 +266,12 @@ def _run(args) -> int:
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
         w = dsl.parse_witness(E, F, _read_text(args.witness))
-        if not dynamics.verify_oe_witness(w).ok:
+        census_e, census_f = dynamics.require_finite_census(E), dynamics.require_finite_census(F)
+        if not dynamics._verify(w, census_e, census_f).ok:
             _emit({"ok": False}, as_json, ["witness does not verify"])
             return EXIT_NO
         el = dsl.parse_element(E, _read_text(args.element))
-        out = dynamics.conjugate_pseudogroup(w, el)
+        out = dynamics._conjugate(w, el, census_e)
         _emit(dsl.element_to_json(F, out), True)
         return EXIT_OK
 

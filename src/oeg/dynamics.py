@@ -179,11 +179,17 @@ def _degree(w: OrbitWitness, census: tuple[BoundaryPoint, ...], n: int) -> dict[
 def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
     """The degree-``n`` cocycle tables of a witness; the primed tables are
     those of the inverse witness."""
+    return _extend_cocycles(w, n, map(require_finite_census, (w.E, w.F)))
+
+
+def _extend_cocycles(w: OrbitWitness, n: int, censuses: Iterable[tuple[BoundaryPoint, ...]]) -> CocycleTables:
+    """:func:`extend_cocycles` against the censuses of ``w.E`` and ``w.F``,
+    read in turn."""
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
     tables = []
-    for _, v, names in _halves(w):
-        pairs = _degree(v, _checked_census(v, require_finite_census(v.E), names), n)
+    for (_, v, names), census in zip(_halves(w), censuses):
+        pairs = _degree(v, _checked_census(v, census, names), n)
         tables += [{x: k for x, (_, k) in pairs.items()}, {x: l for x, (l, _) in pairs.items()}]
     return CocycleTables(n, *tables)
 
@@ -279,7 +285,12 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
     """
     if p.graph is not w.E and p.graph != w.E:
         raise InputError("the element must live over the witness source graph")
-    census = require_finite_census(w.E)
+    return _conjugate(w, p, require_finite_census(w.E))
+
+
+def _conjugate(w: OrbitWitness, p: PseudogroupElement, census: tuple[BoundaryPoint, ...]) -> PseudogroupElement:
+    """:func:`conjugate_pseudogroup` against the given census of ``w.E``,
+    which ``p`` must live over."""
     if not _verify_element(p, census):
         raise InputError("not a valid pseudogroup element")
     _checked_census(w, census)

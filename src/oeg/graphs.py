@@ -220,27 +220,35 @@ def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
     if max_len is None:
         max_len = default_loop_search_length(g)
     check_listable(g.edge_classes, inf_cap=1)
-    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=1)] for v in g.vertices}
-    found: set[tuple[Edge, ...]] = set()
-
-    def walk(start: str, here: str, edges: list[Edge]):
-        for e, nxt in steps[here]:
-            edges.append(e)
-            if nxt == start:
-                seq = tuple(edges)
-                root, _ = _primitive_root_edges(seq)
-                if len(root) == len(seq):
-                    found.add(_least_rotation(seq))
-            if len(edges) < max_len:
-                walk(start, nxt, edges)
-            edges.pop()
-
-    for v in g.vertices:
-        walk(v, v, [])
+    # the walks come in lexicographic order, which the sort by length keeps
+    walks = sorted((w for w in _primitive_walks(g, max_len) if w == _least_rotation(w)), key=len)
     # closed walks along out-edges, so valid loops by construction
-    loops = [Path(g.edge_src(seq[0]), g.edge_src(seq[0]), seq) for seq in found]
-    loops.sort(key=lambda l: (l.length, l.edges))
-    return loops
+    return [Path(g.edge_src(w[0]), g.edge_src(w[0]), w) for w in walks]
+
+
+def _primitive_walks(g: Graph, max_len: int) -> Iterator[tuple[Edge, ...]]:
+    """The primitive closed walks of length <= max_len (length 1 always) in
+    lexicographic order: a depth-first search with an explicit stack that
+    takes out-edges in ``Edge`` order, the index-0 edge of an infinite
+    class.  Across vertices the order is global, by first edge."""
+    steps = {v: sorted((e, g.edge_dst(e)) for e in g.out_edges(v)) for v in g.vertices}
+    walk: list[Edge] = []
+    stack = [iter(sorted(p for s in steps.values() for p in s))]
+    while stack:
+        for e, w in stack[-1]:  # one step from the top of the stack
+            if not walk:
+                start = g.edge_src(e)
+            walk.append(e)
+            if w == start and len(_primitive_root_edges(seq := tuple(walk))[0]) == len(seq):
+                yield seq
+            if len(walk) < max_len:
+                stack.append(iter(steps[w]))
+            else:
+                walk.pop()
+            break
+        else:
+            stack.pop()
+            del walk[-1:]  # the edge whose steps ran out; none below a first step
 
 
 def _primitive_root_edges(edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:

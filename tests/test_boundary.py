@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pt, small_graph_st
+from sample_oracle import reference_bounded_points
 from sampling import random_cylinders, random_graph, sample_points
 from oeg.boundary import (
     CENSUS_LIMIT,
@@ -32,7 +36,7 @@ from oeg.boundary import (
 )
 from oeg.digraphs import condensation
 from oeg.errors import InputError, UnsupportedScaleError
-from oeg.graphs import Edge, Graph, enumerate_simple_loops, loop_has_exit
+from oeg.graphs import Edge, EdgeClass, Graph, enumerate_simple_loops, loop_has_exit
 from oeg.pointtable import PointTable
 from oeg.zoo import amplified_arrow_loop, full_shift_two, iter_small_graphs
 
@@ -259,6 +263,67 @@ def test_bounded_points_limit_cuts_the_sorted_sample(seed, limit):
     full = bounded_points(g, 2, 3, inf_cap=2, prefix_budget=500)
     assert full == sorted(set(full), key=point_sort_key)
     assert bounded_points(g, 2, 3, inf_cap=2, limit=limit, prefix_budget=500) == full[:limit]
+
+
+# (pre_len, per_len, inf_cap, limit, prefix_budget)
+_SAMPLE_GRID = [(1, 3, 1, 18, None), (0, 2, 1, None, None), (2, 3, 2, 24, None), (1, 4, 1, None, None), (2, 2, 1, 5, None), (3, 3, 2, 40, 60)]
+
+
+def _shuffled_ids(g: Graph, rng: random.Random) -> Graph:
+    """The graph with its class ids permuted, so that they no longer sort
+    with their source vertices."""
+    ids = [c.cid for c in g.edge_classes]
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    return Graph(g.vertices, [EdgeClass(new[c.cid], c.src, c.dst, c.mult) for c in g.edge_classes])
+
+
+def test_bounded_points_matches_the_reference_sample():
+    """The ordered walk gives the reference's sample: on random graphs with
+    infinite classes at every grid entry, and on the pool, as it is and with
+    shuffled class ids, each graph at one entry in turn (all but the
+    unlimited one with periods up to 4, the largest and slowest sample).
+    Periods with an empty preperiod are ordered across all vertices at once:
+    taking them vertex by vertex agrees on the pool as it is, whose class
+    ids sort with their sources, and fails on ``u: b, c`` against ``w: a``."""
+    rng = random.Random(14)
+    crossed = Graph(["u", "w"], [("b", "u", "u", 1), ("c", "u", "u", 1), ("a", "w", "w", 1)])
+    cases = [(crossed, args) for args in _SAMPLE_GRID]
+    limited = [args for args in _SAMPLE_GRID if args != (1, 4, 1, None, None)]
+    for i, g in enumerate(iter_small_graphs(3, 2)):
+        args = limited[i % len(limited)]
+        cases += [(g, args), (_shuffled_ids(g, rng), args)]
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=4, max_mult=2, edge_prob=0.5, inf_prob=0.3)
+        cases += [(g, args) for args in _SAMPLE_GRID]
+    for g, (pre_len, per_len, inf_cap, limit, budget) in cases:
+        want = reference_bounded_points(g, pre_len, per_len, inf_cap, limit, budget)
+        assert bounded_points(g, pre_len, per_len, inf_cap, limit, budget) == want
+
+
+_DENSE_SAMPLE = """
+import json, time
+from oeg.boundary import bounded_points, point_sort_key
+from oeg.graphs import Graph
+V = [f"v{i}" for i in range(8)]
+g = Graph(V, [(f"e{i}_{j}", V[i], V[j], 2) for i in range(8) for j in range(8)])
+start = time.perf_counter()
+pts = bounded_points(g, 1, 6, limit=24)
+took = time.perf_counter() - start
+print(json.dumps([took, len(pts), pts == sorted(pts, key=point_sort_key), max(len(x.pre) + len(x.period) for x in pts)]))
+"""
+
+
+def test_bounded_points_stop_at_the_limit_on_a_dense_graph():
+    """The complete 8-vertex digraph with every class doubled has about 16^L
+    closed walks of length L.  A sample of 24 points with periods up to 6
+    must not list them: it takes well under 0.5 s.  It runs in a child
+    process, so that a full listing times out instead of hanging."""
+    from test_cli import _src_env
+
+    proc = subprocess.run([sys.executable, "-c", _DENSE_SAMPLE], capture_output=True, text=True, env=_src_env(), timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    took, count, ordered, longest = json.loads(proc.stdout)
+    assert took < 0.5 and count == 24 and ordered and longest <= 7
 
 
 def test_raw_forms_denote_same_point_iff_canonical_equal(e1, e2):

@@ -246,6 +246,30 @@ def test_pseudo_commands(files, capsys, tmp_path):
     assert data["alpha"] == [["(d.c)*", "(d.c)*"]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-oe", "E1", "F1", "W1"],
+        ["search-oe", "E1", "F1"],
+        ["extend-cocycles", "E1", "F1", "W1", "3"],
+        ["conjugate-pseudo", "E1", "F1", "W1", "el"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_witness_commands_census_each_graph_once(argv, files, capsys, tmp_path, monkeypatch):
+    """A witness command censuses E and F once each, whatever library calls
+    it makes after the witness check."""
+    from oeg import dynamics
+
+    (tmp_path / "el.json").write_text(json.dumps(_IDENTITY_TO_THE_7))
+    named = dict(files, el=str(tmp_path / "el.json"))
+    calls = []
+    census = dynamics.boundary_census
+    monkeypatch.setattr(dynamics, "boundary_census", lambda g: calls.append(g) or census(g))
+    code, _ = run(capsys, *(named.get(w, w) for w in argv))
+    assert code == 0 and len(calls) == 2
+
+
 def test_input_errors(files, capsys):
     code, _ = run(capsys, "det", str(files["dir"] / "nope.graph"))
     assert code == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import small_graph_st
+from sample_oracle import reference_simple_loops
 from sampling import random_graph
 from oeg.errors import InputError
 from oeg.graphs import (
@@ -73,6 +74,26 @@ def test_simple_loops_examples(e1, e2, g0):
 def test_simple_loops_against_brute_force(g, max_len):
     got = {l.edges for l in enumerate_simple_loops(g, max_len)}
     assert got == brute_simple_loops(g, max_len)
+
+
+def test_simple_loops_match_the_reference_on_pool():
+    """The ordered walk against the recursive search for max_len 1..4; the
+    reference's loops up to 4, sorted by length, hold those up to 1..3."""
+    for g in iter_small_graphs(3, 2):
+        want = reference_simple_loops(g, 4)
+        for max_len in range(1, 5):
+            assert enumerate_simple_loops(g, max_len) == [l for l in want if l.length <= max_len]
+
+
+def test_loop_search_on_a_long_cycle():
+    """A 1500-vertex cycle has one simple loop; a recursive search ran out of
+    stack on it."""
+    n = 1500
+    vertices = [f"v{i}" for i in range(n)]
+    g = Graph(vertices, [(f"e{i}", vertices[i], vertices[(i + 1) % n], 1) for i in range(n)])
+    cycle = g.loop([f"e{i}" for i in range(n)])
+    assert enumerate_simple_loops(g, n) == [cycle]
+    assert condition_l_by_enumeration(g) == (False, cycle)
 
 
 def test_primitive_root(e1, e2):
