@@ -21,11 +21,24 @@ import itertools
 import sys
 import time
 
+from oeg.digraphs import condensation
 from oeg.graphs import condition_l, condition_l_by_enumeration
-from oeg.invariants import reachability
 from oeg.moves import decide_amplified_oe
 from oeg.weyl import phi_bijectivity_check
 from oeg.zoo import iter_small_graphs
+
+
+def reach_profile(g) -> tuple:
+    """The sorted (out-reach, in-reach, self-reach) of every vertex: how many
+    vertices it reaches by a path of length >= 1, how many reach it, and
+    whether it reaches itself.  Read off the condensation's closure bitsets,
+    each component weighted by its size."""
+    cond = condensation(g)
+    sizes = list(map(len, cond.members))
+    comps = range(len(sizes))
+    out = [sum(sizes[d] for d in comps if bits >> d & 1) for bits in cond.reach]
+    inn = [sum(sizes[d] for d in comps if cond.reach[d] >> c & 1) for c in comps]
+    return tuple(sorted((out[c], inn[c], cond.reach[c] >> c & 1 == 1) for c in cond.comp))
 
 
 def main() -> int:
@@ -49,12 +62,7 @@ def main() -> int:
         if not phi_bijectivity_check(g, 3, max_points=18).ok:
             phi_failures += 1
         marks.append(time.perf_counter())
-        reach = reachability(g)
-        key = tuple(sorted(
-            (sum(reach[(v, w)] for w in g.vertices), sum(reach[(w, v)] for w in g.vertices), reach[(v, v)])
-            for v in g.vertices
-        ))
-        group = reps.setdefault((len(g.vertices), key), [])
+        group = reps.setdefault((len(g.vertices), reach_profile(g)), [])
         if not any(decide_amplified_oe(g, r)[0] for r in group):
             group.append(g)
         marks.append(time.perf_counter())

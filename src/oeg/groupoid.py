@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .boundary import BoundaryPoint, CylinderSet, canonicalize, exponent_product, minimal_witness, shift
-from .errors import CompositionError, DomainError, InputError
+from .boundary import (
+    CENSUS_LIMIT, BoundaryPoint, CylinderSet, _count_text, canonicalize, exponent_product, minimal_witness, shift
+)
+from .errors import CompositionError, DomainError, InputError, UnsupportedScaleError
 from .graphs import Edge, Graph, condition_l, is_singular
 
 if TYPE_CHECKING:
@@ -149,30 +151,57 @@ def enumerate_elements(
     table: PointTable | None = None,
 ) -> list[GroupoidElement]:
     """All elements ``(x, k, y)`` over the pool whose minimal witness fits in
-    the bound, in pool order of ``x``, then of ``y``, then by cocycle.
-
-    The search runs on the ids of ``table`` (a fresh one when none is
-    given): every orbit point ``sigma^n(y)`` is indexed once, so each
-    ``sigma^m(x)`` finds the points it meets by one lookup, and the first
-    ``m`` to meet a ``(y, k)`` is its minimal witness."""
+    the bound, in pool order of ``x``, then of ``y``, then by cocycle: the
+    rows of :func:`_element_rows` on ``table`` (a fresh one when none is
+    given) as values."""
     if table is None:
         from .pointtable import PointTable  # loaded on use: groupoid make and compose never need it
 
         table = PointTable(g)
+    rows, _ = _element_rows(table, pool, bound)
+    return [GroupoidElement(pool[a], k, pool[b], m, n) for a, k, b, m, n in rows]
+
+
+def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> tuple[list[tuple], list[list[int]]]:
+    """The elements over the pool as rows ``(a, k, b, m, n)`` of pool
+    positions, for ``(pool[a], k, pool[b])`` with minimal witness ``(m, n)``,
+    and the orbit of each pool point as the ids of ``sigma^j`` for j =
+    0..bound, ``orbits[a][0]`` being the id of ``pool[a]``.
+
+    Every orbit point is indexed once, so each ``sigma^m(x)`` finds the
+    points it meets by one lookup, and the first ``m`` to meet a ``(y, k)``
+    is its minimal witness: one step per germ ``(x, m, y, n)`` with
+    ``sigma^m(x) = sigma^n(y)``, the germs the phi check counts.  The orbit
+    points (from the point lengths) and the germs (from the index) are
+    counted before they are walked, and a count past ``CENSUS_LIMIT`` is
+    refused with an :class:`UnsupportedScaleError`."""
+    # at most this many orbit points, and its square of germs: each count is
+    # taken only when its cap passes the limit
+    most = (bound + 1) * len(pool)
+    if most > CENSUS_LIMIT:
+        orbit_points = sum(min(bound, x.length) + 1 for x in pool)
+        _refuse_over_limit(orbit_points, "the shift orbits up to the bound hold {} points")
     orbits = [table.orbit(table.intern(x), bound) for x in pool]
     meets: dict[int, list[tuple[int, int]]] = {}
     for b, orbit in enumerate(orbits):
         for n, z in enumerate(orbit):
             meets.setdefault(z, []).append((b, n))
-    out = []
-    for x, orbit in zip(pool, orbits):
+    if most * most > CENSUS_LIMIT:
+        # each of the len(ms) visits to z meets all of ms
+        _refuse_over_limit(sum(len(ms) ** 2 for ms in meets.values()), "the pool has {} germs up to the bound")
+    rows = []
+    for a, orbit in enumerate(orbits):
         best: dict[tuple[int, int], tuple[int, int]] = {}
         for m, z in enumerate(orbit):
             for b, n in meets[z]:
                 best.setdefault((b, m - n), (m, n))
-        for b, k in sorted(best):
-            out.append(GroupoidElement(x, k, pool[b], *best[b, k]))
-    return out
+        rows += [(a, k, b, *best[b, k]) for b, k in sorted(best)]
+    return rows, orbits
+
+
+def _refuse_over_limit(count: int, text: str) -> None:
+    if count > CENSUS_LIMIT:
+        raise UnsupportedScaleError(f"{text.format(_count_text(count))}, over the census limit of {CENSUS_LIMIT}")
 
 
 def shift_orbit(g: Graph, x: BoundaryPoint, bound: int) -> list[BoundaryPoint]:

@@ -25,7 +25,7 @@ from .boundary import (
 )
 from .errors import CompositionError, InputError
 from .graphs import Graph, Path
-from .groupoid import GroupoidElement, enumerate_elements
+from .groupoid import GroupoidElement, _element_rows
 from .pointtable import PointTable
 
 class Germ(NamedTuple):
@@ -161,13 +161,13 @@ def representable_pool(
     return pts, False
 
 
-def _germs_agree(heads: dict[int, tuple], x: int, period: int | None, a: tuple, b: tuple) -> bool:
+def _germs_agree(heads: list[tuple], x: int, period: int | None, a: tuple, b: tuple) -> bool:
     """`germ_equivalent` on point-table ids.  ``a`` and ``b`` are germs at
     the anchor ``x`` given as ``(|nu|, |mu|, alpha, image)``: ``mu`` is the
     first ``|mu|`` edges of the pool point ``alpha`` and ``nu`` the first
     ``|nu|`` of ``x``.  ``period`` is None at a non-isolated anchor, 0 at an
     isolated finite one and the period length at an isolated periodic one.
-    ``heads[i]`` holds the first ``bound`` edges of point ``i``."""
+    ``heads[i]`` holds the first ``bound`` edges of the pool point ``i``."""
     if a[3] != b[3]:
         return False
     if period == 0:
@@ -200,22 +200,23 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     bound is an input error.
 
     Points are compared as ids of one :class:`PointTable`, built for the
-    call and dropped with it: shift orbits, the germ classes, the element
-    keys, every germ's image (a cons-walk of its ``mu`` onto ``sigma^|nu|``
-    of its anchor) and the rule itself are all int and edge-tuple work, so
-    no germ is built as a value.
+    call and dropped with it, and named by their pool positions: the
+    elements are the rows of the groupoid's id-level join, which also walks
+    the shift orbits, once each.  The germ classes, the element keys, every
+    germ's image (a cons-walk of its ``mu`` onto ``sigma^|nu|`` of its
+    anchor) and the rule itself are all int and edge-tuple work, so neither
+    a germ nor an element is built as a value.  A pool with more than
+    ``CENSUS_LIMIT`` orbit points or germs within the bound is refused with
+    an :class:`UnsupportedScaleError` before they are walked.
     """
     if bound < 0:
         raise InputError("the path-length bound must be a natural number")
     pool, complete = representable_pool(g, bound, max_points)
     table = PointTable(g)
-    elements = enumerate_elements(g, pool, bound, table)
-    ids = [table.intern(x) for x in pool]
-    index = dict(zip(pool, ids))
-    orbits = {i: table.orbit(i, bound) for i in ids}
+    rows, orbits = _element_rows(table, pool, bound)
     head, cons = table.head, table.cons
     # the first min(length, bound) edges of each pool point
-    heads = {i: tuple(head[z] for z in orbits[i][:-1]) for i in ids}
+    heads = [tuple(head[z] for z in orbit[:-1]) for orbit in orbits]
     violations: list[str] = []
 
     # Germ enumeration: nu is forced to be a prefix of x, and a germ whose
@@ -225,14 +226,14 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     # tail, depends on (alpha, |mu|) only and is walked once here.
     by_tail: dict[int, list[tuple[int, int, int]]] = {}
     images: dict[tuple[int, int], int] = {}
-    for alpha in ids:
-        for mlen, z in enumerate(orbits[alpha]):
+    for alpha, orbit in enumerate(orbits):
+        for mlen, z in enumerate(orbit):
             image = z
             for e in reversed(heads[alpha][:mlen]):
                 image = cons(e, image)
             images[alpha, mlen] = image
             by_tail.setdefault(z, []).append((alpha, mlen, image))
-    image_ok = all(alpha == image for (alpha, _), image in images.items())
+    image_ok = all(orbits[alpha][0] == image for (alpha, _), image in images.items())
 
     # One pass over the germs, anchor by anchor, builds the classes
     # (anchor, cocycle, alpha) and runs germ_equivalent's rule on ids.  The
@@ -241,14 +242,14 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     # (or winding) can tell apart, because they share an image, must
     # disagree; at an isolated anchor so must two that only the image can
     # tell apart, because they share a cocycle.  Other pairs differ in both.
-    isolated = {index[x]: len(x.period) for x in pool if is_isolated(g, x)}
+    isolated = {a: len(x.period) for a, x in enumerate(pool) if is_isolated(g, x)}
     classes: set[tuple[int, int, int]] = set()
     germ_count = 0
     agree_ok = True
-    for x in ids:
+    for x, orbit in enumerate(orbits):
         period = isolated.get(x)
         first: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        for nlen, z in enumerate(orbits[x]):
+        for nlen, z in enumerate(orbit):
             tails = by_tail[z]
             germ_count += len(tails)
             for alpha, mlen, image in tails:
@@ -278,13 +279,12 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     # memoised image of (x, m).
     element_keys = set()
     phi_ok = True
-    for e in elements:
-        x, y = index[e.x], index[e.y]
-        element_keys.add((y, e.k, x))
+    for x, k, y, m, n in rows:
+        element_keys.add((y, k, x))
         if phi_ok:
-            meets = orbits[x][e.m : e.m + 1] == orbits[y][e.n : e.n + 1]
-            image = images.get((x, e.m)) if meets else None
-            phi_ok = (y, e.m - e.n, image) == (y, e.k, x)
+            meets = orbits[x][m : m + 1] == orbits[y][n : n + 1]
+            image = images.get((x, m)) if meets else None
+            phi_ok = (y, m - n, image) == (y, k, orbits[x][0])
     bijection_ok = element_keys == classes and phi_ok
     for key in sorted(classes - element_keys)[:5]:
         violations.append(f"germ class without matching element: cocycle {key[1]}")
@@ -307,7 +307,7 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
         bound=bound,
         pool_size=len(pool),
         pool_complete=complete,
-        element_count=len(elements),
+        element_count=len(rows),
         class_count=len(classes),
         germ_count=germ_count,
         bijection_ok=bijection_ok,

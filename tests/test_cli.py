@@ -460,6 +460,36 @@ def test_phi_check_negative_bound_exits_2(files, capsys):
     assert _one_error_line(captured.err)
 
 
+@pytest.mark.parametrize(
+    "bound, text",
+    [
+        ("100000", "the pool has 10000200001 germs up to the bound"),
+        ("1000000000000", "the shift orbits up to the bound hold 1000000000001 points"),
+    ],
+    ids=["germs", "orbit points"],
+)
+def test_phi_check_over_the_census_limit_exits_2_at_once(bound, text, files):
+    """On the lone loop, 10^10 germs or 10^12 orbit points are counted, not
+    walked: a fresh interpreter exits 2 in under a second, naming the count
+    and the limit."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "oeg.cli", "weyl", "phi-check", files["Floop"], "--bound", bound],
+        capture_output=True, text=True, env=_src_env(), timeout=5,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {text}, over the census limit of 1000000\n"
+
+
+def test_phi_check_prints_its_report(files, capsys):
+    code, out = run(capsys, "weyl", "phi-check", files["F1"], "--bound", "3")
+    assert code == 0
+    assert out == (
+        "bound: 3\npoolSize: 2\npoolComplete: True\nelements: 14\nclasses: 14\ngerms: 32\nok: True\nviolations: []\n"
+    )
+
+
 # an integer token longer than the 4300 digits Python's int() converts
 _HUGE = "9" * 5000
 

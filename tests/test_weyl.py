@@ -5,9 +5,9 @@ import itertools
 import pytest
 
 from conftest import pt
-from oeg.boundary import boundary_census, drop_edges, is_isolated, prefix_path
-from oeg.errors import CompositionError, InputError
-from oeg.groupoid import GroupoidElement, enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
+from oeg.boundary import CENSUS_LIMIT, boundary_census, drop_edges, is_isolated, prefix_path
+from oeg.errors import CompositionError, InputError, UnsupportedScaleError
+from oeg.groupoid import enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
 from oeg.weyl import (
     Germ,
     germ_apply,
@@ -209,29 +209,53 @@ def test_phi_check_rejects_negative_bound(f1):
     assert phi_bijectivity_check(f1, 0).ok
 
 
+def test_phi_check_refuses_a_pool_over_the_census_limit(floop):
+    """On the lone loop the one point's orbit has bound + 1 ids, each
+    meeting all of them: the germs are counted before they are walked, and
+    the refusal names the count and the limit."""
+    text = "the pool has 1002001 germs up to the bound, over the census limit of 1000000"
+    with pytest.raises(UnsupportedScaleError, match=f"^{text}$"):
+        phi_bijectivity_check(floop, 1000)
+    with pytest.raises(UnsupportedScaleError, match=f"^{text}$"):
+        enumerate_elements(floop, list(boundary_census(floop).points), 1000)
+    assert phi_bijectivity_check(floop, 999).germ_count == CENSUS_LIMIT
+
+
+def test_phi_check_counts_finite_orbits_by_length(g0):
+    """A finite point's orbit stops at its end, so a huge bound over the
+    lone vertex's one empty path is one orbit point and one germ."""
+    rep = phi_bijectivity_check(g0, 10**12)
+    assert rep.ok and (rep.element_count, rep.germ_count) == (1, 1)
+
+
 def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
     """Each comparison of the id-based check still fails on bad input: a
-    lost element, an element whose witness sends phi to another class, and
+    lost element row, a row whose witness sends phi to another class, and
     an id-level germ comparison that disagrees with the class keys."""
     import oeg.weyl as weyl
 
-    real = weyl.enumerate_elements
-    lost = real(f1, list(boundary_census(f1).points), 3)[0]
-    monkeypatch.setattr(weyl, "enumerate_elements", lambda *a: real(*a)[1:])
+    real = weyl._element_rows
+    lost = enumerate_elements(f1, list(boundary_census(f1).points), 3)[0]
+
+    def lose_first(*a):
+        rows, orbits = real(*a)
+        return rows[1:], orbits
+
+    monkeypatch.setattr(weyl, "_element_rows", lose_first)
     rep = phi_bijectivity_check(f1, 3)
     assert not rep.bijection_ok
     assert rep.violations == [f"germ class without matching element: cocycle {lost.k}"]
 
     def off_by_one(*a):
-        e, *rest = real(*a)
-        return [GroupoidElement(e.x, e.k, e.y, e.m + 1, e.n), *rest]
+        ((x, k, y, m, n), *rest), orbits = real(*a)
+        return [(x, k, y, m + 1, n), *rest], orbits
 
-    monkeypatch.setattr(weyl, "enumerate_elements", off_by_one)
+    monkeypatch.setattr(weyl, "_element_rows", off_by_one)
     rep = phi_bijectivity_check(f1, 3)
     assert not rep.bijection_ok
     assert rep.violations == ["phi lands outside the expected class"]
 
-    monkeypatch.setattr(weyl, "enumerate_elements", real)
+    monkeypatch.setattr(weyl, "_element_rows", real)
     monkeypatch.setattr(weyl, "_germs_agree", lambda *a: True)
     rep = phi_bijectivity_check(f1, 3)
     assert rep.bijection_ok and not rep.equivalence_ok
