@@ -72,14 +72,19 @@ def canonicalize(
     rotated) period.  Finite data whose range vertex is regular is rejected:
     it does not denote a boundary path.
     """
-    pre = tuple(g.check_edge(e) for e in pre)
-    period = tuple(g.check_edge(e) for e in period)
-    g.check_vertex(src)
-    here = src
+    pre, period = tuple(pre), tuple(period)
+    # One pass checks every edge's index; a break in the path is raised
+    # after them and after the source, as separate passes would.
+    classes, here, joined = g._by_id, src, True
     for e in pre + period:
-        if g.edge_src(e) != here:
-            raise InputError("edges do not form a path")
-        here = g.edge_dst(e)
+        c = classes.get(e.cls) or g.cls(e.cls)  # g.cls names an unknown class
+        if e.idx < 0 or e.idx >= c.mult:
+            raise InputError(f"edge index {e.idx} out of range for class {e.cls!r}")
+        joined = joined and c.src == here
+        here = c.dst
+    g.check_vertex(src)
+    if not joined:
+        raise InputError("edges do not form a path")
     if not period:
         if not is_singular(g, here):
             raise InputError(
@@ -116,13 +121,14 @@ def point_range(g: Graph, x: BoundaryPoint) -> str:
 
 
 def drop_edges(g: Graph, x: BoundaryPoint, n: int) -> BoundaryPoint:
-    """The point with its first ``n`` edges removed, recanonicalized."""
+    """The point with its first ``n`` edges removed.  The tail of a
+    canonical point is canonical, so it is returned as it stands."""
     if n > x.length:
         raise DomainError(f"cannot drop {n} edges from a point of length {x.length}")
     if n == 0:
         return x
     if n <= len(x.pre):
-        return _canonical(g, _vertex_after(g, x, n), x.pre[n:], x.period)
+        return BoundaryPoint(g.edge_dst(x.pre[n - 1]), x.pre[n:], x.period)
     r = (n - len(x.pre)) % len(x.period)
     rotated = x.period[r:] + x.period[:r]
     return BoundaryPoint(g.edge_src(rotated[0]), (), rotated)

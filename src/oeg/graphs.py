@@ -37,6 +37,13 @@ class Graph:
 
     Immutable after construction.  Vertex and class order is declaration
     order and is used for all deterministic output.
+
+    The constructor also derives the tables the point primitives read: each
+    class's ends, each vertex's out-classes and out-degree.  Each vertex's
+    out-edges are kept as one shared tuple of ``Edge`` objects once they
+    have been listed in full, so a class is never enumerated ahead of use.
+    These tables only cache what the vertices and classes determine; they
+    take no part in equality or hashing.
     """
 
     def __init__(self, vertices: Iterable[str], classes: Iterable[tuple] = ()):
@@ -57,8 +64,11 @@ class Graph:
         if len(self._by_id) != len(self.edge_classes):
             raise InputError("duplicate edge-class identifiers")
         self._out: dict[str, tuple[EdgeClass, ...]] = {v: () for v in self.vertices}
+        self._deg: dict[str, int | float] = dict.fromkeys(self.vertices, 0)
         for c in self.edge_classes:
             self._out[c.src] += (c,)
+            self._deg[c.src] += c.mult
+        self._edges: dict[str, tuple[Edge, ...]] = {}  # out_edges at inf_cap 1, once listed in full
 
     def __eq__(self, other) -> bool:
         return (
@@ -90,10 +100,16 @@ class Graph:
         return self._out[self.check_vertex(v)]
 
     def edge_src(self, e: Edge) -> str:
-        return self.cls(e.cls).src
+        try:
+            return self._by_id[e.cls].src
+        except KeyError:
+            raise InputError(f"unknown edge class {e.cls!r}") from None
 
     def edge_dst(self, e: Edge) -> str:
-        return self.cls(e.cls).dst
+        try:
+            return self._by_id[e.cls].dst
+        except KeyError:
+            raise InputError(f"unknown edge class {e.cls!r}") from None
 
     def check_edge(self, e: Edge) -> Edge:
         c = self.cls(e.cls)
@@ -111,15 +127,27 @@ class Graph:
         return self.check_edge(Edge(cid, idx))
 
     def out_degree(self, v: str) -> int | float:
-        return sum(c.mult for c in self.out_classes(v)) if self.out_classes(v) else 0
+        try:
+            return self._deg[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v!r}") from None
 
     def out_edges(self, v: str, inf_cap: int = 1) -> Iterator[Edge]:
         """All edges out of ``v``; infinite classes contribute ``inf_cap``
-        representatives (indices 0..inf_cap-1)."""
+        representatives (indices 0..inf_cap-1).  At ``inf_cap`` 1 every call
+        after the first full listing hands out the same ``Edge`` objects."""
+        edges = self._edges.get(v) if inf_cap == 1 else None
+        return self._list_out_edges(v, inf_cap) if edges is None else iter(edges)
+
+    def _list_out_edges(self, v: str, inf_cap: int) -> Iterator[Edge]:
+        # lazy, so that taking the first edge of a huge class costs one edge
+        listed = []
         for c in self.out_classes(v):
-            n = inf_cap if c.is_infinite else c.mult
-            for i in range(n):
-                yield Edge(c.cid, i)
+            for i in range(inf_cap if c.is_infinite else c.mult):
+                listed.append(e := Edge(c.cid, i))
+                yield e
+        if inf_cap == 1:
+            self._edges.setdefault(v, tuple(listed))
 
     # -- paths -------------------------------------------------------------
 
@@ -230,8 +258,16 @@ def _primitive_walks(g: Graph, max_len: int) -> Iterator[tuple[Edge, ...]]:
     """The primitive closed walks of length <= max_len (length 1 always) in
     lexicographic order: a depth-first search with an explicit stack that
     takes out-edges in ``Edge`` order, the index-0 edge of an infinite
-    class.  Across vertices the order is global, by first edge."""
-    steps = {v: sorted((e, g.edge_dst(e)) for e in g.out_edges(v)) for v in g.vertices}
+    class.  Across vertices the order is global, by first edge.  A closed
+    walk never leaves the strongly connected component it starts in, so the
+    steps between two components are dropped."""
+    from .digraphs import condensation  # digraphs imports this module
+
+    comp = dict(zip(g.vertices, condensation(g).comp))
+    steps = {
+        v: sorted((e, w) for e in g.out_edges(v) if comp[w := g.edge_dst(e)] == comp[v])
+        for v in g.vertices
+    }
     walk: list[Edge] = []
     stack = [iter(sorted(p for s in steps.values() for p in s))]
     while stack:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import functools
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pt, small_graph_st
+from point_oracle import reference_canonicalize, reference_drop_edges, reference_out_degree
 from sample_oracle import reference_bounded_points
 from sampling import random_cylinders, random_graph, sample_points
 from oeg.boundary import (
@@ -35,7 +38,7 @@ from oeg.boundary import (
     tail_key,
 )
 from oeg.digraphs import condensation
-from oeg.errors import InputError, UnsupportedScaleError
+from oeg.errors import DomainError, InputError, UnsupportedScaleError
 from oeg.graphs import Edge, EdgeClass, Graph, enumerate_simple_loops, loop_has_exit
 from oeg.pointtable import PointTable
 from oeg.zoo import amplified_arrow_loop, full_shift_two, iter_small_graphs
@@ -301,29 +304,49 @@ def test_bounded_points_matches_the_reference_sample():
 
 
 _DENSE_SAMPLE = """
-import json, time
+import json, sys, time
 from oeg.boundary import bounded_points, point_sort_key
 from oeg.graphs import Graph
 V = [f"v{i}" for i in range(8)]
-g = Graph(V, [(f"e{i}_{j}", V[i], V[j], 2) for i in range(8) for j in range(8)])
+classes = [(f"e{i}_{j}", V[i], V[j], 2) for i in range(8) for j in range(8)]
+if sys.argv[1] == "fed":  # a vertex a with one edge a0 into the dense part, no way back
+    V, classes = ["a"] + V, [("a0", "a", "v0", 1)] + classes
+g = Graph(V, classes)
 start = time.perf_counter()
-pts = bounded_points(g, 1, 6, limit=24)
+pts = bounded_points(g, 1, int(sys.argv[2]), limit=24)
 took = time.perf_counter() - start
 print(json.dumps([took, len(pts), pts == sorted(pts, key=point_sort_key), max(len(x.pre) + len(x.period) for x in pts)]))
 """
 
 
+def _dense_sample(shape: str, per_len: int):
+    """Run the dense sample in a child process, so that a full listing
+    times out instead of hanging."""
+    from test_cli import _src_env
+
+    args = [sys.executable, "-c", _DENSE_SAMPLE, shape, str(per_len)]
+    proc = subprocess.run(args, capture_output=True, text=True, env=_src_env(), timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_bounded_points_stop_at_the_limit_on_a_dense_graph():
     """The complete 8-vertex digraph with every class doubled has about 16^L
     closed walks of length L.  A sample of 24 points with periods up to 6
-    must not list them: it takes well under 0.5 s.  It runs in a child
-    process, so that a full listing times out instead of hanging."""
-    from test_cli import _src_env
-
-    proc = subprocess.run([sys.executable, "-c", _DENSE_SAMPLE], capture_output=True, text=True, env=_src_env(), timeout=5)
-    assert proc.returncode == 0, proc.stderr
-    took, count, ordered, longest = json.loads(proc.stdout)
+    must not list them: it takes well under 0.5 s."""
+    took, count, ordered, longest = _dense_sample("bare", 6)
     assert took < 0.5 and count == 24 and ordered and longest <= 7
+
+
+@pytest.mark.parametrize("per_len", [6, 8])
+def test_bounded_points_walk_inside_one_component(per_len):
+    """The same sample with a feeding edge ``a0``, which sorts first.  No
+    closed walk starts along it, since it leaves its vertex's strongly
+    connected component for good.  A walk that followed it anyway would
+    list every path of length < ``per_len`` from ``v0`` first, about 16^7
+    of them at 8; the sample still takes well under 0.5 s."""
+    took, count, ordered, longest = _dense_sample("fed", per_len)
+    assert took < 0.5 and count == 24 and ordered and longest <= 1 + per_len
 
 
 def test_raw_forms_denote_same_point_iff_canonical_equal(e1, e2):
@@ -598,3 +621,98 @@ def test_census_refuses_a_boundary_over_the_limit(graph, size):
         boundary_census(graph)
     assert time.perf_counter() - start < 1.0
     assert str(err.value) == f"the boundary has {size} points, over the census limit of {CENSUS_LIMIT} points"
+
+
+def _outcome(f, *args):
+    """The value of a call, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except (InputError, DomainError) as err:
+        return type(err), str(err)
+
+
+@functools.cache
+def _oracle_graphs() -> tuple[Graph, ...]:
+    """The pool, and graphs with infinite classes."""
+    rng = random.Random(16)
+    more = [random_graph(rng, max_vertices=4, max_mult=3, edge_prob=0.5, inf_prob=0.3) for _ in range(60)]
+    return (*iter_small_graphs(3, 2), amplified_arrow_loop(), *more)
+
+
+def test_point_primitives_match_the_oracle_on_valid_points():
+    """``canonicalize``, ``drop_edges`` and ``out_degree`` give the oracle's
+    answers on the sampled points and the census of every pool graph and
+    on pumped raw forms of them.  Every number of edges is dropped up to a
+    whole turn of the period, and one past the end of a finite point."""
+    for g in _oracle_graphs():
+        for v in g.vertices:
+            assert g.out_degree(v) == reference_out_degree(g, v)
+        census = boundary_census(g).points
+        for x in bounded_points(g, 1, 3, limit=18) + list(census):
+            raw = (x.src, x.pre + x.period, x.period * 2)
+            assert canonicalize(g, *raw) == reference_canonicalize(g, *raw) == x
+            assert canonicalize(g, x.src, x.pre, x.period) == reference_canonicalize(g, x.src, x.pre, x.period) == x
+            for n in range(len(x.pre) + len(x.period) + 1):
+                assert drop_edges(g, x, n) == reference_drop_edges(g, x, n)
+            if x.is_finite:
+                past = len(x.pre) + 1
+                assert _outcome(drop_edges, g, x, past) == _outcome(reference_drop_edges, g, x, past)
+
+
+def test_canonicalize_raises_as_the_oracle(e1):
+    """Raw point data with one fault or several raises the oracle's error.
+    The inputs mix valid edges, unknown classes, negative indices, indices
+    past the multiplicity and an unknown source at random, so they hold
+    broken paths, open periods and finite paths to regular vertices too;
+    every edge index is checked before the source, and the source before
+    the path."""
+    rng = random.Random(161)
+    cases = [
+        (e1, "u", (Edge("b", 0), Edge("a", 5)), ()),  # broken, then an index past the class
+        (e1, "nowhere", (Edge("a", -1),), ()),  # unknown source, negative index
+        (e1, "nowhere", (Edge("b", 0), Edge("a", 0)), ()),  # unknown source, broken
+        (e1, "u", (Edge("b", 0),), (Edge("zz", 0),)),  # broken, unknown class
+        (e1, "u", (Edge("a", 0), Edge("b", 1)), (Edge("a", 0),)),  # index past the class, open period
+        (e1, "u", (), (Edge("a", 0),)),  # open period
+        (e1, "u", (), ()),  # regular range
+    ]
+    for g in _oracle_graphs():
+        palette = [Edge("zz", 0)] + [
+            Edge(c.cid, i) for c in g.edge_classes for i in (-1, 0, 1, 7 if c.is_infinite else c.mult)
+        ]
+        sources = list(g.vertices) + ["nowhere"]
+        for _ in range(12):
+            pre = tuple(rng.choices(palette, k=rng.randint(0, 3)))
+            period = tuple(rng.choices(palette, k=rng.randint(0, 2)))
+            cases.append((g, rng.choice(sources), pre, period))
+    messages = set()
+    for g, src, pre, period in cases:
+        got = _outcome(canonicalize, g, src, pre, period)
+        assert got == _outcome(reference_canonicalize, g, src, pre, period)
+        if not isinstance(got, BoundaryPoint):
+            messages.add(got[1])
+    faults = [
+        "unknown edge class",
+        "edge index -",
+        "edge index [0-9]",
+        "unknown vertex",
+        "edges do not form a path",
+        "period does not close",
+        "not a boundary path",
+    ]
+    assert all(any(re.match(f, m) for m in messages) for f in faults)
+
+
+def test_census_shares_edge_objects():
+    """The census of a 200-vertex chain holds 199 ``Edge`` objects in all,
+    one per edge, though its 200 points hold 19,900 edges; repeated
+    ``out_edges`` calls hand out the same objects."""
+    verts = [f"v{i}" for i in range(200)]
+    g = Graph(verts, [(f"e{i}", verts[i], verts[i + 1], 1) for i in range(199)])
+    points = boundary_census(g).points
+    assert len(points) == 200 and sum(len(x.pre) for x in points) == 199 * 200 // 2
+    assert len({id(e) for x in points for e in x.pre}) == 199
+    two = Graph(["u", "v"], [("a", "u", "v", 2), ("b", "u", "u", 1)])
+    first, second = list(two.out_edges("u")), list(two.out_edges("u"))
+    assert first == [Edge("a", 0), Edge("a", 1), Edge("b", 0)]
+    assert all(e is f for e, f in zip(first, second, strict=True))

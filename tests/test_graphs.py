@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +212,29 @@ def test_graph_validation():
     with pytest.raises(InputError):
         g.check_edge(Edge("a", 2))
     g.check_edge(Edge("b", 10**6))
+
+
+_HUGE_CLASS = """
+import json
+from oeg.graphs import Edge, Graph, vertex_kind
+g = Graph(["u", "v"], [("a", "u", "v", 10**12)])
+e = next(g.out_edges("u"))
+print(json.dumps([g.out_degree("u") == 10**12, e == Edge("a", 0), vertex_kind(g, "u"), vertex_kind(g, "v")]))
+"""
+
+
+def test_huge_classes_stay_lazy():
+    """A class of 10^12 parallel edges is never listed ahead of use: the
+    graph builds, knows its out-degree and hands out its first edge at once.
+    It runs in a child process, so that a listing times out instead of
+    hanging."""
+    from test_cli import _src_env
+
+    proc = subprocess.run([sys.executable, "-c", _HUGE_CLASS], capture_output=True, text=True, env=_src_env(), timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, True, "regular", "sink"]
+    with pytest.raises(InputError, match="unknown vertex 'w'"):
+        Graph(["u"]).out_degree("w")
 
 
 def test_empty_graph_degenerates_cleanly():
