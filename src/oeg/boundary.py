@@ -480,19 +480,6 @@ def check_listable(classes: Iterable[EdgeClass], inf_cap: int = 0) -> None:
         )
 
 
-def _loop_exit_witness(g: Graph, cond) -> str | None:
-    """A loop with an exit, named, or None; ``cond`` is the condensation.
-
-    Such a loop pumps out infinitely many distinct points, and it exists iff
-    some cycle passes through a vertex of out-degree >= 2.  The loop is
-    traced through the first such vertex in declaration order."""
-    for i, v in enumerate(g.vertices):
-        if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
-            text = ".".join(e.cls for e in _cycle_through(g, v).edges)
-            return f"loop {text} has an exit"
-    return None
-
-
 def _census_size(g: Graph, cond) -> int:
     """The number of points of a finite boundary, counted without listing
     them.  A sink, or a vertex on a cycle (which has no exit here), starts
@@ -535,33 +522,43 @@ def _cycle_through(g: Graph, u: str) -> Path:
         frontier = nxt
 
 
-def boundary_census(g: Graph) -> CensusResult:
-    """The complete list of boundary paths when the space is finite, or a
-    witness explaining why it is infinite.
+def boundary_size(g: Graph) -> int | str:
+    """The number of points of a finite boundary, or the reason why it is
+    infinite, found without listing a point.  A finite boundary of more than
+    ``CENSUS_LIMIT`` points raises :class:`UnsupportedScaleError`.
 
     The space is finite iff the graph has no infinite class and no loop with
-    an exit; then every vertex on a cycle has a single out-edge, so the walks
-    below branch only off cycles and terminate.  A finite space of more than
-    ``CENSUS_LIMIT`` points is counted first and refused with an
-    :class:`UnsupportedScaleError` instead of listed.
-    """
+    an exit.  Only a vertex of out-degree >= 2 can close a loop with an exit
+    or start more than one point, so without one each vertex starts one."""
     for c in g.edge_classes:
         if c.is_infinite:
-            return CensusResult(False, (), f"infinite parallel class {c.cid!r}")
-    # Only a vertex of out-degree >= 2 can close a loop with an exit or start
-    # more than one point, so graphs without one skip both passes.
-    if any(g.out_degree(v) >= 2 for v in g.vertices):
-        from .digraphs import condensation  # loaded on use: graphs without a branching vertex never need it
+            return f"infinite parallel class {c.cid!r}"
+    if not any(g.out_degree(v) >= 2 for v in g.vertices):
+        return len(g.vertices)
+    from .digraphs import condensation  # loaded on use: graphs without a branching vertex never need it
 
-        cond = condensation(g)
-        witness = _loop_exit_witness(g, cond)
-        if witness is not None:
-            return CensusResult(False, (), witness)
-        size = _census_size(g, cond)
-        if size > CENSUS_LIMIT:
-            raise UnsupportedScaleError(
-                f"the boundary has {_count_text(size)} points, over the census limit of {CENSUS_LIMIT} points"
-            )
+    cond = condensation(g)
+    # a loop with an exit exists iff a cycle passes through a vertex of
+    # out-degree >= 2; it is traced through the first in declaration order
+    for i, v in enumerate(g.vertices):
+        if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
+            return f"loop {'.'.join(e.cls for e in _cycle_through(g, v).edges)} has an exit"
+    size = _census_size(g, cond)
+    if size > CENSUS_LIMIT:
+        raise UnsupportedScaleError(
+            f"the boundary has {_count_text(size)} points, over the census limit of {CENSUS_LIMIT} points"
+        )
+    return size
+
+
+def boundary_census(g: Graph) -> CensusResult:
+    """The complete list of boundary paths when :func:`boundary_size` finds
+    the space finite, or the reason why it is infinite.  On a finite space
+    every vertex on a cycle has a single out-edge, so the walks below branch
+    only off cycles and terminate."""
+    size = boundary_size(g)
+    if isinstance(size, str):
+        return CensusResult(False, (), size)
     points: set[BoundaryPoint] = set()
 
     def walk(v0: str, chain: list[str], edges: list[Edge]):

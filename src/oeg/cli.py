@@ -235,12 +235,11 @@ def _run(args) -> int:
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
         w = dsl.parse_witness(E, F, _read_text(args.witness))
-        census_e, census_f = dynamics.require_finite_census(E), dynamics.require_finite_census(F)
-        report = dynamics._verify(w, census_e, census_f)
+        report = dynamics.verify_oe_witness(w)
         if not report.ok:
             _emit({"ok": False, "failures": report.failures}, as_json, report.failures)
             return EXIT_NO
-        tables = dynamics._extend_cocycles(w, args.n, (census_e, census_f))
+        tables = dynamics.extend_cocycles(w, args.n)
         payload = {
             "n": args.n,
             "k": dsl.table_json(E, tables.k),
@@ -266,12 +265,11 @@ def _run(args) -> int:
         E = _load_graph(args.graph_e).graph
         F = _load_graph(args.graph_f).graph
         w = dsl.parse_witness(E, F, _read_text(args.witness))
-        census_e, census_f = dynamics.require_finite_census(E), dynamics.require_finite_census(F)
-        if not dynamics._verify(w, census_e, census_f).ok:
+        if not dynamics.verify_oe_witness(w).ok:
             _emit({"ok": False}, as_json, ["witness does not verify"])
             return EXIT_NO
         el = dsl.parse_element(E, _read_text(args.element))
-        out = dynamics._conjugate(w, el, census_e)
+        out = dynamics.conjugate_pseudogroup(w, el)
         _emit(dsl.element_to_json(F, out), True)
         return EXIT_OK
 

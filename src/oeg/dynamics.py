@@ -4,9 +4,10 @@ An orbit-equivalence witness between two graphs with finite boundary spaces
 is a bijection of the spaces together with four natural-valued cocycle
 tables making the shifts intertwine up to shifting delays.  On finite
 (hence discrete) spaces every function is continuous, so verification is a
-pointwise check.  Orbit equivalence of such graphs is decided by comparing
-the sizes of their tail classes, and the witness is built from that pairing
-directly.
+pointwise check.  A table is total when its keys are canonical boundary
+points, as many as the boundary has, so no check lists a boundary.  Orbit
+equivalence of such graphs is decided by comparing the sizes of their tail
+classes, and the witness is built from that pairing directly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .boundary import (
     BoundaryPoint,
     CylinderSet,
     boundary_census,
+    boundary_size,
+    canonicalize,
+    check_listable,
     drop_edges,
     exponent_product,
     isolating_cylinder,
@@ -27,15 +31,25 @@ from .boundary import (
 )
 from .dsl import print_point
 from .errors import InputError, UnsupportedScaleError
-from .graphs import Graph, enumerate_simple_loops
+from .graphs import Edge, Graph
 
 
 def fixed_points(g: Graph) -> list[BoundaryPoint]:
     """Shift-fixed representable points.  A boundary path equals its own
     shift exactly when it repeats a single loop edge forever, so these are
-    the loops of length 1; an infinite loop class contributes its index-0
-    representative."""
-    return [BoundaryPoint(l.src, (), l.edges) for l in enumerate_simple_loops(g, 1)]
+    the loop edges, in ``Edge`` order; an infinite loop class contributes
+    its index-0 edge."""
+    check_listable(g.edge_classes, inf_cap=1)
+    loops = sorted((c for c in g.edge_classes if c.src == c.dst), key=lambda c: c.cid)
+    return [BoundaryPoint(c.src, (), (Edge(c.cid, i),)) for c in loops for i in range(1 if c.is_infinite else c.mult)]
+
+
+def _finite_size(g: Graph) -> int:
+    """The point count of a finite boundary; an infinite one is refused."""
+    size = boundary_size(g)
+    if isinstance(size, str):
+        raise UnsupportedScaleError(f"the boundary space is infinite ({size})")
+    return size
 
 
 def require_finite_census(g: Graph) -> tuple[BoundaryPoint, ...]:
@@ -49,7 +63,7 @@ def require_finite_census(g: Graph) -> tuple[BoundaryPoint, ...]:
 
 class OrbitWitness(NamedTuple):
     """Candidate orbit-equivalence data between graphs ``E`` and ``F``:
-    a bijection table ``h`` on the full boundary censuses and cocycle tables
+    a bijection table ``h`` of the boundaries and cocycle tables
     ``k1, l1`` (on E-points of length >= 1) and ``k1p, l1p`` (on F-points)."""
 
     E: Graph
@@ -97,14 +111,22 @@ def _identity_failures(
     return failures
 
 
-def _checked_census(
-    w: OrbitWitness, census: tuple[BoundaryPoint, ...], names: tuple[str, str, str] = ("h", "k1", "l1")
-) -> tuple[BoundaryPoint, ...]:
-    """The given census of ``w.E``, once ``h`` is checked to be total on it
-    and ``k1``, ``l1`` to be total and natural-valued on its points of
-    length >= 1.  ``names`` calls the three tables in error messages."""
+def _is_point(g: Graph, x: BoundaryPoint) -> bool:
+    """Whether ``x`` is a boundary point of ``g`` in canonical form."""
+    try:
+        return canonicalize(g, x.src, x.pre, x.period) == x
+    except InputError:
+        return False
+
+
+def _check_tables(w: OrbitWitness, size: int, names: tuple[str, str, str] = ("h", "k1", "l1")) -> None:
+    """Check ``h`` to be total on the boundary of ``w.E``, which has
+    ``size`` points: dict keys are distinct, so ``size`` canonical points
+    are all of them.  Then check ``k1`` and ``l1`` to be total and
+    natural-valued on its keys of length >= 1.  ``names`` calls the three
+    tables in error messages."""
     h, k1, l1 = names
-    if len(w.h) != len(census) or not all(map(w.h.__contains__, census)):
+    if len(w.h) != size or not all(_is_point(w.E, x) for x in w.h):
         raise InputError(f"{h} is not total on the boundary of its source graph")
     ge1 = [x for x in w.h if x.length >= 1]  # tables built alongside h share its key objects
     for table, name in ((w.k1, k1), (w.l1, l1)):
@@ -112,7 +134,6 @@ def _checked_census(
             raise InputError(f"table {name} is not total on the length->=1 points")
         if min(table.values(), default=0) < 0:
             raise InputError(f"table {name} must take natural values")
-    return census
 
 
 def _halves(w: OrbitWitness) -> tuple[tuple[str, OrbitWitness, tuple[str, str, str]], ...]:
@@ -122,22 +143,16 @@ def _halves(w: OrbitWitness) -> tuple[tuple[str, OrbitWitness, tuple[str, str, s
 
 
 def verify_oe_witness(w: OrbitWitness) -> WitnessReport:
-    """Check every defining identity of an orbit-equivalence witness on all
-    census points, reporting each failure."""
-    return _verify(w, require_finite_census(w.E), require_finite_census(w.F))
-
-
-def _verify(
-    w: OrbitWitness, census_e: tuple[BoundaryPoint, ...], census_f: tuple[BoundaryPoint, ...]
-) -> WitnessReport:
-    """:func:`verify_oe_witness` against the given censuses of ``w.E`` and
-    ``w.F``."""
+    """Check every defining identity of an orbit-equivalence witness at all
+    boundary points, reporting each failure.  Both boundaries are counted
+    before either table is checked against its count."""
+    sizes = _finite_size(w.E), _finite_size(w.F)
     halves = _halves(w)
-    for (_, v, names), census in zip(halves, (census_e, census_f)):
-        _checked_census(v, census, names)
-    if len(census_e) != len(census_f):  # h is total on E and onto F: injective iff the sizes agree
+    for (_, v, names), size in zip(halves, sizes):
+        _check_tables(v, size, names)
+    if sizes[0] != sizes[1]:  # h is total on E and onto F: injective iff the sizes agree
         raise InputError("h is not a bijection onto the boundary of F")
-    # the gates made k1's keys the census points of length >= 1
+    # the gates made k1's keys the boundary points of length >= 1
     failures = [
         f
         for side, v, _ in halves
@@ -154,9 +169,9 @@ class CocycleTables(NamedTuple):
     lp: dict[BoundaryPoint, int]
 
 
-def _degree(w: OrbitWitness, census: tuple[BoundaryPoint, ...], n: int) -> dict[BoundaryPoint, tuple[int, int]]:
-    """The degree-``n`` cocycle pairs ``(l, k)`` of a witness gated against
-    the census of ``w.E``: the unit ``(0, 0)`` on every census point at
+def _degree(w: OrbitWitness, n: int) -> dict[BoundaryPoint, tuple[int, int]]:
+    """The degree-``n`` cocycle pairs ``(l, k)`` of a gated witness: the
+    unit ``(0, 0)`` on every boundary point (every key of ``h``) at
     degree 0, ``(l1, k1)`` at degree 1, and on the points of length >= n
 
         (l, k)[a + b](x) = (l, k)[a](x) * (l, k)[b](sigma^a x)
@@ -164,7 +179,7 @@ def _degree(w: OrbitWitness, census: tuple[BoundaryPoint, ...], n: int) -> dict[
     with ``*`` the associative :func:`exponent_product`.  So degree ``n`` is
     reached by doubling, in at most two table products per bit of ``n``."""
     if n == 0:
-        return dict.fromkeys(census, (0, 0))
+        return dict.fromkeys(w.h, (0, 0))
     one = acc = {x: (w.l1[x], w.k1[x]) for x in w.k1}
     a = 1
     for bit in bin(n)[3:]:  # the bits after the leading one
@@ -178,18 +193,14 @@ def _degree(w: OrbitWitness, census: tuple[BoundaryPoint, ...], n: int) -> dict[
 
 def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
     """The degree-``n`` cocycle tables of a witness; the primed tables are
-    those of the inverse witness."""
-    return _extend_cocycles(w, n, map(require_finite_census, (w.E, w.F)))
-
-
-def _extend_cocycles(w: OrbitWitness, n: int, censuses: Iterable[tuple[BoundaryPoint, ...]]) -> CocycleTables:
-    """:func:`extend_cocycles` against the censuses of ``w.E`` and ``w.F``,
-    read in turn."""
+    those of the inverse witness.  Each direction's tables are gated, and
+    extended, before the other boundary is counted."""
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
     tables = []
-    for (_, v, names), census in zip(_halves(w), censuses):
-        pairs = _degree(v, _checked_census(v, census, names), n)
+    for _, v, names in _halves(w):
+        _check_tables(v, _finite_size(v.E), names)
+        pairs = _degree(v, n)
         tables += [{x: k for x, (_, k) in pairs.items()}, {x: l for x, (l, _) in pairs.items()}]
     return CocycleTables(n, *tables)
 
@@ -235,17 +246,13 @@ def shift_restriction(g: Graph, points: Iterable[BoundaryPoint]) -> PseudogroupE
 
 def verify_pseudogroup_element(p: PseudogroupElement) -> bool:
     """True iff alpha is injective and the shift-equalizer identity holds at
-    every domain point."""
-    return _verify_element(p, require_finite_census(p.graph))
-
-
-def _verify_element(p: PseudogroupElement, census: tuple[BoundaryPoint, ...]) -> bool:
-    """:func:`verify_pseudogroup_element` against the given census of
-    ``p.graph``, which every domain point and every image must lie in."""
+    every domain point.  The boundary of ``p.graph`` must be finite, and
+    every domain point and every image a boundary point of it in canonical
+    form."""
+    _finite_size(p.graph)
     if set(p.m) != set(p.alpha) or set(p.n) != set(p.alpha):
         raise InputError("exponent tables must share the domain of alpha")
-    points = set(census)
-    if not points.issuperset(p.alpha) or not points.issuperset(p.alpha.values()):
+    if not all(_is_point(p.graph, x) for x in (*p.alpha, *p.alpha.values())):
         raise InputError("alpha must map boundary points of its graph to boundary points")
     for table, name in ((p.m, "m"), (p.n, "n")):
         if min(table.values(), default=0) < 0:
@@ -285,16 +292,10 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
     """
     if p.graph is not w.E and p.graph != w.E:
         raise InputError("the element must live over the witness source graph")
-    return _conjugate(w, p, require_finite_census(w.E))
-
-
-def _conjugate(w: OrbitWitness, p: PseudogroupElement, census: tuple[BoundaryPoint, ...]) -> PseudogroupElement:
-    """:func:`conjugate_pseudogroup` against the given census of ``w.E``,
-    which ``p`` must live over."""
-    if not _verify_element(p, census):
+    if not verify_pseudogroup_element(p):
         raise InputError("not a valid pseudogroup element")
-    _checked_census(w, census)
-    degrees = {d: _degree(w, census, d) for d in {*p.m.values(), *p.n.values()}}
+    _check_tables(w, _finite_size(w.E))
+    degrees = {d: _degree(w, d) for d in {*p.m.values(), *p.n.values()}}
     alpha2: dict[BoundaryPoint, BoundaryPoint] = {}
     m2: dict[BoundaryPoint, int] = {}
     n2: dict[BoundaryPoint, int] = {}
@@ -381,7 +382,7 @@ def search_oe_witness(E: Graph, F: Graph) -> OrbitWitness | None:
         return None
     h = {x: y for ce, cf in zip(classes_e, classes_f) for x, y in zip(ce, cf)}
     w = OrbitWitness(E, F, h, *_delay_tables(E, F, h), *_delay_tables(F, E, {y: x for x, y in h.items()}))
-    report = _verify(w, census_e, census_f)
+    report = verify_oe_witness(w)
     if not report.ok:
         raise RuntimeError(f"constructed witness fails verification: {report.failures[0]}")
     return w
@@ -402,7 +403,7 @@ def conjugacy_witness(E: Graph, F: Graph, h: Mapping[BoundaryPoint, BoundaryPoin
     l tables 1.  A shift past the end of a point fails an identity, so they
     hold exactly when ``h`` and its inverse commute with the shift and keep
     the empty points apart from the others; the gate raises InputError when
-    ``h`` is not a bijection of the censuses."""
+    ``h`` is not a bijection of the boundaries."""
     h = dict(h)
     tables = [dict.fromkeys([x for x in side if x.length >= 1], d) for side in (h, h.values()) for d in (0, 1)]
     w = OrbitWitness(E, F, h, *tables)

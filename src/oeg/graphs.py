@@ -63,11 +63,14 @@ class Graph:
         self._by_id = {c.cid: c for c in self.edge_classes}
         if len(self._by_id) != len(self.edge_classes):
             raise InputError("duplicate edge-class identifiers")
-        self._out: dict[str, tuple[EdgeClass, ...]] = {v: () for v in self.vertices}
+        out: dict[str, list | tuple] = {v: [] for v in self.vertices}
         self._deg: dict[str, int | float] = dict.fromkeys(self.vertices, 0)
         for c in self.edge_classes:
-            self._out[c.src] += (c,)
+            out[c.src].append(c)
             self._deg[c.src] += c.mult
+        for v, cs in out.items():  # frozen in place: no second dict per graph
+            out[v] = tuple(cs)
+        self._out: dict[str, tuple[EdgeClass, ...]] = out
         self._edges: dict[str, tuple[Edge, ...]] = {}  # out_edges at inf_cap 1, once listed in full
 
     def __eq__(self, other) -> bool:

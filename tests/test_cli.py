@@ -247,27 +247,31 @@ def test_pseudo_commands(files, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, censuses",
     [
-        ["verify-oe", "E1", "F1", "W1"],
-        ["search-oe", "E1", "F1"],
-        ["extend-cocycles", "E1", "F1", "W1", "3"],
-        ["conjugate-pseudo", "E1", "F1", "W1", "el"],
+        pytest.param(argv, censuses, id=argv[0])
+        for argv, censuses in [
+            (["verify-oe", "E1", "F1", "W1"], 0),
+            (["search-oe", "E1", "F1"], 2),
+            (["extend-cocycles", "E1", "F1", "W1", "3"], 0),
+            (["verify-pseudo", "E1", "el"], 0),
+            (["conjugate-pseudo", "E1", "F1", "W1", "el"], 0),
+        ]
     ],
-    ids=lambda argv: argv[0],
 )
-def test_witness_commands_census_each_graph_once(argv, files, capsys, tmp_path, monkeypatch):
-    """A witness command censuses E and F once each, whatever library calls
-    it makes after the witness check."""
-    from oeg import dynamics
+def test_witness_commands_census_each_graph_once(argv, censuses, files, capsys, tmp_path, monkeypatch):
+    """A witness check counts the boundaries and lists no census, so only
+    ``search-oe`` censuses E and F, once each, to pair their points."""
+    from oeg import boundary, dynamics
 
     (tmp_path / "el.json").write_text(json.dumps(_IDENTITY_TO_THE_7))
     named = dict(files, el=str(tmp_path / "el.json"))
     calls = []
-    census = dynamics.boundary_census
-    monkeypatch.setattr(dynamics, "boundary_census", lambda g: calls.append(g) or census(g))
+    census = boundary.boundary_census
+    for module in (boundary, dynamics):
+        monkeypatch.setattr(module, "boundary_census", lambda g: calls.append(g) or census(g))
     code, _ = run(capsys, *(named.get(w, w) for w in argv))
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == censuses
 
 
 def test_input_errors(files, capsys):
@@ -345,15 +349,23 @@ _OVER_LIMIT = {
 }
 
 
-@pytest.mark.parametrize("command", ["census", "info", "search-oe"])
+@pytest.mark.parametrize("command", ["census", "info", "search-oe", "verify-oe"])
 @pytest.mark.parametrize("graph", sorted(_OVER_LIMIT))
 def test_census_over_the_limit_exits_2(command, graph, tmp_path, capsys):
     """A finite boundary too large to list exits 2 at once, naming its size
-    and the census limit, wherever a command needs the census."""
+    and the census limit, wherever a command needs the census or, as
+    ``verify-oe`` does, the count of the boundary's points."""
+    from oeg.dsl import parse_graph
+
     text, size = _OVER_LIMIT[graph]
     p = tmp_path / "big.graph"
     p.write_text(text)
-    argv = [command, str(p)] + ([str(p)] if command == "search-oe" else [])
+    argv = [command, str(p)] + ([str(p)] if command in ("search-oe", "verify-oe") else [])
+    if command == "verify-oe":
+        sink = "@" + parse_graph(text).graph.vertices[-1]
+        w = tmp_path / "one.json"
+        w.write_text(json.dumps({"h": [[sink, sink]], "k1": [], "l1": [], "k1p": [], "l1p": []}))
+        argv.append(str(w))
     start = time.perf_counter()
     code = main(argv)
     assert time.perf_counter() - start < 1.0

@@ -27,7 +27,7 @@ from oeg.dynamics import (
 )
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
 from oeg.graphs import Edge, Graph
-from oeg.zoo import arrow_into_loop, iter_small_graphs, lone_loop, lone_vertex, two_cycle
+from oeg.zoo import arrow_into_loop, full_shift_two, iter_small_graphs, lone_loop, lone_vertex, two_cycle
 
 
 def example_witness() -> OrbitWitness:
@@ -146,8 +146,8 @@ def test_partial_witness_is_an_input_error():
 
 
 def test_census_calls(monkeypatch):
-    """Each call censuses each graph at most once, and the extended identity
-    check not at all."""
+    """Only the search lists censuses, one of each graph, to pair their
+    points; the witness and pseudogroup checks count the boundaries."""
     from oeg import dynamics
 
     w = example_witness()
@@ -157,17 +157,101 @@ def test_census_calls(monkeypatch):
     calls = []
     census = dynamics.boundary_census
     monkeypatch.setattr(dynamics, "boundary_census", lambda g: calls.append(g) or census(g))
-    for run, most in (
-        (lambda: verify_oe_witness(w), 2),
+    for run, count in (
+        (lambda: verify_oe_witness(w), 0),
         (lambda: search_oe_witness(w.E, w.F), 2),
-        (lambda: extend_cocycles(w, 3), 2),
+        (lambda: extend_cocycles(w, 3), 0),
         (lambda: check_extended_identity(w, tables), 0),
-        (lambda: verify_pseudogroup_element(deep), 1),
-        (lambda: conjugate_pseudogroup(w, deep), 1),
+        (lambda: verify_pseudogroup_element(deep), 0),
+        (lambda: conjugate_pseudogroup(w, deep), 0),
     ):
         calls.clear()
         run()
-        assert len(calls) <= most
+        assert len(calls) == count
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (InputError, UnsupportedScaleError) as exc:
+        return type(exc), str(exc)
+
+
+def _mutated_maps(g: Graph, census: list[BoundaryPoint], foreign: list[BoundaryPoint]) -> dict[str, dict]:
+    """The identity map of a census and its mutations by name: a dropped
+    key, a map that is not injective, a non-canonical key or value (the
+    preperiod extended by the period's last edge), a point of another graph
+    and a finite path that ends at a regular vertex."""
+
+    def rekeyed(old, new):
+        return {(new if x == old else x): y for x, y in ident.items()}
+
+    ident = {x: x for x in census}
+    maps = {"identity": ident, "dropped key": {x: x for x in census[1:]}}
+    if len(census) > 1:
+        maps["not injective"] = {**ident, census[1]: census[0]}
+    x = next((x for x in census if x.period), None)
+    if x is not None:
+        raw = BoundaryPoint(x.src, x.pre + x.period[:1], x.period[1:] + x.period[:1])
+        maps["non-canonical key"] = rekeyed(x, raw)
+        maps["non-canonical value"] = {**ident, x: raw}
+    stranger = next((y for y in foreign if y not in ident), None)
+    if stranger is not None:
+        maps["foreign key"] = rekeyed(census[0], stranger)
+        maps["foreign value"] = {**ident, census[0]: stranger}
+    v = next((v for v in g.vertices if g.out_degree(v) >= 1), None)
+    if v is not None:
+        maps["regular end"] = rekeyed(census[0], BoundaryPoint(v, (), ()))
+    return maps
+
+
+def test_count_gates_match_the_census_gates_on_pool():
+    """The witness and pseudogroup gates that check points by the boundary's
+    count and their canonical forms give the verdicts, exception types and
+    messages of the old census-membership gates, on the identity witness and
+    element of every finite-boundary pool graph and their mutations."""
+    from witness_oracle import (
+        reference_conjugate_pseudogroup,
+        reference_extend_cocycles,
+        reference_verify_oe_witness,
+        reference_verify_pseudogroup_element,
+    )
+
+    pool = [(g, list(c.points)) for g in iter_small_graphs(3, 2) if (c := boundary_census(g)).finite]
+    assert len(pool) == 70
+    outcomes = 0
+    messages = set()
+    for i, (g, census) in enumerate(pool):
+        identity = conjugacy_witness(g, g, {x: x for x in census})
+        for name, h in _mutated_maps(g, census, pool[i - 1][1]).items():
+            tables = [dict.fromkeys([x for x in side if x.length >= 1], d) for side in (h, h.values()) for d in (0, 1)]
+            w = OrbitWitness(g, g, h, *tables)
+            el = PseudogroupElement(g, h, dict.fromkeys(h, 0), dict.fromkeys(h, 0))
+            # against an infinite F, the order of the count and the gates shows
+            infinite_f = w._replace(F=full_shift_two())
+            checks = [
+                (verify_oe_witness, reference_verify_oe_witness, (w,)),
+                (extend_cocycles, reference_extend_cocycles, (w, 0)),
+                (extend_cocycles, reference_extend_cocycles, (w, 2)),
+                (verify_oe_witness, reference_verify_oe_witness, (infinite_f,)),
+                (extend_cocycles, reference_extend_cocycles, (infinite_f, 2)),
+                (verify_pseudogroup_element, reference_verify_pseudogroup_element, (el,)),
+                (conjugate_pseudogroup, reference_conjugate_pseudogroup, (identity, el)),
+            ]
+            for f, reference, args in checks:
+                got = _outcome(f, *args)
+                assert got == _outcome(reference, *args), (g, name, f.__name__)
+                outcomes += 1
+                messages.add(got[1] if got[0] != "ok" else "ok")
+    assert outcomes > 1000
+    assert {
+        "ok",
+        "the boundary space is infinite (loop a11 has an exit)",
+        "h is not total on the boundary of its source graph",
+        "h^-1 is not total on the boundary of its source graph",
+        "alpha must map boundary points of its graph to boundary points",
+        "not a valid pseudogroup element",
+    } <= messages
 
 
 def test_unsupported_scale(e2, f1):
@@ -488,6 +572,17 @@ def test_conjugacy_examples(e1, f1):
         assert not verify_conjugacy(e1, f1, dict(zip(census_e, perm)))
     assert fixed_points(e1) == [pt(e1, "(b)*")]
     assert fixed_points(f1) == []
+
+
+def test_fixed_points_match_the_loop_search_on_pool():
+    """The closed form gives the loops of length 1 that the loop search
+    finds, in the same order, on every pool graph and on its copy with every
+    class made infinite."""
+    from oeg.graphs import INF, enumerate_simple_loops
+
+    for g in iter_small_graphs(3, 2):
+        for h in (g, Graph(g.vertices, [(c.cid, c.src, c.dst, INF) for c in g.edge_classes])):
+            assert fixed_points(h) == [BoundaryPoint(l.src, (), l.edges) for l in enumerate_simple_loops(h, 1)]
 
 
 def test_fixed_points_oracle_on_pool():

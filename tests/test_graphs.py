@@ -237,6 +237,29 @@ def test_huge_classes_stay_lazy():
         Graph(["u"]).out_degree("w")
 
 
+_MANY_CLASSES = """
+import time
+from oeg.graphs import Graph
+classes = [(f"a{i}", "u", "v", 1) for i in range(64000)]
+start = time.perf_counter()
+g = Graph(["u", "v"], classes)
+print(time.perf_counter() - start, len(g.out_classes("u")))
+"""
+
+
+def test_many_parallel_classes_build_in_linear_time():
+    """A vertex's out-classes are frozen once, so 64,000 classes out of one
+    vertex build in well under a second (a tuple grown class by class took
+    13 s on a 2-vCPU box).  It runs in a child process, so that a slow build
+    times out instead of hanging."""
+    from test_cli import _src_env
+
+    proc = subprocess.run([sys.executable, "-c", _MANY_CLASSES], capture_output=True, text=True, env=_src_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    seconds, count = proc.stdout.split()
+    assert count == "64000" and float(seconds) < 1.0
+
+
 def test_empty_graph_degenerates_cleanly():
     from oeg.boundary import boundary_census
     from oeg.invariants import det_invariant, invariant_report
