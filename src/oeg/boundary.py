@@ -397,57 +397,33 @@ def isolating_cylinder(g: Graph, x: BoundaryPoint) -> CylinderSet | None:
     return CylinderSet(g.path(x.pre + x.period, at=x.src), frozenset())
 
 
-def bounded_points(
-    g: Graph,
-    pre_len: int,
-    per_len: int,
-    inf_cap: int = 1,
-    limit: int | None = None,
-    prefix_budget: int | None = None,
-) -> list[BoundaryPoint]:
-    """A deterministic finite sample of representable points: finite points
-    whose path has length <= pre_len, then eventually periodic points with
-    preperiod <= pre_len whose period is a primitive closed walk of length
-    <= per_len, in :func:`point_sort_key` order and cut to ``limit``.
+def bounded_points(g: Graph, per_len: int, limit: int | None = None) -> list[BoundaryPoint]:
+    """A deterministic finite sample of representable points with
+    preperiods of at most one edge: the head, cut to ``limit``, of the
+    :func:`point_sort_key` order on the finite points of length <= 1 and the
+    eventually periodic points whose period is a primitive closed walk of
+    length <= per_len.  An infinite class gives its index-0 edge.
 
-    Prefix enumeration is breadth-first under a budget, so deep samples of
-    wide graphs stay cheap (and deterministic) instead of exhaustive.  The
-    periodic points are generated in order, so the work stops at ``limit``.
+    The finite points come first: the empty point at each singular vertex,
+    then each edge into one.  Then the empty-preperiod walks, then each
+    edge in ``Edge`` order with the walks at its range that do not end in
+    it.  The periodic points are generated in order, so the work stops at
+    ``limit``.
     """
-    if prefix_budget is None:
-        prefix_budget = 4000 if limit is None else max(200, 10 * limit)
-    check_listable(g.edge_classes, max(inf_cap, 1))
-    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=inf_cap)] for v in g.vertices}
-    # levels[d]: the (source, range, edges) of the length-d prefixes
-    levels: list[list[tuple[str, str, tuple[Edge, ...]]]] = []
-    level = [(v, v, ()) for v in g.vertices]
-    total = 0
-    for depth in range(pre_len + 1):
-        levels.append(level)
-        total += len(level)
-        if depth == pre_len or total >= prefix_budget:
-            break
-        nxt = []
-        for v0, end, edges in level:
-            nxt += [(v0, w, edges + (e,)) for e, w in steps[end]]
-            if total + len(nxt) >= prefix_budget:
-                break
-        level = nxt[: max(0, prefix_budget - total)]
+    check_listable(g.edge_classes, 1)
+    edges = sorted(e for v in g.vertices for e in g.out_edges(v))
     singular = {v for v in g.vertices if is_singular(g, v)}
-    finite = [BoundaryPoint(v0, edges, ()) for level in levels for v0, end, edges in level if end in singular]
-    out = sorted(finite, key=point_sort_key)
+    out = [BoundaryPoint(v, (), ()) for v in sorted(singular)]
+    out += [BoundaryPoint(g.edge_src(e), (e,), ()) for e in edges if g.edge_dst(e) in singular]
 
     def periodic() -> Iterator[BoundaryPoint]:
-        # point_sort_key order.  The empty preperiod comes first and takes
-        # every walk; later levels are only reached once it has run out.
         walks_at: dict[str, list[tuple[Edge, ...]]] = {v: [] for v in g.vertices}
         for w in _primitive_walks(g, per_len):
             walks_at[g.edge_src(w[0])].append(w)
             yield BoundaryPoint(g.edge_src(w[0]), (), w)
-        for level in levels[1:]:
-            for v0, end, edges in sorted(level, key=lambda p: p[2]):
-                # a period ending in the preperiod's last edge would absorb it
-                yield from (BoundaryPoint(v0, edges, w) for w in walks_at[end] if w[-1] != edges[-1])
+        for e in edges:
+            # a period ending in the preperiod's edge would absorb it
+            yield from (BoundaryPoint(g.edge_src(e), (e,), w) for w in walks_at[g.edge_dst(e)] if w[-1] != e)
 
     out += islice(periodic(), None if limit is None else max(0, limit - len(out)))
     return out[:limit]
@@ -464,9 +440,14 @@ class CensusResult(NamedTuple):
 CENSUS_LIMIT = 10**6
 
 
-def _count_text(n: int) -> str:
-    # str() refuses integers of more than 4300 digits
-    return str(n) if n.bit_length() <= 64 else f"more than 2^{n.bit_length() - 1}"
+def refuse_over_limit(count: int, text: str) -> None:
+    """Raise an :class:`UnsupportedScaleError` when ``count`` is over
+    ``CENSUS_LIMIT``; ``text`` spells the message with ``{count}`` and
+    ``{limit}`` in it."""
+    if count > CENSUS_LIMIT:
+        # str() refuses integers of more than 4300 digits
+        shown = str(count) if count.bit_length() <= 64 else f"more than 2^{count.bit_length() - 1}"
+        raise UnsupportedScaleError(text.format(count=shown, limit=CENSUS_LIMIT))
 
 
 def check_listable(classes: Iterable[EdgeClass], inf_cap: int = 0) -> None:
@@ -474,10 +455,7 @@ def check_listable(classes: Iterable[EdgeClass], inf_cap: int = 0) -> None:
     the limit, to list the edges of ``classes`` one by one when they hold
     more than ``CENSUS_LIMIT`` edges; an infinite class lists ``inf_cap``."""
     total = sum(inf_cap if c.is_infinite else c.mult for c in classes)
-    if total > CENSUS_LIMIT:
-        raise UnsupportedScaleError(
-            f"listing {_count_text(total)} edges one by one is over the census limit of {CENSUS_LIMIT}"
-        )
+    refuse_over_limit(total, "listing {count} edges one by one is over the census limit of {limit}")
 
 
 def _census_size(g: Graph, cond) -> int:
@@ -544,10 +522,7 @@ def boundary_size(g: Graph) -> int | str:
         if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
             return f"loop {'.'.join(e.cls for e in _cycle_through(g, v).edges)} has an exit"
     size = _census_size(g, cond)
-    if size > CENSUS_LIMIT:
-        raise UnsupportedScaleError(
-            f"the boundary has {_count_text(size)} points, over the census limit of {CENSUS_LIMIT} points"
-        )
+    refuse_over_limit(size, "the boundary has {count} points, over the census limit of {limit} points")
     return size
 
 

@@ -40,8 +40,9 @@ class Graph:
 
     The constructor also derives the tables the point primitives read: each
     class's ends, each vertex's out-classes and out-degree.  Each vertex's
-    out-edges are kept as one shared tuple of ``Edge`` objects once they
-    have been listed in full, so a class is never enumerated ahead of use.
+    out-edges, with the index-0 edge of an infinite class, are kept as one
+    shared tuple of ``Edge`` objects once they have been listed in full, so
+    a class is never enumerated ahead of use.
     These tables only cache what the vertices and classes determine; they
     take no part in equality or hashing.
     """
@@ -71,7 +72,7 @@ class Graph:
         for v, cs in out.items():  # frozen in place: no second dict per graph
             out[v] = tuple(cs)
         self._out: dict[str, tuple[EdgeClass, ...]] = out
-        self._edges: dict[str, tuple[Edge, ...]] = {}  # out_edges at inf_cap 1, once listed in full
+        self._edges: dict[str, tuple[Edge, ...]] = {}  # out_edges, once listed in full
 
     def __eq__(self, other) -> bool:
         return (
@@ -135,22 +136,21 @@ class Graph:
         except KeyError:
             raise InputError(f"unknown vertex {v!r}") from None
 
-    def out_edges(self, v: str, inf_cap: int = 1) -> Iterator[Edge]:
-        """All edges out of ``v``; infinite classes contribute ``inf_cap``
-        representatives (indices 0..inf_cap-1).  At ``inf_cap`` 1 every call
-        after the first full listing hands out the same ``Edge`` objects."""
-        edges = self._edges.get(v) if inf_cap == 1 else None
-        return self._list_out_edges(v, inf_cap) if edges is None else iter(edges)
+    def out_edges(self, v: str) -> Iterator[Edge]:
+        """All edges out of ``v`` in class order; an infinite class gives its
+        index-0 edge.  Every call after the first full listing hands out the
+        same ``Edge`` objects."""
+        edges = self._edges.get(v)
+        return self._list_out_edges(v) if edges is None else iter(edges)
 
-    def _list_out_edges(self, v: str, inf_cap: int) -> Iterator[Edge]:
+    def _list_out_edges(self, v: str) -> Iterator[Edge]:
         # lazy, so that taking the first edge of a huge class costs one edge
         listed = []
         for c in self.out_classes(v):
-            for i in range(inf_cap if c.is_infinite else c.mult):
+            for i in range(1 if c.is_infinite else c.mult):
                 listed.append(e := Edge(c.cid, i))
                 yield e
-        if inf_cap == 1:
-            self._edges.setdefault(v, tuple(listed))
+        self._edges.setdefault(v, tuple(listed))
 
     # -- paths -------------------------------------------------------------
 
@@ -250,7 +250,7 @@ def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
 
     if max_len is None:
         max_len = default_loop_search_length(g)
-    check_listable(g.edge_classes, inf_cap=1)
+    check_listable(g.edge_classes, 1)
     # the walks come in lexicographic order, which the sort by length keeps
     walks = sorted((w for w in _primitive_walks(g, max_len) if w == _least_rotation(w)), key=len)
     # closed walks along out-edges, so valid loops by construction

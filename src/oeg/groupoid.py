@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .boundary import (
-    CENSUS_LIMIT, BoundaryPoint, CylinderSet, _count_text, canonicalize, exponent_product, minimal_witness, shift
+    CENSUS_LIMIT, BoundaryPoint, CylinderSet, canonicalize, exponent_product, minimal_witness, refuse_over_limit, shift
 )
-from .errors import CompositionError, DomainError, InputError, UnsupportedScaleError
+from .errors import CompositionError, DomainError, InputError
 from .graphs import Edge, Graph, condition_l, is_singular
 
 if TYPE_CHECKING:
@@ -144,21 +144,13 @@ def _finite_point_in(g: Graph, z: CylinderSet) -> BoundaryPoint | None:
     return None
 
 
-def enumerate_elements(
-    g: Graph,
-    pool: list[BoundaryPoint],
-    bound: int,
-    table: PointTable | None = None,
-) -> list[GroupoidElement]:
+def enumerate_elements(g: Graph, pool: list[BoundaryPoint], bound: int) -> list[GroupoidElement]:
     """All elements ``(x, k, y)`` over the pool whose minimal witness fits in
     the bound, in pool order of ``x``, then of ``y``, then by cocycle: the
-    rows of :func:`_element_rows` on ``table`` (a fresh one when none is
-    given) as values."""
-    if table is None:
-        from .pointtable import PointTable  # loaded on use: groupoid make and compose never need it
+    rows of :func:`_element_rows` on a fresh point table, as values."""
+    from .pointtable import PointTable  # loaded on use: groupoid make and compose never need it
 
-        table = PointTable(g)
-    rows, _ = _element_rows(table, pool, bound)
+    rows, _ = _element_rows(PointTable(g), pool, bound)
     return [GroupoidElement(pool[a], k, pool[b], m, n) for a, k, b, m, n in rows]
 
 
@@ -180,7 +172,7 @@ def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> t
     most = (bound + 1) * len(pool)
     if most > CENSUS_LIMIT:
         orbit_points = sum(min(bound, x.length) + 1 for x in pool)
-        _refuse_over_limit(orbit_points, "the shift orbits up to the bound hold {} points")
+        refuse_over_limit(orbit_points, "the shift orbits up to the bound hold {count} points, over the census limit of {limit}")
     orbits = [table.orbit(table.intern(x), bound) for x in pool]
     meets: dict[int, list[tuple[int, int]]] = {}
     for b, orbit in enumerate(orbits):
@@ -188,7 +180,8 @@ def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> t
             meets.setdefault(z, []).append((b, n))
     if most * most > CENSUS_LIMIT:
         # each of the len(ms) visits to z meets all of ms
-        _refuse_over_limit(sum(len(ms) ** 2 for ms in meets.values()), "the pool has {} germs up to the bound")
+        germs = sum(len(ms) ** 2 for ms in meets.values())
+        refuse_over_limit(germs, "the pool has {count} germs up to the bound, over the census limit of {limit}")
     rows = []
     for a, orbit in enumerate(orbits):
         best: dict[tuple[int, int], tuple[int, int]] = {}
@@ -197,11 +190,6 @@ def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> t
                 best.setdefault((b, m - n), (m, n))
         rows += [(a, k, b, *best[b, k]) for b, k in sorted(best)]
     return rows, orbits
-
-
-def _refuse_over_limit(count: int, text: str) -> None:
-    if count > CENSUS_LIMIT:
-        raise UnsupportedScaleError(f"{text.format(_count_text(count))}, over the census limit of {CENSUS_LIMIT}")
 
 
 def shift_orbit(g: Graph, x: BoundaryPoint, bound: int) -> list[BoundaryPoint]:

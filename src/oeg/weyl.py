@@ -153,11 +153,13 @@ def representable_pool(
     g: Graph, bound: int, max_points: int | None = None
 ) -> tuple[list[BoundaryPoint], bool]:
     """The point pool a comparison run works over: the full census when the
-    boundary is finite, otherwise a bounded deterministic sample."""
+    boundary is finite, otherwise the first ``max_points`` points of the
+    point order with preperiods of at most one edge and periods of at most
+    ``max(3, min(bound, 4))`` edges (see :func:`bounded_points`)."""
     census = boundary_census(g)
     if census.finite:
         return list(census.points), True
-    pts = bounded_points(g, pre_len=1, per_len=max(3, min(bound, 4)), limit=max_points)
+    pts = bounded_points(g, max(3, min(bound, 4)), max_points)
     return pts, False
 
 

@@ -3,19 +3,36 @@ the ordered walk: a recursive search from every vertex that collects the
 least rotations in a set, every rotation of every loop, and one sorted set
 of points per preperiod length, cut to the limit at the end.  Kept as the
 oracle that ``oeg.boundary.bounded_points`` and
-``oeg.graphs.enumerate_simple_loops`` are checked against."""
+``oeg.graphs.enumerate_simple_loops`` are checked against.
+
+The library's sample has preperiods of at most one edge and takes the
+index-0 edge of an infinite class.  This one keeps the old settings, so the
+property suites also draw deeper and wider samples from it: preperiods up
+to ``pre_len`` edges, ``inf_cap`` edges of an infinite class, and a
+breadth-first prefix budget.  At preperiod 1, cap 1 and a budget that does
+not cut, it gives the library's sample."""
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from oeg.boundary import BoundaryPoint, check_listable, point_sort_key
 from oeg.graphs import Edge, Graph, Path, _least_rotation, _primitive_root_edges, default_loop_search_length, is_singular
+
+
+def capped_out_edges(g: Graph, v: str, cap: int) -> Iterator[Edge]:
+    """The edges out of ``v`` in class order, the first ``cap`` of an
+    infinite class."""
+    for c in g.out_classes(v):
+        for i in range(cap if c.is_infinite else c.mult):
+            yield Edge(c.cid, i)
 
 
 def reference_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
     if max_len is None:
         max_len = default_loop_search_length(g)
     check_listable(g.edge_classes, inf_cap=1)
-    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=1)] for v in g.vertices}
+    steps = {v: [(e, g.edge_dst(e)) for e in capped_out_edges(g, v, 1)] for v in g.vertices}
     found: set[tuple[Edge, ...]] = set()
 
     def walk(start: str, here: str, edges: list[Edge]):
@@ -48,7 +65,7 @@ def reference_bounded_points(
     if prefix_budget is None:
         prefix_budget = 4000 if limit is None else max(200, 10 * limit)
     check_listable(g.edge_classes, inf_cap)
-    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v, inf_cap=inf_cap)] for v in g.vertices}
+    steps = {v: [(e, g.edge_dst(e)) for e in capped_out_edges(g, v, inf_cap)] for v in g.vertices}
     # levels[d][v]: the (source, edges) of the length-d prefixes ending at v
     levels: list[dict[str, list[tuple[str, tuple[Edge, ...]]]]] = []
     level: list[tuple[str, str, tuple[Edge, ...]]] = [(v, v, ()) for v in g.vertices]

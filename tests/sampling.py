@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import random
 
-from oeg.boundary import BoundaryPoint, CylinderSet, bounded_points, make_cylinder
+from sample_oracle import capped_out_edges, reference_bounded_points
+from oeg.boundary import BoundaryPoint, CylinderSet, make_cylinder
 from oeg.graphs import INF, Edge, EdgeClass, Graph
 from oeg.moves import Block, OutSplitPartition
 
@@ -80,14 +81,14 @@ def random_cylinders(
         v = rng.choice(g.vertices)
         edges = []
         for _ in range(rng.randint(0, max_base)):
-            options = list(g.out_edges(v, inf_cap=inf_cap))
+            options = list(capped_out_edges(g, v, inf_cap))
             if not options:
                 break
             e = rng.choice(options)
             edges.append(e)
             v = g.edge_dst(e)
         base = g.path(edges) if edges else g.path((), at=v)
-        options = list(g.out_edges(base.dst, inf_cap=inf_cap))
+        options = list(capped_out_edges(g, base.dst, inf_cap))
         rng.shuffle(options)
         excluded = options[: rng.randint(0, min(max_excluded, len(options)))]
         out.append(make_cylinder(g, base, excluded))
@@ -101,4 +102,6 @@ def sample_points(
     inf_cap: int = 2,
     limit: int | None = 200,
 ) -> list[BoundaryPoint]:
-    return bounded_points(g, pre_len, per_len, inf_cap=inf_cap, limit=limit)
+    """A point sample deeper and wider than the library's, which has
+    preperiods of at most one edge: the reference sample."""
+    return reference_bounded_points(g, pre_len, per_len, inf_cap, limit)

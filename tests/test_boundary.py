@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import pt, small_graph_st
 from point_oracle import reference_canonicalize, reference_drop_edges, reference_out_degree
-from sample_oracle import reference_bounded_points
+from sample_oracle import capped_out_edges, reference_bounded_points
 from sampling import random_cylinders, random_graph, sample_points
 from oeg.boundary import (
     CENSUS_LIMIT,
@@ -137,7 +137,7 @@ def _some_point_inside(g, z):
             i = seen[v]
             return canonicalize(g, z.base.src, z.base.edges + tuple(edges[:i]), tuple(edges[i:]))
         seen[v] = len(edges)
-        options = [e for e in g.out_edges(v, inf_cap=2) if edges or e not in z.excluded]
+        options = [e for e in capped_out_edges(g, v, 2) if edges or e not in z.excluded]
         if not options:
             return None
         edges.append(options[0])
@@ -253,7 +253,7 @@ def test_drop_edges_keeps_canonical(g, seed):
 
 
 def test_bounded_points_are_canonical(e2):
-    for x in bounded_points(e2, 2, 3):
+    for x in bounded_points(e2, 3):
         assert canonicalize(e2, x.src, x.pre, x.period) == x
 
 
@@ -261,15 +261,17 @@ def test_bounded_points_are_canonical(e2):
 @given(st.integers(0, 10**6), st.integers(0, 40))
 def test_bounded_points_limit_cuts_the_sorted_sample(seed, limit):
     """A limited sample is the head of the unlimited one, which is sorted
-    and free of repeats: the preperiod levels a limit skips sort after it."""
+    and free of repeats."""
     g = random_graph(random.Random(seed), max_vertices=3, max_mult=2, edge_prob=0.5, inf_prob=0.2)
-    full = bounded_points(g, 2, 3, inf_cap=2, prefix_budget=500)
+    full = bounded_points(g, 3)
     assert full == sorted(set(full), key=point_sort_key)
-    assert bounded_points(g, 2, 3, inf_cap=2, limit=limit, prefix_budget=500) == full[:limit]
+    assert bounded_points(g, 3, limit) == full[:limit]
 
 
-# (pre_len, per_len, inf_cap, limit, prefix_budget)
-_SAMPLE_GRID = [(1, 3, 1, 18, None), (0, 2, 1, None, None), (2, 3, 2, 24, None), (1, 4, 1, None, None), (2, 2, 1, 5, None), (3, 3, 2, 40, 60)]
+# (per_len, limit), compared with the reference at preperiod 1 and cap 1
+_SAMPLE_GRID = [(3, 18), (2, None), (3, 24), (4, None), (2, 5), (3, 40)]
+# a prefix budget the reference never reaches, so that its levels are whole
+_UNCUT = 10**9
 
 
 def _shuffled_ids(g: Graph, rng: random.Random) -> Graph:
@@ -281,26 +283,40 @@ def _shuffled_ids(g: Graph, rng: random.Random) -> Graph:
 
 
 def test_bounded_points_matches_the_reference_sample():
-    """The ordered walk gives the reference's sample: on random graphs with
-    infinite classes at every grid entry, and on the pool, as it is and with
-    shuffled class ids, each graph at one entry in turn (all but the
-    unlimited one with periods up to 4, the largest and slowest sample).
-    Periods with an empty preperiod are ordered across all vertices at once:
-    taking them vertex by vertex agrees on the pool as it is, whose class
-    ids sort with their sources, and fails on ``u: b, c`` against ``w: a``."""
+    """The ordered walk gives the reference's sample at preperiod 1 and
+    cap 1: on random graphs with infinite classes at every grid entry, and
+    on the pool, as it is and with shuffled class ids, each graph at one
+    entry in turn (all but the unlimited one with periods up to 4, the
+    largest and slowest sample).  Periods with an empty preperiod are
+    ordered across all vertices at once: taking them vertex by vertex agrees
+    on the pool as it is, whose class ids sort with their sources, and fails
+    on ``u: b, c`` against ``w: a``."""
     rng = random.Random(14)
     crossed = Graph(["u", "w"], [("b", "u", "u", 1), ("c", "u", "u", 1), ("a", "w", "w", 1)])
     cases = [(crossed, args) for args in _SAMPLE_GRID]
-    limited = [args for args in _SAMPLE_GRID if args != (1, 4, 1, None, None)]
+    limited = [args for args in _SAMPLE_GRID if args != (4, None)]
     for i, g in enumerate(iter_small_graphs(3, 2)):
         args = limited[i % len(limited)]
         cases += [(g, args), (_shuffled_ids(g, rng), args)]
     for _ in range(300):
         g = random_graph(rng, max_vertices=4, max_mult=2, edge_prob=0.5, inf_prob=0.3)
         cases += [(g, args) for args in _SAMPLE_GRID]
-    for g, (pre_len, per_len, inf_cap, limit, budget) in cases:
-        want = reference_bounded_points(g, pre_len, per_len, inf_cap, limit, budget)
-        assert bounded_points(g, pre_len, per_len, inf_cap, limit, budget) == want
+    for g, (per_len, limit) in cases:
+        want = reference_bounded_points(g, 1, per_len, 1, limit, _UNCUT)
+        assert bounded_points(g, per_len, limit) == want
+
+
+def test_bounded_points_are_the_head_of_the_point_order():
+    """The sample is the head of the point order, however many vertices the
+    graph has.  Of 250 vertices with a loop each, ``v000`` also has an edge
+    ``a`` into the sink ``s``: the point ``a`` sorts second, after the empty
+    point at ``s`` and before every periodic point.  A prefix budget that
+    fell with the limit once cut every one-edge point here."""
+    V = [f"v{i:03}" for i in range(250)]
+    g = Graph(V + ["s"], [("a", "v000", "s", 1)] + [(f"l{v}", v, v, 1) for v in V])
+    got = bounded_points(g, 3, 24)
+    assert got[:2] == [BoundaryPoint("s", (), ()), BoundaryPoint("v000", (Edge("a", 0),), ())]
+    assert got == reference_bounded_points(g, 1, 3, 1, None, _UNCUT)[:24]
 
 
 _DENSE_SAMPLE = """
@@ -313,7 +329,7 @@ if sys.argv[1] == "fed":  # a vertex a with one edge a0 into the dense part, no 
     V, classes = ["a"] + V, [("a0", "a", "v0", 1)] + classes
 g = Graph(V, classes)
 start = time.perf_counter()
-pts = bounded_points(g, 1, int(sys.argv[2]), limit=24)
+pts = bounded_points(g, int(sys.argv[2]), 24)
 took = time.perf_counter() - start
 print(json.dumps([took, len(pts), pts == sorted(pts, key=point_sort_key), max(len(x.pre) + len(x.period) for x in pts)]))
 """
@@ -388,7 +404,7 @@ def _complete_greedily(g, src, edges):
             i = seen[v]
             return canonicalize(g, src, tuple(edges[:i]), tuple(edges[i:]))
         seen[v] = len(edges)
-        e = next(g.out_edges(v, inf_cap=2))
+        e = next(capped_out_edges(g, v, 2))
         edges.append(e)
         v = g.edge_dst(e)
 
@@ -401,7 +417,7 @@ def _divergence_witnesses(g, x, depth):
         if x.length <= j:
             break
         v = g.edge_src(x.edge_at(j))
-        for e in g.out_edges(v, inf_cap=2):
+        for e in capped_out_edges(g, v, 2):
             if e != x.edge_at(j):
                 out.append(_complete_greedily(g, x.src, x.prefix_edges(j) + (e,)))
                 break
@@ -501,7 +517,7 @@ def test_point_table_agrees_with_point_functions(seed):
             assert table.orbit(i, 3)[1] == table.tail[i]
         else:
             assert table.tail[i] < 0 and table.orbit(i, 3) == [i]
-        into = [e for v in g.vertices for e in g.out_edges(v, inf_cap=2) if g.edge_dst(e) == x.src]
+        into = [e for v in g.vertices for e in capped_out_edges(g, v, 2) if g.edge_dst(e) == x.src]
         for e in into:
             j = table.cons(e, i)
             y = prepend(g, g.path([e]), x)
@@ -648,7 +664,7 @@ def test_point_primitives_match_the_oracle_on_valid_points():
         for v in g.vertices:
             assert g.out_degree(v) == reference_out_degree(g, v)
         census = boundary_census(g).points
-        for x in bounded_points(g, 1, 3, limit=18) + list(census):
+        for x in bounded_points(g, 3, 18) + list(census):
             raw = (x.src, x.pre + x.period, x.period * 2)
             assert canonicalize(g, *raw) == reference_canonicalize(g, *raw) == x
             assert canonicalize(g, x.src, x.pre, x.period) == reference_canonicalize(g, x.src, x.pre, x.period) == x

@@ -723,7 +723,7 @@ def _fuzz_case(draw):
     words, kinds = draw(st.sampled_from(commands))
     run_through = "w" in kinds and draw(st.integers(0, 3)) > 0
     g = draw(_fuzz_graph(run_through))
-    sample = bounded_points(g, pre_len=1, per_len=2, limit=6)
+    sample = bounded_points(g, 2, 6)
     points = [print_point(g, x) for x in sample]
     names = [c.cid for c in g.edge_classes] + [f"@{v}" for v in g.vertices]
     word = st.sampled_from(points + names + _JUNK) if points else st.sampled_from(names + _JUNK)

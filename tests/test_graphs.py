@@ -183,7 +183,7 @@ def test_path_concat_associative(g, seed):
     def random_path(v, max_len=3):
         edges = []
         for _ in range(rng.randint(0, max_len)):
-            out = list(g.out_edges(v, inf_cap=1))
+            out = list(g.out_edges(v))
             if not out:
                 break
             e = rng.choice(out)
@@ -212,6 +212,15 @@ def test_graph_validation():
     with pytest.raises(InputError):
         g.check_edge(Edge("a", 2))
     g.check_edge(Edge("b", 10**6))
+
+
+def test_out_edges_give_the_index_0_edge_of_an_infinite_class():
+    """An infinite class lists its index-0 edge in class order, and a second
+    full listing hands out the same ``Edge`` objects as the first."""
+    g = Graph(["u", "v"], [("a", "u", "v", 2), ("b", "u", "u", INF), ("c", "u", "v", 1)])
+    first, second = list(g.out_edges("u")), list(g.out_edges("u"))
+    assert first == [Edge("a", 0), Edge("a", 1), Edge("b", 0), Edge("c", 0)]
+    assert all(e is f for e, f in zip(first, second, strict=True))
 
 
 _HUGE_CLASS = """

@@ -8,9 +8,10 @@ from hypothesis import event, given, settings, strategies as st
 
 from conftest import pt
 from sampling import random_graph, random_proper_partition, sample_points
+from sample_oracle import capped_out_edges
 from saturation_oracle import _rewrite_stream
 from split_oracle import OracleSplit
-from oeg.boundary import BoundaryPoint, boundary_census, bounded_points, canonicalize, drop_edges, point_range, prepend
+from oeg.boundary import BoundaryPoint, boundary_census, canonicalize, drop_edges, point_range, prepend
 from oeg.dynamics import verify_conjugacy
 from oeg.errors import InputError
 from oeg.graphs import INF, Edge, Graph
@@ -161,7 +162,7 @@ def test_out_split_map_matches_oracle(case):
     g, p = case
     s, oracle = out_split(g, p), OracleSplit(g, p)
     assert s.graph == oracle.graph
-    points = bounded_points(g, 4, 3, inf_cap=2, limit=80)
+    points = sample_points(g, pre_len=4, per_len=3, inf_cap=2, limit=80)
     census = boundary_census(g)
     if census.finite:
         event("finite census")
@@ -500,7 +501,7 @@ def test_saturate_maps_match_oracle():
             continue
         edges = [Edge(rng.choice(heads).cid, rng.randrange(3))]
         while len(edges) < 1 + done % 3:
-            options = list(g.out_edges(g.edge_dst(edges[-1]), inf_cap=2))
+            options = list(capped_out_edges(g, g.edge_dst(edges[-1]), 2))
             if not options:
                 break
             edges.append(rng.choice(options))

@@ -120,7 +120,7 @@ def _paths_to(g, target, max_len):
             out.append(g.path(tuple(edges)) if edges else g.path((), at=v))
         if len(edges) >= max_len:
             return
-        for e in g.out_edges(v, inf_cap=1):
+        for e in g.out_edges(v):
             edges.append(e)
             walk(g.edge_dst(e), edges)
             edges.pop()
