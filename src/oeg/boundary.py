@@ -42,12 +42,12 @@ class BoundaryPoint(NamedTuple):
 
     @property
     def length(self) -> int | float:
-        return len(self.pre) if self.is_finite else INF
+        return INF if self.period else len(self.pre)
 
     def edge_at(self, i: int) -> Edge:
         if i < len(self.pre):
             return self.pre[i]
-        if self.is_finite:
+        if not self.period:
             raise DomainError(f"point has no edge at position {i}")
         return self.period[(i - len(self.pre)) % len(self.period)]
 

@@ -4,7 +4,9 @@ Exit codes: 0 for success or an affirmative decision, 1 for a well-formed
 negative (a property fails, a decision is "no"), 2 for input errors, 3 for
 an internal failure of the library (any other exception, such as a
 ``RecursionError``), reported as one line on stderr.  A file that cannot be
-read as UTF-8 text (missing, a directory, binary) is an input error.
+read as UTF-8 text (missing, a directory, binary) is an input error.  A
+reader that closes the output pipe early ends the output quietly, with the
+command's own exit code.
 
 Every command parses a graph file, so the DSL is imported with this module;
 each command imports the library modules it runs when it is dispatched, and
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dsl
@@ -414,7 +417,49 @@ def _run_move(args, as_json: bool) -> int:
     raise AssertionError
 
 
+class _UntilClosed:
+    """Standard output that a reader closing the pipe silences: the first
+    ``BrokenPipeError`` points the descriptor at the null device, so the
+    command runs on to its own exit code, the rest of its output is
+    dropped, and nothing reaches stderr, at exit either."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._silence()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._silence()
+
+    def _silence(self) -> None:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, self._stream.fileno())
+        os.close(null)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def main(argv: list[str] | None = None) -> int:
+    stdout = sys.stdout
+    sys.stdout = _UntilClosed(stdout)
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    finally:
+        sys.stdout = stdout
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

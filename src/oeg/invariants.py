@@ -8,7 +8,7 @@ first use so that commands which need neither do not load it."""
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress, product
 from typing import NamedTuple
 
 from .boundary import boundary_census
@@ -119,12 +119,13 @@ def det_invariant(g: Graph) -> int:
 
 def reachability(g: Graph) -> dict[tuple[str, str], bool]:
     """Positive-length reachability of ordered vertex pairs, read off the
-    bitset closure of the condensation."""
+    bitset closure of the condensation: one row per component, shared by
+    its vertices."""
     from .digraphs import condensation
 
     cond = condensation(g)
-    pairs = list(zip(g.vertices, cond.comp))
-    return {(v, w): cond.reach[c] >> d & 1 == 1 for v, c in pairs for w, d in pairs}
+    rows = [[bits >> d & 1 == 1 for d in cond.comp] for bits in cond.reach]
+    return dict(zip(product(g.vertices, repeat=2), chain.from_iterable(rows[c] for c in cond.comp)))
 
 
 def _multiplicity_pattern(g: Graph) -> dict[tuple[str, str], tuple]:

@@ -12,10 +12,12 @@ boundary spaces.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
-from .boundary import BoundaryPoint, _canonical, canonicalize, check_listable
+from .boundary import BoundaryPoint, canonicalize, check_listable
 from .errors import InputError
 from .graphs import INF, Edge, EdgeClass, Graph, Path
 
@@ -201,6 +203,12 @@ def out_split_map(g: Graph, s: OutSplit, x: BoundaryPoint) -> BoundaryPoint:
     emitter, and edges into sinks keep their names.  One table lookup per
     edge relabels and checks it; when one fails, ``canonicalize`` names the
     fault.
+
+    The image of a canonical point is canonical as it stands.  Each new edge
+    is determined by its old edge and the block of the next one, and the old
+    edge can be read back from it, so a primitive period stays primitive.
+    The last preperiod edge and the last period edge are both followed by
+    the first period edge, so their images are equal exactly when they are.
     """
     edges = x.pre or x.period
     if edges and g.edge_src(edges[0]) != x.src:
@@ -210,7 +218,7 @@ def out_split_map(g: Graph, s: OutSplit, x: BoundaryPoint) -> BoundaryPoint:
         period = _relabel(s.edges, x.period, s.block.get(head, s.block.get(head.cls)))
         pre = period and _relabel(s.edges, x.pre, period[1])
         if pre:
-            return _canonical(s.graph, pre[1], pre[0], period[0])
+            return BoundaryPoint(pre[1], pre[0], period[0])
     elif x.pre:
         pre = _relabel(s.edges, x.pre, s.ends.get(g.edge_dst(x.pre[-1])))
         if pre:
@@ -303,7 +311,9 @@ def decide_amplified_oe(E: Graph, F: Graph) -> tuple[bool, dict[str, str] | None
 class ParallelIndexing:
     """A bijection between the naturals and the (countably infinite) set of
     all edges between two fixed vertices: finite-class edges first in
-    declaration order, then the infinite classes interleaved round-robin."""
+    declaration order, then the infinite classes interleaved round-robin.
+    Positions are reckoned from where each finite class starts, so no edge
+    is listed and each lookup is a dict hit or a bisection over classes."""
 
     def __init__(self, g: Graph, src: str, dst: str):
         parallel = [c for c in g.edge_classes if c.src == src and c.dst == dst]
@@ -311,23 +321,32 @@ class ParallelIndexing:
         if not self.infinite:
             raise InputError(f"the parallel class {src!r} -> {dst!r} is finite")
         check_listable(parallel)
-        self.finite = [Edge(c.cid, i) for c in parallel if not c.is_infinite for i in range(c.mult)]
+        finite = [c for c in parallel if not c.is_infinite]
+        self.classes = [c.cid for c in finite]
+        self.starts = list(accumulate((c.mult for c in finite), initial=0))
+        self.span = {c.cid: (start, c.mult) for c, start in zip(finite, self.starts)}
 
     def edge(self, n: int) -> Edge:
-        if n < len(self.finite):
-            return self.finite[n]
-        n -= len(self.finite)
+        if n < self.starts[-1]:
+            i = bisect_right(self.starts, n) - 1
+            return Edge(self.classes[i], n - self.starts[i])
+        n -= self.starts[-1]
         q, r = divmod(n, len(self.infinite))
         return Edge(self.infinite[r], q)
 
+    def _finite_index(self, e: Edge) -> int | None:
+        start, mult = self.span.get(e.cls, (0, 0))
+        return start + e.idx if 0 <= e.idx < mult else None
+
     def index(self, e: Edge) -> int:
-        if e in self.finite:
-            return self.finite.index(e)
+        n = self._finite_index(e)
+        if n is not None:
+            return n
         r = self.infinite.index(e.cls)
-        return len(self.finite) + e.idx * len(self.infinite) + r
+        return self.starts[-1] + e.idx * len(self.infinite) + r
 
     def contains(self, e: Edge) -> bool:
-        return e in self.finite or e.cls in self.infinite
+        return self._finite_index(e) is not None or e.cls in self.infinite
 
 
 class RewritingWitness(NamedTuple):

@@ -596,6 +596,34 @@ def test_command_imports_only_its_modules(command, files, tmp_path):
     assert heavy == []
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["census", "{many}"], 0),
+        (["--json", "census", "{many}"], 0),
+        (["search-oe", "{one}", "{two}"], 1),
+    ],
+    ids=["census", "census-json", "search-oe-no"],
+)
+def test_closed_stdout_ends_output_quietly(argv, code, tmp_path):
+    """A reader that closes the pipe after the first line (or before any,
+    for a one-line answer) ends the output: the command keeps its own exit
+    code and writes nothing to stderr, at interpreter shutdown included."""
+    graphs = {"many": "vertex u, s\nedge a * 20000: u -> s\n", "one": "vertex u\n", "two": "vertex u, v\n"}
+    named = {}
+    for name, text in graphs.items():
+        (tmp_path / f"{name}.graph").write_text(f"graph {name}\n{text}")
+        named[f"{{{name}}}"] = str(tmp_path / f"{name}.graph")
+    proc = subprocess.Popen([sys.executable, "-m", "oeg.cli", *(named.get(w, w) for w in argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    if code == 0:
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=10) == code
+    assert err == b""
+
+
 def test_library_imports_neither_dataclasses_nor_inspect():
     """Importing every ``oeg`` module, in a fresh interpreter, loads
     neither ``dataclasses`` nor ``inspect``."""

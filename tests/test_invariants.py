@@ -356,6 +356,33 @@ def test_reachability_matches_matrix_powers():
         assert reachability(g) == want
 
 
+def comprehension_reachability(g):
+    """Test oracle: the library's reachability before it shared one row per
+    component, one bit test per vertex pair."""
+    from oeg.digraphs import condensation
+
+    cond = condensation(g)
+    pairs = list(zip(g.vertices, cond.comp))
+    return {(v, w): cond.reach[c] >> d & 1 == 1 for v, c in pairs for w, d in pairs}
+
+
+def out_regular_graph(rng, n, out_deg):
+    """n vertices, each with ``out_deg`` classes to distinct random ranges."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}_{j}", vs[i], vs[j], 1) for i in range(n) for j in rng.sample(range(n), out_deg)])
+
+
+def test_reachability_matches_the_comprehension():
+    """Values and key order agree with the per-pair comprehension on the
+    pool and on out-regular digraphs of 50 to 150 vertices."""
+    rng = random.Random(19)
+    graphs = list(iter_small_graphs(3, 2))
+    graphs += [out_regular_graph(rng, n, d) for n in (50, 75, 100, 125, 150) for d in (1, 2)]
+    for g in graphs:
+        got, want = reachability(g), comprehension_reachability(g)
+        assert got == want and list(got) == list(want)
+
+
 def test_digraph_isomorphic(f1):
     relabeled = Graph(["x", "y"], [("cc", "x", "y", 1), ("dd", "y", "x", 1)])
     assert digraph_isomorphic(f1, relabeled) is not None

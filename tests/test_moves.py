@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -18,6 +21,7 @@ from oeg.graphs import INF, Edge, Graph
 from oeg.moves import (
     Block,
     OutSplitPartition,
+    ParallelIndexing,
     amplified_transitive_closure,
     amplify,
     check_saturation_identity,
@@ -177,7 +181,9 @@ def test_out_split_map_matches_oracle(case):
     if any(x.is_finite and point_range(g, x) in emitters for x in points):
         event("finite points end at an infinite emitter")
     for x in points:
-        assert out_split_map(g, s, x) == oracle.map(x)
+        y = out_split_map(g, s, x)
+        assert y == oracle.map(x)
+        assert canonicalize(s.graph, y.src, y.pre, y.period) == y
 
 
 def _contract_split():
@@ -451,6 +457,54 @@ def test_saturate_mixed_parallel_set():
     pts_sat = sample_points(sat, pre_len=3, per_len=2, inf_cap=3, limit=110)
     pts_orig = sample_points(g, pre_len=3, per_len=2, inf_cap=3, limit=110)
     assert check_saturation_identity(w, pts_sat, pts_orig) == []
+
+
+def test_parallel_indexing_matches_the_listing():
+    """Finite classes, interleaved with infinite ones in declaration order,
+    index as the listing of their edges followed by the round-robin of the
+    infinite classes; an index past a finite class is not a parallel."""
+    g = Graph(
+        ["u", "v", "w"],
+        [("a", "u", "v", 3), ("A", "u", "v", INF), ("x", "u", "w", 2), ("b", "u", "v", 1),
+         ("B", "u", "v", INF), ("c", "u", "v", 2), ("d", "v", "u", 1)],
+    )
+    w = ParallelIndexing(g, "u", "v")
+    listing = [Edge(cid, i) for cid, m in (("a", 3), ("b", 1), ("c", 2)) for i in range(m)]
+    listing += [Edge(cid, q) for q in range(3) for cid in ("A", "B")]
+    assert [w.edge(n) for n in range(len(listing))] == listing
+    assert [w.index(e) for e in listing] == list(range(len(listing)))
+    assert all(w.contains(e) for e in listing)
+    assert not any(w.contains(e) for e in (Edge("a", 3), Edge("b", -1), Edge("x", 0), Edge("d", 0)))
+
+
+_MANY_PARALLELS = """
+import json, sys, time
+from oeg.dsl import parse_point
+from oeg.graphs import INF, Graph
+from oeg.moves import saturate, saturate_map, saturate_map_inverse
+
+n = int(sys.argv[1])
+g = Graph(["u", "v"], [("A", "u", "v", n), ("B", "u", "v", INF), ("c", "v", "u", 1)])
+sat, w = saturate(g, g.path([("B", 0), ("c", 0)]))
+points = [parse_point(sat, f"(A[{n - 1 - k}].c[0])*") for k in range(50)]
+start = time.perf_counter()
+back = [saturate_map_inverse(w, saturate_map(w, x)) for x in points]
+print(json.dumps([time.perf_counter() - start, back == points]))
+"""
+
+
+def test_saturate_map_is_not_linear_in_the_finite_parallels():
+    """With 4*10^5 finite parallels of the pattern head, mapping 50 points
+    there and back takes well under 0.5 s; a scan of the finite parallels
+    per lookup took about 30 ms a point.  A child process times out
+    instead of hanging."""
+    from test_cli import _src_env
+
+    proc = subprocess.run([sys.executable, "-c", _MANY_PARALLELS, str(400_000)],
+                          capture_output=True, text=True, env=_src_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    took, roundtrip = json.loads(proc.stdout)
+    assert roundtrip and took < 0.5
 
 
 def test_saturation_cocycle_tables_pinned(amp):
