@@ -526,35 +526,53 @@ def boundary_size(g: Graph) -> int | str:
     return size
 
 
+def _census_walk(
+    g: Graph,
+    steps: dict[str, list[tuple[Edge, str]]],
+    v0: str,
+    v: str,
+    at: dict[str, int],
+    edges: list[Edge],
+    points: set[BoundaryPoint],
+) -> None:
+    """Add to ``points`` every boundary path that begins with ``edges``, a
+    path from ``v0`` to ``v`` on which ``at`` gives each vertex its position;
+    ``steps`` lists each vertex's out-edges with their ranges.  The points
+    are built directly: a finite one ends at a sink, and a period closes
+    where the walk meets its own path.  This is a module function, not a
+    closure, because a closure that calls itself is a reference cycle, and
+    that keeps ``points`` alive until the collector runs."""
+    out = steps[v]
+    if not out:
+        points.add(BoundaryPoint(v0, tuple(edges), ()))
+        return
+    for e, w in out:
+        i = at.get(w)
+        if i is not None:
+            points.add(_canonical(g, v0, tuple(edges[:i]), (*edges[i:], e)))
+        else:
+            edges.append(e)
+            at[w] = len(edges)
+            _census_walk(g, steps, v0, w, at, edges, points)
+            del at[w]
+            edges.pop()
+
+
 def boundary_census(g: Graph) -> CensusResult:
     """The complete list of boundary paths when :func:`boundary_size` finds
     the space finite, or the reason why it is infinite.  On a finite space
     every vertex on a cycle has a single out-edge, so the walks below branch
-    only off cycles and terminate."""
+    only off cycles and terminate.
+
+    Each step of a walk costs constant time and each point the edges it
+    holds, so the census takes time linear in the edges it lists, n(n-1)/2
+    on an n-vertex chain.  The walk takes one frame per step, so a path
+    longer than Python's recursion limit raises ``RecursionError``."""
     size = boundary_size(g)
     if isinstance(size, str):
         return CensusResult(False, (), size)
     points: set[BoundaryPoint] = set()
-
-    def walk(v0: str, chain: list[str], edges: list[Edge]):
-        v = chain[-1]
-        if g.out_degree(v) == 0:
-            points.add(canonicalize(g, v0, tuple(edges)))
-            return
-        for e in g.out_edges(v):
-            w = g.edge_dst(e)
-            if w in chain:
-                i = chain.index(w)
-                points.add(
-                    canonicalize(g, v0, tuple(edges[:i]), tuple(edges[i:] + [e]))
-                )
-            else:
-                chain.append(w)
-                edges.append(e)
-                walk(v0, chain, edges)
-                edges.pop()
-                chain.pop()
-
+    steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v)] for v in g.vertices}
     for v in g.vertices:
-        walk(v, [v], [])
+        _census_walk(g, steps, v, v, {v: 0}, [], points)
     return CensusResult(True, tuple(sorted(points, key=point_sort_key)), None)

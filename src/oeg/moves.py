@@ -313,14 +313,14 @@ class ParallelIndexing:
     all edges between two fixed vertices: finite-class edges first in
     declaration order, then the infinite classes interleaved round-robin.
     Positions are reckoned from where each finite class starts, so no edge
-    is listed and each lookup is a dict hit or a bisection over classes."""
+    is listed, a class of any multiplicity costs nothing, and each lookup
+    is a dict hit or a bisection over classes."""
 
     def __init__(self, g: Graph, src: str, dst: str):
         parallel = [c for c in g.edge_classes if c.src == src and c.dst == dst]
         self.infinite = [c.cid for c in parallel if c.is_infinite]
         if not self.infinite:
             raise InputError(f"the parallel class {src!r} -> {dst!r} is finite")
-        check_listable(parallel)
         finite = [c for c in parallel if not c.is_infinite]
         self.classes = [c.cid for c in finite]
         self.starts = list(accumulate((c.mult for c in finite), initial=0))

@@ -44,6 +44,29 @@ def random_functional_graph(rng: random.Random, max_vertices: int = 5) -> Graph:
     return Graph(vertices, classes)
 
 
+def chain_graph(n: int) -> Graph:
+    """The directed path v0 -> v1 -> ... -> v(n-1), ending at a sink: n
+    boundary points holding n(n-1)/2 edges."""
+    vertices = [f"v{i}" for i in range(n)]
+    return Graph(vertices, [(f"e{i}", vertices[i], vertices[i + 1], 1) for i in range(n - 1)])
+
+
+def random_forest(rng: random.Random, n: int) -> Graph:
+    """A functional graph of random recursive trees: the first four vertices
+    in a shuffled order are sinks and loops in turn, and every later vertex
+    points to a uniformly chosen earlier one."""
+    order = list(range(n))
+    rng.shuffle(order)
+    vertices = [f"v{i}" for i in range(n)]
+    classes = []
+    for k, v in enumerate(order):
+        if k >= 4:
+            classes.append(EdgeClass(f"e{v}", vertices[v], vertices[order[rng.randrange(k)]], 1))
+        elif k % 2:
+            classes.append(EdgeClass(f"e{v}", vertices[v], vertices[v], 1))
+    return Graph(vertices, classes)
+
+
 def random_proper_partition(rng: random.Random, g: Graph) -> OutSplitPartition:
     """A random proper partition of every non-sink vertex's out-edges; all
     infinite classes of a vertex land in one block."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import random
 import re
@@ -11,10 +12,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from census_oracle import reference_census
 from conftest import pt, small_graph_st
 from point_oracle import reference_canonicalize, reference_drop_edges, reference_out_degree
 from sample_oracle import capped_out_edges, reference_bounded_points
-from sampling import random_cylinders, random_graph, sample_points
+from sampling import chain_graph, random_cylinders, random_forest, random_graph, sample_points
+from oeg import boundary
 from oeg.boundary import (
     CENSUS_LIMIT,
     BoundaryPoint,
@@ -38,9 +41,13 @@ from oeg.boundary import (
     tail_key,
 )
 from oeg.digraphs import condensation
+from oeg.dynamics import search_oe_witness, verify_oe_witness
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
 from oeg.graphs import Edge, EdgeClass, Graph, enumerate_simple_loops, loop_has_exit
+from oeg.invariants import invariant_report
+from oeg.moves import decide_amplified_oe
 from oeg.pointtable import PointTable
+from oeg.weyl import phi_bijectivity_check
 from oeg.zoo import amplified_arrow_loop, full_shift_two, iter_small_graphs
 
 
@@ -723,12 +730,67 @@ def test_census_shares_edge_objects():
     """The census of a 200-vertex chain holds 199 ``Edge`` objects in all,
     one per edge, though its 200 points hold 19,900 edges; repeated
     ``out_edges`` calls hand out the same objects."""
-    verts = [f"v{i}" for i in range(200)]
-    g = Graph(verts, [(f"e{i}", verts[i], verts[i + 1], 1) for i in range(199)])
-    points = boundary_census(g).points
+    points = boundary_census(chain_graph(200)).points
     assert len(points) == 200 and sum(len(x.pre) for x in points) == 199 * 200 // 2
     assert len({id(e) for x in points for e in x.pre}) == 199
     two = Graph(["u", "v"], [("a", "u", "v", 2), ("b", "u", "u", 1)])
     first, second = list(two.out_edges("u")), list(two.out_edges("u"))
     assert first == [Edge("a", 0), Edge("a", 1), Edge("b", 0)]
     assert all(e is f for e, f in zip(first, second, strict=True))
+
+
+def test_census_matches_the_oracle(monkeypatch):
+    """The census gives the list-scanning walk's points, in its order, on
+    every pool graph, on random functional forests and on chains of up to
+    600 vertices; it builds the points of a chain or a forest without
+    ``canonicalize``, which would re-check every edge of the path."""
+    for g in iter_small_graphs(3, 2):
+        assert boundary_census(g) == reference_census(g)
+    rng = random.Random(20)
+    graphs = [random_forest(rng, n) for n in range(100, 700, 100) for _ in range(2)]
+    graphs += [chain_graph(n) for n in (1, 2, 100, 300, 600)]
+    want = [reference_census(g) for g in graphs]
+    calls = []
+    real = boundary.canonicalize
+    monkeypatch.setattr(boundary, "canonicalize", lambda *args: calls.append(args) or real(*args))
+    for g, census in zip(graphs, want, strict=True):
+        assert boundary_census(g) == census
+    assert not calls
+
+
+@functools.cache
+def _entry_points() -> dict:
+    pool = list(iter_small_graphs(3, 2))[::300]
+    e = Graph(["a", "b", "c", "s"], [("x", "a", "b", 1), ("y", "b", "s", 1), ("z", "c", "s", 1)])
+    f = Graph(["p", "q", "r", "t"], [("x", "p", "t", 1), ("y", "q", "r", 1), ("z", "r", "t", 1)])
+    witness = search_oe_witness(e, f)
+    assert witness is not None
+    chain, forest = chain_graph(50), random_forest(random.Random(60), 60)
+    return {
+        "census of a chain": lambda: boundary_census(chain),
+        "census of a forest": lambda: boundary_census(forest),
+        "phi check": lambda: [phi_bijectivity_check(g, 2) for g in pool],
+        "search": lambda: search_oe_witness(e, f),
+        "verify": lambda: verify_oe_witness(witness),
+        "amplified decision": lambda: decide_amplified_oe(amplified_arrow_loop(), full_shift_two()),
+        "invariant report": lambda: [invariant_report(g) for g in pool],
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["census of a chain", "census of a forest", "phi check", "search", "verify", "amplified decision", "invariant report"],
+)
+def test_entry_points_leave_no_cyclic_garbage(name):
+    """A call frees what it made when it returns: nothing is left for the
+    cycle collector, which would keep a whole census alive until its next
+    full pass.  The first call fills the graphs' lazy tables."""
+    call = _entry_points()[name]
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
