@@ -3,7 +3,7 @@
 For every graph with at most three vertices and parallel multiplicities at
 most two (up to vertex permutation) this runs:
 
-  * the two condition-(L) deciders against each other,
+  * condition (L), counting the graphs where it holds,
   * the germ-class / groupoid-element comparison at bound 3,
   * the amplified-orbit-equivalence classification: graphs are bucketed by
     a reachability degree profile, and inside each bucket every graph is
@@ -22,7 +22,7 @@ import sys
 import time
 
 from oeg.digraphs import condensation
-from oeg.graphs import condition_l, condition_l_by_enumeration
+from oeg.graphs import condition_l
 from oeg.moves import decide_amplified_oe
 from oeg.weyl import phi_bijectivity_check
 from oeg.zoo import iter_small_graphs
@@ -47,17 +47,12 @@ def main() -> int:
     spent = dict.fromkeys(("condition (L)", "phi check", "amplified classes"), 0.0)
     n = 0
     with_l = 0
-    decider_disagreements = 0
     phi_failures = 0
     reps: dict[tuple, list] = {}
     for g in iter_small_graphs(max_v):
         n += 1
         marks = [time.perf_counter()]
-        fast = condition_l(g)[0]
-        slow = condition_l_by_enumeration(g, len(g.vertices))[0]
-        if fast != slow:
-            decider_disagreements += 1
-        with_l += fast
+        with_l += condition_l(g)[0]
         marks.append(time.perf_counter())
         if not phi_bijectivity_check(g, 3, max_points=18).ok:
             phi_failures += 1
@@ -71,7 +66,6 @@ def main() -> int:
     elapsed = time.perf_counter() - t0
     print(f"graphs surveyed:                 {n}")
     print(f"condition (L) holds:             {with_l}")
-    print(f"condition (L) decider mismatches:{decider_disagreements}")
     print(f"germ/element comparison failures:{phi_failures}")
     print(f"reachability profile classes:    {len(reps)}")
     print(f"amplified OE classes (exact):    {sum(map(len, reps.values()))}")
@@ -85,7 +79,7 @@ def main() -> int:
     sample = list(itertools.islice(iter_small_graphs(2), 40))
     agree = all(decide_amplified_oe(a, a)[0] for a in sample)
     print(f"amplified decision reflexive on sample: {agree}")
-    return 0 if (decider_disagreements == 0 and phi_failures == 0 and agree) else 1
+    return 0 if (phi_failures == 0 and agree) else 1
 
 
 if __name__ == "__main__":

@@ -39,8 +39,8 @@ def fixed_points(g: Graph) -> list[BoundaryPoint]:
     shift exactly when it repeats a single loop edge forever, so these are
     the loop edges, in ``Edge`` order; an infinite loop class contributes
     its index-0 edge."""
-    check_listable(g.edge_classes, inf_cap=1)
     loops = sorted((c for c in g.edge_classes if c.src == c.dst), key=lambda c: c.cid)
+    check_listable(loops, inf_cap=1)
     return [BoundaryPoint(c.src, (), (Edge(c.cid, i),)) for c in loops for i in range(1 if c.is_infinite else c.mult)]
 
 
@@ -50,15 +50,6 @@ def _finite_size(g: Graph) -> int:
     if isinstance(size, str):
         raise UnsupportedScaleError(f"the boundary space is infinite ({size})")
     return size
-
-
-def require_finite_census(g: Graph) -> tuple[BoundaryPoint, ...]:
-    census = boundary_census(g)
-    if not census.finite:
-        raise UnsupportedScaleError(
-            f"the boundary space is infinite ({census.witness})"
-        )
-    return census.points
 
 
 class OrbitWitness(NamedTuple):
@@ -119,15 +110,20 @@ def _is_point(g: Graph, x: BoundaryPoint) -> bool:
         return False
 
 
+def _check_total(g: Graph, h: Mapping, size: int, name: str) -> None:
+    """Check ``h`` (named ``name``) total on the ``size``-point boundary of
+    ``g``: dict keys are distinct, so ``size`` canonical points are all."""
+    if len(h) != size or not all(_is_point(g, x) for x in h):
+        raise InputError(f"{name} is not total on the boundary of its source graph")
+
+
 def _check_tables(w: OrbitWitness, size: int, names: tuple[str, str, str] = ("h", "k1", "l1")) -> None:
     """Check ``h`` to be total on the boundary of ``w.E``, which has
-    ``size`` points: dict keys are distinct, so ``size`` canonical points
-    are all of them.  Then check ``k1`` and ``l1`` to be total and
-    natural-valued on its keys of length >= 1.  ``names`` calls the three
-    tables in error messages."""
+    ``size`` points, then ``k1`` and ``l1`` to be total and natural-valued
+    on its keys of length >= 1.  ``names`` calls the three tables in error
+    messages."""
     h, k1, l1 = names
-    if len(w.h) != size or not all(_is_point(w.E, x) for x in w.h):
-        raise InputError(f"{h} is not total on the boundary of its source graph")
+    _check_total(w.E, w.h, size, h)
     ge1 = [x for x in w.h if x.length >= 1]  # tables built alongside h share its key objects
     for table, name in ((w.k1, k1), (w.l1, l1)):
         if len(table) != len(ge1) or not all(map(table.__contains__, ge1)):
@@ -307,20 +303,21 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
     return PseudogroupElement(w.F, alpha2, m2, n2)
 
 
-def _transported_tables(src: Graph, h: Mapping, elements: Mapping[str, PseudogroupElement]) -> tuple[dict, dict]:
+def _transported_tables(src: Graph, h: Mapping, elements: Mapping[str, PseudogroupElement], name: str) -> tuple[dict, dict]:
     """Tables ``k1(x) = n'_{x_1}(h(x))`` and ``l1(x) = m'_{x_1}(h(x))`` on the
-    points of ``src`` of length >= 1, read off the transported edge shifts."""
+    points of ``src`` of length >= 1, read off the transported edge shifts
+    at the keys of ``h``, once ``h`` (named ``name``) is checked total."""
+    _check_total(src, h, _finite_size(src), name)
     k1, l1 = {}, {}
-    for x in require_finite_census(src):
+    for x, y in h.items():
         if x.length < 1:
             continue
         cid = x.edge_at(0).cls
         if cid not in elements:
             raise InputError(f"missing transported element for edge class {cid!r}")
         el = elements[cid]
-        y = h.get(x)
         if y not in el.m:
-            raise InputError(f"h or the transported element for {cid!r} misses the point {print_point(src, x)}")
+            raise InputError(f"the transported element for {cid!r} misses the point {print_point(src, x)}")
         k1[x] = el.n[y]
         l1[x] = el.m[y]
     return k1, l1
@@ -343,7 +340,7 @@ def cocycles_from_pseudogroup_transport(
     """
     h = dict(h)
     hinv = {y: x for x, y in h.items()}
-    return OrbitWitness(E, F, h, *_transported_tables(E, h, elements_e), *_transported_tables(F, hinv, elements_f))
+    return OrbitWitness(E, F, h, *_transported_tables(E, h, elements_e, "h"), *_transported_tables(F, hinv, elements_f, "h^-1"))
 
 
 # -- deciding orbit equivalence and conjugacy --------------------------------
@@ -375,9 +372,13 @@ def search_oe_witness(E: Graph, F: Graph) -> OrbitWitness | None:
     equivalent exactly when their multisets of class sizes agree.  Classes
     of equal size are paired, and their points, in census order.
     """
-    census_e, census_f = require_finite_census(E), require_finite_census(F)
-    classes_e = sorted(tail_classes(E, census_e).values(), key=len)
-    classes_f = sorted(tail_classes(F, census_f).values(), key=len)
+    classes = []
+    for g in (E, F):  # E is refused before F is censused
+        census = boundary_census(g)
+        if not census.finite:
+            raise UnsupportedScaleError(f"the boundary space is infinite ({census.witness})")
+        classes.append(sorted(tail_classes(g, census.points).values(), key=len))
+    classes_e, classes_f = classes
     if [len(c) for c in classes_e] != [len(c) for c in classes_f]:
         return None
     h = {x: y for ce, cf in zip(classes_e, classes_f) for x, y in zip(ce, cf)}

@@ -190,14 +190,6 @@ class Path(NamedTuple):
     def length(self) -> int:
         return len(self.edges)
 
-    @property
-    def is_loop(self) -> bool:
-        return self.length >= 1 and self.src == self.dst
-
-    def vertex_at(self, g: Graph, i: int) -> str:
-        """Vertex after the first ``i`` edges."""
-        return self.src if i == 0 else g.edge_dst(self.edges[i - 1])
-
 
 def path_concat(g: Graph, p: Path, q: Path) -> Path:
     """Concatenate two paths; the range of ``p`` must be the source of ``q``."""
@@ -298,26 +290,6 @@ def _primitive_root_edges(edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], in
     raise AssertionError("unreachable")
 
 
-def primitive_root(g: Graph, l: Path) -> tuple[Path, int]:
-    """Write the loop as ``root**k`` with ``root`` simple and ``k`` maximal."""
-    if not l.is_loop:
-        raise InputError("primitive_root needs a loop")
-    root, k = _primitive_root_edges(l.edges)
-    return g.loop(root), k
-
-
-def loop_has_exit(g: Graph, l: Path) -> bool:
-    """An exit is an edge leaving a loop vertex that differs from the loop
-    edge at that position; equivalently some loop vertex has total
-    out-multiplicity >= 2."""
-    if not l.is_loop:
-        raise InputError("loop_has_exit needs a loop")
-    for i in range(l.length):
-        if g.out_degree(l.vertex_at(g, i)) > 1:
-            return True
-    return False
-
-
 def condition_l(g: Graph) -> tuple[bool, Path | None]:
     """Decide whether every loop in the graph has an exit.
 
@@ -349,10 +321,3 @@ def condition_l(g: Graph) -> tuple[bool, Path | None]:
             state[u] = 1
     return True, None
 
-
-def condition_l_by_enumeration(g: Graph, max_len: int | None = None) -> tuple[bool, Path | None]:
-    """Exhaustive cross-check of :func:`condition_l` via simple-loop search."""
-    for l in enumerate_simple_loops(g, max_len):
-        if not loop_has_exit(g, l):
-            return False, l
-    return True, None

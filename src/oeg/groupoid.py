@@ -150,15 +150,17 @@ def enumerate_elements(g: Graph, pool: list[BoundaryPoint], bound: int) -> list[
     rows of :func:`_element_rows` on a fresh point table, as values."""
     from .pointtable import PointTable  # loaded on use: groupoid make and compose never need it
 
-    rows, _ = _element_rows(PointTable(g), pool, bound)
+    rows, _, _ = _element_rows(PointTable(g), pool, bound)
     return [GroupoidElement(pool[a], k, pool[b], m, n) for a, k, b, m, n in rows]
 
 
-def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> tuple[list[tuple], list[list[int]]]:
+def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> tuple[list[tuple], list[list[int]], dict]:
     """The elements over the pool as rows ``(a, k, b, m, n)`` of pool
-    positions, for ``(pool[a], k, pool[b])`` with minimal witness ``(m, n)``,
-    and the orbit of each pool point as the ids of ``sigma^j`` for j =
-    0..bound, ``orbits[a][0]`` being the id of ``pool[a]``.
+    positions, for ``(pool[a], k, pool[b])`` with minimal witness ``(m, n)``;
+    the orbit of each pool point as the ids of ``sigma^j`` for j =
+    0..bound, ``orbits[a][0]`` being the id of ``pool[a]``; and the index
+    ``meets`` from each orbit point ``z`` to the ``(b, n)`` with
+    ``orbits[b][n] == z``, in order.
 
     Every orbit point is indexed once, so each ``sigma^m(x)`` finds the
     points it meets by one lookup, and the first ``m`` to meet a ``(y, k)``
@@ -189,7 +191,7 @@ def _element_rows(table: PointTable, pool: list[BoundaryPoint], bound: int) -> t
             for b, n in meets[z]:
                 best.setdefault((b, m - n), (m, n))
         rows += [(a, k, b, *best[b, k]) for b, k in sorted(best)]
-    return rows, orbits
+    return rows, orbits, meets
 
 
 def shift_orbit(g: Graph, x: BoundaryPoint, bound: int) -> list[BoundaryPoint]:

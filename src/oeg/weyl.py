@@ -204,10 +204,11 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     Points are compared as ids of one :class:`PointTable`, built for the
     call and dropped with it, and named by their pool positions: the
     elements are the rows of the groupoid's id-level join, which also walks
-    the shift orbits, once each.  The germ classes, the element keys, every
-    germ's image (a cons-walk of its ``mu`` onto ``sigma^|nu|`` of its
-    anchor) and the rule itself are all int and edge-tuple work, so neither
-    a germ nor an element is built as a value.  A pool with more than
+    the shift orbits, once each, and indexes their points.  The germ
+    classes, the element keys, every germ's image (a cons-walk of its
+    ``mu`` onto ``sigma^|nu|`` of its anchor) and the rule itself are all
+    int and edge-tuple work, so neither a germ nor an element is built as a
+    value.  A pool with more than
     ``CENSUS_LIMIT`` orbit points or germs within the bound is refused with
     an :class:`UnsupportedScaleError` before they are walked.
     """
@@ -215,7 +216,7 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
         raise InputError("the path-length bound must be a natural number")
     pool, complete = representable_pool(g, bound, max_points)
     table = PointTable(g)
-    rows, orbits = _element_rows(table, pool, bound)
+    rows, orbits, meets = _element_rows(table, pool, bound)
     head, cons = table.head, table.cons
     # the first min(length, bound) edges of each pool point
     heads = [tuple(head[z] for z in orbit[:-1]) for orbit in orbits]
@@ -223,19 +224,17 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
 
     # Germ enumeration: nu is forced to be a prefix of x, and a germ whose
     # image alpha lies in the pool satisfies sigma^{|mu|}(alpha) = sigma^{|nu|}(x),
-    # so alpha and |mu| can be looked up by the shared tail instead of
+    # so the join's index of the shared tail gives alpha and |mu| without
     # enumerating mu itself.  The germ's image, mu consed back onto that
     # tail, depends on (alpha, |mu|) only and is walked once here.
-    by_tail: dict[int, list[tuple[int, int, int]]] = {}
-    images: dict[tuple[int, int], int] = {}
+    images = [list(orbit) for orbit in orbits]  # images[alpha][mlen]
     for alpha, orbit in enumerate(orbits):
         for mlen, z in enumerate(orbit):
             image = z
             for e in reversed(heads[alpha][:mlen]):
                 image = cons(e, image)
-            images[alpha, mlen] = image
-            by_tail.setdefault(z, []).append((alpha, mlen, image))
-    image_ok = all(orbits[alpha][0] == image for (alpha, _), image in images.items())
+            images[alpha][mlen] = image
+    image_ok = all(orbit[0] == image for orbit, walked in zip(orbits, images) for image in walked)
 
     # One pass over the germs, anchor by anchor, builds the classes
     # (anchor, cocycle, alpha) and runs germ_equivalent's rule on ids.  The
@@ -252,9 +251,10 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
         period = isolated.get(x)
         first: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         for nlen, z in enumerate(orbit):
-            tails = by_tail[z]
+            tails = meets[z]
             germ_count += len(tails)
-            for alpha, mlen, image in tails:
+            for alpha, mlen in tails:
+                image = images[alpha][mlen]
                 key = (mlen - nlen, alpha)
                 rep = first.get(key)
                 if rep is None:
@@ -278,15 +278,16 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     # anchor y; its class key is (y, m - n, image), the image being x's
     # first m edges consed onto sigma^n(y).  Consing is injective, so that
     # walk gives x only when sigma^n(y) = sigma^m(x), and then it is the
-    # memoised image of (x, m).
+    # memoised image of (x, m).  Slices, so that a witness past the end of
+    # an orbit fails instead of raising.
     element_keys = set()
     phi_ok = True
     for x, k, y, m, n in rows:
         element_keys.add((y, k, x))
         if phi_ok:
-            meets = orbits[x][m : m + 1] == orbits[y][n : n + 1]
-            image = images.get((x, m)) if meets else None
-            phi_ok = (y, m - n, image) == (y, k, orbits[x][0])
+            met = orbits[x][m : m + 1] == orbits[y][n : n + 1]
+            image = images[x][m : m + 1] if met else None
+            phi_ok = (y, m - n, image) == (y, k, orbits[x][:1])
     bijection_ok = element_keys == classes and phi_ok
     for key in sorted(classes - element_keys)[:5]:
         violations.append(f"germ class without matching element: cocycle {key[1]}")

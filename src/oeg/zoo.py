@@ -3,6 +3,7 @@ exhaustive pool of small graphs that the surveys and property tests sweep."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .graphs import INF, Graph
@@ -65,26 +66,21 @@ def amplified_arrow_loop() -> Graph:
     return Graph(["u", "v"], [("A", "u", "v", INF), ("B", "v", "v", INF)])
 
 
-def iter_small_graphs(max_v: int = 3, max_mult: int = 2):
-    """All graphs on <= max_v vertices with class multiplicities <= max_mult
-    (at most one class per ordered pair), deduplicated up to vertex
-    permutation."""
+@functools.cache
+def iter_small_graphs(max_v: int) -> tuple[Graph, ...]:
+    """All graphs on <= max_v vertices with class multiplicities <= 2 (at
+    most one class per ordered pair), deduplicated up to vertex permutation.
+    Built once per ``max_v`` and shared, as a ``Graph`` is immutable."""
+    pool = []
     for k in range(1, max_v + 1):
         seen = set()
-        for combo in itertools.product(range(max_mult + 1), repeat=k * k):
-            mat = [combo[i * k : (i + 1) * k] for i in range(k)]
-            canon = min(
-                tuple(tuple(mat[p[i]][p[j]] for j in range(k)) for i in range(k))
-                for p in itertools.permutations(range(k))
-            )
+        perms = list(itertools.permutations(range(k)))
+        for combo in itertools.product(range(3), repeat=k * k):
+            canon = min(tuple(tuple(combo[p[i] * k + p[j]] for j in range(k)) for i in range(k)) for p in perms)
             if canon in seen:
                 continue
             seen.add(canon)
             verts = [f"w{i}" for i in range(k)]
-            classes = [
-                (f"e{i}_{j}", verts[i], verts[j], canon[i][j])
-                for i in range(k)
-                for j in range(k)
-                if canon[i][j]
-            ]
-            yield Graph(verts, classes)
+            classes = [(f"e{i}_{j}", verts[i], verts[j], canon[i][j]) for i in range(k) for j in range(k) if canon[i][j]]
+            pool.append(Graph(verts, classes))
+    return tuple(pool)

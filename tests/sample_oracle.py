@@ -2,8 +2,9 @@
 the ordered walk: a recursive search from every vertex that collects the
 least rotations in a set, every rotation of every loop, and one sorted set
 of points per preperiod length, cut to the limit at the end.  Kept as the
-oracle that ``oeg.boundary.bounded_points`` and
-``oeg.graphs.enumerate_simple_loops`` are checked against.
+oracle that ``oeg.boundary.bounded_points``,
+``oeg.graphs.enumerate_simple_loops`` and ``oeg.graphs.condition_l`` are
+checked against.
 
 The library's sample has preperiods of at most one edge and takes the
 index-0 edge of an infinite class.  This one keeps the old settings, so the
@@ -52,6 +53,12 @@ def reference_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
     loops = [Path(g.edge_src(seq[0]), g.edge_src(seq[0]), seq) for seq in found]
     loops.sort(key=lambda l: (l.length, l.edges))
     return loops
+
+
+def loop_has_exit(g: Graph, loop: Path) -> bool:
+    """Whether some vertex of the loop has out-degree > 1, so that an edge
+    other than the loop's own leaves it."""
+    return any(g.out_degree(g.edge_src(e)) > 1 for e in loop.edges)
 
 
 def reference_bounded_points(

@@ -150,7 +150,7 @@ def test_criterion_6_germ_groupoid_comparison():
             rep = phi_bijectivity_check(g, 3)
             ok = ok and rep.ok and rep.pool_complete and rep.element_count == rep.class_count
             checked += 1
-        for g in iter_small_graphs(3, 2):
+        for g in iter_small_graphs(3):
             rep = phi_bijectivity_check(g, 3, max_points=18)
             ok = ok and rep.ok
             checked += 1

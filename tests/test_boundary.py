@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from census_oracle import reference_census
 from conftest import pt, small_graph_st
 from point_oracle import reference_canonicalize, reference_drop_edges, reference_out_degree
-from sample_oracle import capped_out_edges, reference_bounded_points
+from sample_oracle import capped_out_edges, loop_has_exit, reference_bounded_points
 from sampling import chain_graph, random_cylinders, random_forest, random_graph, sample_points
 from oeg import boundary
 from oeg.boundary import (
@@ -43,7 +43,7 @@ from oeg.boundary import (
 from oeg.digraphs import condensation
 from oeg.dynamics import search_oe_witness, verify_oe_witness
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
-from oeg.graphs import Edge, EdgeClass, Graph, enumerate_simple_loops, loop_has_exit
+from oeg.graphs import Edge, EdgeClass, Graph, enumerate_simple_loops
 from oeg.invariants import invariant_report
 from oeg.moves import decide_amplified_oe
 from oeg.pointtable import PointTable
@@ -302,7 +302,7 @@ def test_bounded_points_matches_the_reference_sample():
     crossed = Graph(["u", "w"], [("b", "u", "u", 1), ("c", "u", "u", 1), ("a", "w", "w", 1)])
     cases = [(crossed, args) for args in _SAMPLE_GRID]
     limited = [args for args in _SAMPLE_GRID if args != (4, None)]
-    for i, g in enumerate(iter_small_graphs(3, 2)):
+    for i, g in enumerate(iter_small_graphs(3)):
         args = limited[i % len(limited)]
         cases += [(g, args), (_shuffled_ids(g, rng), args)]
     for _ in range(300):
@@ -551,7 +551,7 @@ def test_point_table_folds_into_the_period(e1, f1):
 def test_is_isolated_matches_loop_exit_on_pool():
     """The out-degree reading of isolation agrees with loop_has_exit on every
     simple loop of every graph in the <=3-vertex pool."""
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         for loop in enumerate_simple_loops(g, 3):
             x = BoundaryPoint(loop.src, (), loop.edges)  # least rotations are canonical
             assert is_isolated(g, x) == (not loop_has_exit(g, loop))
@@ -580,7 +580,7 @@ def _loop_exit_scan(g: Graph) -> str | None:
 
 
 def test_census_witness_matches_the_scan_on_pool():
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         assert boundary_census(g).witness == _loop_exit_scan(g)
 
 
@@ -615,7 +615,7 @@ def test_census_size_matches_the_listing():
     graph of the pool and on doubled chains, sinks, cycles and multiplicities
     included."""
     finite = 0
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         census = boundary_census(g)
         if census.finite:
             finite += 1
@@ -659,7 +659,7 @@ def _oracle_graphs() -> tuple[Graph, ...]:
     """The pool, and graphs with infinite classes."""
     rng = random.Random(16)
     more = [random_graph(rng, max_vertices=4, max_mult=3, edge_prob=0.5, inf_prob=0.3) for _ in range(60)]
-    return (*iter_small_graphs(3, 2), amplified_arrow_loop(), *more)
+    return (*iter_small_graphs(3), amplified_arrow_loop(), *more)
 
 
 def test_point_primitives_match_the_oracle_on_valid_points():
@@ -744,7 +744,7 @@ def test_census_matches_the_oracle(monkeypatch):
     every pool graph, on random functional forests and on chains of up to
     600 vertices; it builds the points of a chain or a forest without
     ``canonicalize``, which would re-check every edge of the path."""
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         assert boundary_census(g) == reference_census(g)
     rng = random.Random(20)
     graphs = [random_forest(rng, n) for n in range(100, 700, 100) for _ in range(2)]
@@ -760,7 +760,7 @@ def test_census_matches_the_oracle(monkeypatch):
 
 @functools.cache
 def _entry_points() -> dict:
-    pool = list(iter_small_graphs(3, 2))[::300]
+    pool = list(iter_small_graphs(3))[::300]
     e = Graph(["a", "b", "c", "s"], [("x", "a", "b", 1), ("y", "b", "s", 1), ("z", "c", "s", 1)])
     f = Graph(["p", "q", "r", "t"], [("x", "p", "t", 1), ("y", "q", "r", 1), ("z", "r", "t", 1)])
     witness = search_oe_witness(e, f)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -147,10 +148,12 @@ def test_partial_witness_is_an_input_error():
 
 def test_census_calls(monkeypatch):
     """Only the search lists censuses, one of each graph, to pair their
-    points; the witness and pseudogroup checks count the boundaries."""
+    points; the witness and pseudogroup checks and the transport count the
+    boundaries."""
     from oeg import dynamics
 
     w = example_witness()
+    els_e, els_f = _transport_edge_shifts(w), _transport_edge_shifts(w.inverse())
     ident = identity_element(w.E, boundary_census(w.E).points)
     deep = PseudogroupElement(w.E, dict(ident.alpha), dict.fromkeys(ident.alpha, 3), dict.fromkeys(ident.alpha, 3))
     tables = extend_cocycles(w, 3)
@@ -164,6 +167,7 @@ def test_census_calls(monkeypatch):
         (lambda: check_extended_identity(w, tables), 0),
         (lambda: verify_pseudogroup_element(deep), 0),
         (lambda: conjugate_pseudogroup(w, deep), 0),
+        (lambda: cocycles_from_pseudogroup_transport(w.E, w.F, w.h, els_e, els_f), 0),
     ):
         calls.clear()
         run()
@@ -217,7 +221,7 @@ def test_count_gates_match_the_census_gates_on_pool():
         reference_verify_pseudogroup_element,
     )
 
-    pool = [(g, list(c.points)) for g in iter_small_graphs(3, 2) if (c := boundary_census(g)).finite]
+    pool = [(g, list(c.points)) for g in iter_small_graphs(3) if (c := boundary_census(g)).finite]
     assert len(pool) == 70
     outcomes = 0
     messages = set()
@@ -310,7 +314,7 @@ def step_degrees(w: OrbitWitness):
 def pool_witnesses() -> list[OrbitWitness]:
     """The witnesses the search finds between ordered pairs of the
     finite-boundary graphs on at most 3 vertices with multiplicities <= 2."""
-    pool = [g for g in iter_small_graphs(3, 2) if boundary_census(g).finite]
+    pool = [g for g in iter_small_graphs(3) if boundary_census(g).finite]
     found = [w for E in pool for F in pool if (w := search_oe_witness(E, F)) is not None]
     assert len(pool) == 70 and len(found) == 382
     return found
@@ -428,14 +432,22 @@ def test_transport_missing_edge(e1):
     h = {x: x for x in census}
     with pytest.raises(InputError):
         cocycles_from_pseudogroup_transport(e1, e1, h, {}, {})
-    # an h that misses a point of length >= 1
+    # an h that misses a point of length >= 1 fails the totality gate
     w1 = example_witness()
+    els_e, els_f = _transport_edge_shifts(w1), _transport_edge_shifts(w1.inverse())
     h = dict(w1.h)
     h.pop(pt(w1.E, "(b)*"))
-    with pytest.raises(InputError, match=r"misses the point \(b\)\*"):
-        cocycles_from_pseudogroup_transport(
-            w1.E, w1.F, h, _transport_edge_shifts(w1), _transport_edge_shifts(w1.inverse())
-        )
+    with pytest.raises(InputError, match="^h is not total on the boundary of its source graph"):
+        cocycles_from_pseudogroup_transport(w1.E, w1.F, h, els_e, els_f)
+    # an h that is not injective leaves h^-1 short of a point
+    everywhere = {c.cid: identity_element(e1, census) for c in e1.edge_classes}
+    h = dict.fromkeys(census, pt(e1, "a.(b)*"))
+    with pytest.raises(InputError, match=r"^h\^-1 is not total on the boundary of its source graph"):
+        cocycles_from_pseudogroup_transport(e1, e1, h, everywhere, everywhere)
+    # an element that misses the image of a point
+    els_e["b"] = els_e["b"]._replace(m={})
+    with pytest.raises(InputError, match=r"element for 'b' misses the point \(b\)\*"):
+        cocycles_from_pseudogroup_transport(w1.E, w1.F, w1.h, els_e, els_f)
 
 
 def test_roundtrip_on_corpus():
@@ -507,7 +519,7 @@ def test_search_matches_brute_force_on_pool():
     with at most 5 census points.  The oracle's delay bound is twice the
     longest point description of the pair."""
     pool = []
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         census = boundary_census(g)
         if census.finite and len(census.points) <= 5:
             pool.append((g, census.points, max(len(x.pre) + len(x.period) for x in census.points)))
@@ -574,13 +586,22 @@ def test_conjugacy_examples(e1, f1):
     assert fixed_points(f1) == []
 
 
+def test_fixed_points_list_only_the_loop_classes():
+    """A huge class that is not a loop is neither listed nor refused: the
+    one loop edge is found at once."""
+    g = Graph(["u", "v"], [("a", "u", "v", 10**12), ("b", "u", "u", 1)])
+    start = time.perf_counter()
+    assert fixed_points(g) == [pt(g, "(b)*")]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_fixed_points_match_the_loop_search_on_pool():
     """The closed form gives the loops of length 1 that the loop search
     finds, in the same order, on every pool graph and on its copy with every
     class made infinite."""
     from oeg.graphs import INF, enumerate_simple_loops
 
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         for h in (g, Graph(g.vertices, [(c.cid, c.src, c.dst, INF) for c in g.edge_classes])):
             assert fixed_points(h) == [BoundaryPoint(l.src, (), l.edges) for l in enumerate_simple_loops(h, 1)]
 
@@ -592,7 +613,7 @@ def test_fixed_points_oracle_on_pool():
     from oeg.graphs import INF
     from oeg.invariants import invariant_report
 
-    for g in iter_small_graphs(2, 2):
+    for g in iter_small_graphs(2):
         for inf in (None, *(c.cid for c in g.edge_classes)):
             h = Graph(g.vertices, [(c.cid, c.src, c.dst, INF if c.cid == inf else c.mult) for c in g.edge_classes])
             fixed = fixed_points(h)

@@ -10,19 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import small_graph_st
-from sample_oracle import reference_simple_loops
+from sample_oracle import loop_has_exit, reference_simple_loops
 from sampling import random_graph
+from oeg.boundary import BoundaryPoint, is_isolated
 from oeg.errors import InputError
 from oeg.graphs import (
     INF,
     Edge,
     Graph,
+    _primitive_root_edges,
     condition_l,
-    condition_l_by_enumeration,
     enumerate_simple_loops,
-    loop_has_exit,
     path_concat,
-    primitive_root,
     vertex_kind,
 )
 from oeg.moves import amplify
@@ -82,7 +81,7 @@ def test_simple_loops_against_brute_force(g, max_len):
 def test_simple_loops_match_the_reference_on_pool():
     """The ordered walk against the recursive search for max_len 1..4; the
     reference's loops up to 4, sorted by length, hold those up to 1..3."""
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         want = reference_simple_loops(g, 4)
         for max_len in range(1, 5):
             assert enumerate_simple_loops(g, max_len) == [l for l in want if l.length <= max_len]
@@ -96,17 +95,15 @@ def test_loop_search_on_a_long_cycle():
     g = Graph(vertices, [(f"e{i}", vertices[i], vertices[(i + 1) % n], 1) for i in range(n)])
     cycle = g.loop([f"e{i}" for i in range(n)])
     assert enumerate_simple_loops(g, n) == [cycle]
-    assert condition_l_by_enumeration(g) == (False, cycle)
+    assert condition_l(g) == (False, cycle)
 
 
 def test_primitive_root(e1, e2):
-    b = e1.loop(["b"])
-    bb = e1.loop(["b", "b"])
-    assert primitive_root(e1, bb) == (b, 2)
-    assert primitive_root(e1, b) == (b, 1)
-    cyc = e2.loop(["a12", "a21", "a12", "a21"])
-    root, k = primitive_root(e2, cyc)
-    assert root == e2.loop(["a12", "a21"]) and k == 2
+    b = e1.loop(["b"]).edges
+    assert _primitive_root_edges(b * 2) == (b, 2)
+    assert _primitive_root_edges(b) == (b, 1)
+    cyc = e2.loop(["a12", "a21", "a12", "a21"]).edges
+    assert _primitive_root_edges(cyc) == (cyc[:2], 2)
 
 
 def brute_period(seq):
@@ -123,20 +120,22 @@ def test_primitive_root_property(g, seed, reps):
     if not loops:
         return
     base = loops[seed % len(loops)]
-    power = g.loop(base.edges * reps)
-    root, k = primitive_root(g, power)
-    assert root.edges * k == power.edges
-    assert brute_period(power.edges) == root.length
+    power = g.loop(base.edges * reps).edges
+    root, k = _primitive_root_edges(power)
+    assert root * k == power
+    assert brute_period(power) == len(root)
     # the root itself is simple: its own primitive root is trivial
-    assert primitive_root(g, root)[1] == 1
+    assert _primitive_root_edges(root)[1] == 1
 
 
 def test_loop_has_exit(e1, e2):
-    assert not loop_has_exit(e1, e1.loop(["b"]))
-    assert loop_has_exit(e2, e2.loop(["a11"]))
+    """A periodic point is isolated exactly when its loop has no exit,
+    the loop class of an amplified graph included."""
+    assert is_isolated(e1, BoundaryPoint("v", (), e1.loop(["b"]).edges))
+    assert not is_isolated(e2, BoundaryPoint("1", (), e2.loop(["a11"]).edges))
     big = amplify(e1)
-    loop_cls = next(c.cid for c in big.edge_classes if c.src == c.dst)
-    assert loop_has_exit(big, big.loop([(loop_cls, 0)]))
+    loop = big.loop([next(c.cid for c in big.edge_classes if c.src == c.dst)])
+    assert not is_isolated(big, BoundaryPoint(loop.src, (), loop.edges))
 
 
 def test_condition_l_examples(e1, e2, f1):
@@ -147,19 +146,26 @@ def test_condition_l_examples(e1, e2, f1):
     assert not ok and witness.edges == (Edge("c", 0), Edge("d", 0))
 
 
+def _check_condition_l(g: Graph) -> None:
+    """(L) holds iff every reference loop has an exit, and a failing
+    witness is a reference loop without one.  An exitless simple loop is
+    vertex-simple, so |V| bounds the search."""
+    loops = reference_simple_loops(g, len(g.vertices))
+    ok, witness = condition_l(g)
+    assert ok == all(loop_has_exit(g, l) for l in loops)
+    if not ok:
+        assert witness in loops and not loop_has_exit(g, witness)
+
+
 def test_condition_l_cross_check_exhaustive_small():
-    for g in iter_small_graphs(3, 2):
-        fast = condition_l(g)[0]
-        slow = condition_l_by_enumeration(g, len(g.vertices))[0]
-        assert fast == slow
+    for g in iter_small_graphs(3):
+        _check_condition_l(g)
 
 
 def test_condition_l_cross_check_random():
     rng = random.Random(20250811)
     for _ in range(500):
-        g = random_graph(rng, max_vertices=5, max_mult=2, edge_prob=0.35)
-        # exitless simple loops are vertex-simple, so |V| bounds the search
-        assert condition_l(g)[0] == condition_l_by_enumeration(g, len(g.vertices))[0]
+        _check_condition_l(random_graph(rng, max_vertices=5, max_mult=2, edge_prob=0.35))
 
 
 def test_path_concat(e1, f1):

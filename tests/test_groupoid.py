@@ -62,7 +62,7 @@ def brute_minimal_witness(g, x, y, k):
 
 
 def test_minimal_witness_matches_brute_force(e1, f1, floop):
-    pool_slice = itertools.islice(iter_small_graphs(3, 2), 0, 1000)
+    pool_slice = itertools.islice(iter_small_graphs(3), 0, 1000)
     graphs = [e1, f1, floop] + [g for g in pool_slice if boundary_census(g).finite]
     checked = 0
     for g in graphs:
@@ -221,7 +221,7 @@ def test_finite_point_search_matches_depth_first_on_pool():
 
     rng = random.Random(77)
     found = 0
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         if not any(is_singular(g, v) for v in g.vertices):
             continue
         for z in random_cylinders(rng, g, 2):
@@ -238,7 +238,7 @@ def test_principality_cross_check():
     from oeg.graphs import condition_l
     from sampling import sample_points
 
-    for g in itertools.islice(iter_small_graphs(3, 2), 0, 400):
+    for g in itertools.islice(iter_small_graphs(3), 0, 400):
         ok, _ = condition_l(g)
         units_with_isotropy = [
             x
@@ -326,7 +326,7 @@ def test_enumerate_elements_matches_point_oracle_on_pool():
     """The id-based enumeration returns the very list of the point-based one
     on every graph of the <=3-vertex pool, over the phi check's pools."""
     checked = 0
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         pool, _ = representable_pool(g, 3, max_points=18)
         got = enumerate_elements(g, pool, 3)
         assert got == elements_by_points(g, pool, 3)

@@ -376,7 +376,7 @@ def test_reachability_matches_the_comprehension():
     """Values and key order agree with the per-pair comprehension on the
     pool and on out-regular digraphs of 50 to 150 vertices."""
     rng = random.Random(19)
-    graphs = list(iter_small_graphs(3, 2))
+    graphs = list(iter_small_graphs(3))
     graphs += [out_regular_graph(rng, n, d) for n in (50, 75, 100, 125, 150) for d in (1, 2)]
     for g in graphs:
         got, want = reachability(g), comprehension_reachability(g)

@@ -307,7 +307,7 @@ def test_closure_idempotence():
 def test_closure_matches_reachability_dict_on_pool():
     """The closure read off the condensation bitsets is the one built from
     the reachability dict, classes in the same order."""
-    for g in iter_small_graphs(3, 2):
+    for g in iter_small_graphs(3):
         reach = reachability(g)
         pairs = [(v, w) for v in g.vertices for w in g.vertices if reach[(v, w)]]
         want = Graph(g.vertices, [(f"{v}_{w}", v, w, INF) for v, w in pairs])

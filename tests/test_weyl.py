@@ -146,7 +146,7 @@ def test_germ_equivalence_is_equivalence_relation(e1, f1, floop):
 def test_normal_form_theorem():
     """Equivalence coincides with equality of (anchor, cocycle, image)
     triples, case-split rule against brute comparison on the small pool."""
-    for g in itertools.islice(iter_small_graphs(2, 2), 0, 50):
+    for g in itertools.islice(iter_small_graphs(2), 0, 50):
         germs = _enumerate_germs(g, bound=2, cap=40)
         for a, b in itertools.combinations(germs, 2):
             want = germ_class_key(g, a) == germ_class_key(g, b)
@@ -238,8 +238,8 @@ def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
     lost = enumerate_elements(f1, list(boundary_census(f1).points), 3)[0]
 
     def lose_first(*a):
-        rows, orbits = real(*a)
-        return rows[1:], orbits
+        rows, *rest = real(*a)
+        return rows[1:], *rest
 
     monkeypatch.setattr(weyl, "_element_rows", lose_first)
     rep = phi_bijectivity_check(f1, 3)
@@ -247,8 +247,8 @@ def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
     assert rep.violations == [f"germ class without matching element: cocycle {lost.k}"]
 
     def off_by_one(*a):
-        ((x, k, y, m, n), *rest), orbits = real(*a)
-        return [(x, k, y, m + 1, n), *rest], orbits
+        ((x, k, y, m, n), *rows), *rest = real(*a)
+        return [(x, k, y, m + 1, n), *rows], *rest
 
     monkeypatch.setattr(weyl, "_element_rows", off_by_one)
     rep = phi_bijectivity_check(f1, 3)
@@ -334,7 +334,7 @@ def test_germ_equivalent_oracle_on_pool():
     """On every graph of the <=2-vertex pool the value-level germ_equivalent
     agrees with the class keys on each comparison the id-level check makes,
     over the same classes and germs."""
-    for g in iter_small_graphs(2, 2):
+    for g in iter_small_graphs(2):
         classes, germs = _check_by_germ_equivalent(g)
         rep = phi_bijectivity_check(g, 3, max_points=18)
         assert rep.ok and (rep.class_count, rep.germ_count) == (classes, germs)
