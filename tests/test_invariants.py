@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from refinement_oracle import round_based_isomorphism
 from sampling import random_graph
-from oeg.digraphs import isomorphism
+from oeg.digraphs import condensation, isomorphism
 from oeg.errors import UnsupportedScaleError
 from oeg.graphs import INF, Graph
 from oeg.invariants import (
@@ -16,7 +17,7 @@ from oeg.invariants import (
     invariant_report,
     reachability,
 )
-from oeg.moves import amplified_transitive_closure, amplify, decide_amplified_oe
+from oeg.moves import _reduced_dag, amplified_transitive_closure, amplify, decide_amplified_oe
 from oeg.zoo import iter_small_graphs
 
 
@@ -602,6 +603,104 @@ def test_isomorphism_matches_networkx():
     assert verdicts == {True, False}
 
 
+def assert_same_verdict(g, h):
+    """``isomorphism`` and the round-based oracle agree on two coloured
+    digraphs, and a returned map carries every vertex colour and every
+    coloured arc; the verdict."""
+    phi = isomorphism(*g, *h)
+    assert (phi is None) == (round_based_isomorphism(*g, *h) is None)
+    if phi is not None:
+        (v1, a1), (v2, a2) = g, h
+        assert sorted(phi) == list(range(len(v1)))
+        assert all(v1[i] == v2[phi[i]] for i in range(len(v1)))
+        assert {(phi[i], phi[j]): a for (i, j), a in a1.items()} == a2
+    return phi is not None
+
+
+def reach_profile(g):
+    """The sorted (out-reach, in-reach, self-reach) of every vertex, as
+    ``scripts/pool_survey.py`` buckets graphs."""
+    cond = condensation(g)
+    sizes = list(map(len, cond.members))
+    comps = range(len(sizes))
+    out = [sum(sizes[d] for d in comps if bits >> d & 1) for bits in cond.reach]
+    inn = [sum(sizes[d] for d in comps if cond.reach[d] >> c & 1) for c in comps]
+    return tuple(sorted((out[c], inn[c], cond.reach[c] >> c & 1 == 1) for c in cond.comp))
+
+
+def closed_dag(g):
+    """The labelled component DAG closed under reachability, as
+    ``decide_amplified_oe`` compared it before it took the reduction."""
+    cond = condensation(g)
+    return cond.label, {(c, d): 0 for c, bits in enumerate(cond.reach) for d in range(c) if bits >> d & 1}
+
+
+def reduced_dag(g):
+    cond, arcs = _reduced_dag(g)
+    return cond.label, arcs
+
+
+def test_isomorphism_matches_round_based_oracle_in_reach_profile_buckets():
+    """Every pair of pool graphs inside a reach-profile bucket, on the
+    reduced component DAGs that ``decide_amplified_oe`` compares and on the
+    closures it compared before.  Graphs with equal inputs give equal
+    answers, so each bucket is checked on its distinct inputs and a
+    relabelled copy of each, every ordered pair."""
+    rng = random.Random(30)
+    buckets = {}
+    for g in iter_small_graphs(3):
+        bucket = buckets.setdefault((len(g.vertices), reach_profile(g)), {})
+        for dag in (reduced_dag(g), closed_dag(g)):
+            bucket.setdefault((tuple(dag[0]), tuple(sorted(dag[1].items()))), dag)
+    yes = no = 0
+    for bucket in buckets.values():
+        inputs = list(bucket.values())
+        inputs += [permuted(list(v), a, rng) for v, a in inputs]
+        for g, h in itertools.product(inputs, repeat=2):
+            if assert_same_verdict(g, h):
+                yes += 1
+            else:
+                no += 1
+    assert len(buckets) == 49 and (yes, no) == (284, 64)
+
+
+def test_isomorphism_matches_round_based_oracle_on_random_digraphs():
+    """2000 random arc-coloured digraphs of up to 8 vertices, self-loops
+    included, each against a relabelling and against a relabelled copy with
+    one change: an arc moved or recoloured, or a vertex recoloured.  A third
+    of them are unions of one or two permutations' cycles, on which
+    refinement splits nothing and the search must backtrack."""
+    rng = random.Random(31)
+    yes = no = 0
+    for k in range(2000):
+        n = rng.randint(1, 8)
+        colours = rng.choice((1, 2, 3))
+        if k % 3:
+            vertex = [rng.randrange(colours) for _ in range(n)]
+            arcs = {
+                (i, j): rng.randrange(colours)
+                for i in range(n) for j in range(n) if rng.random() < rng.choice((0.15, 0.3, 0.5))
+            }
+        else:
+            vertex, arcs = [0] * n, {}
+            for a in range(rng.randint(1, 2)):
+                image = list(range(n))
+                rng.shuffle(image)
+                arcs.update({(i, j): a for i, j in enumerate(image)})
+        h_vertex, h_arcs = permuted(vertex, arcs, rng)
+        if h_arcs and rng.random() < 0.6:
+            h_arcs.pop(rng.choice(list(h_arcs)))
+            h_arcs[rng.randrange(n), rng.randrange(n)] = rng.randrange(colours)
+        else:
+            h_vertex[rng.randrange(n)] = rng.randrange(colours)
+        for h in (permuted(vertex, arcs, rng), (h_vertex, h_arcs)):
+            if assert_same_verdict((vertex, arcs), h):
+                yes += 1
+            else:
+                no += 1
+    assert yes > 2000 and no > 1000
+
+
 # -- sizes past the brute force -------------------------------------------------
 
 
@@ -667,3 +766,94 @@ def test_chain_of_two_cycles_1200():
     # without one back edge the chain falls into two 600-vertex components
     broken = Graph(vs, [c for c in classes if c[0] != "b599"])
     assert decide_amplified_oe(g, broken) == (False, None)
+
+
+# -- long inputs: the refinement touches only the cells a split reaches ----------
+
+
+def path_graph(n, prefix="v"):
+    vs = [f"{prefix}{i}" for i in range(n)]
+    return Graph(vs, [(f"e{i}", vs[i], vs[i + 1], 1) for i in range(n - 1)])
+
+
+def test_decide_amplified_path_2000():
+    g = path_graph(2000)
+    h = relabelled(g, random.Random(32))
+    ok, bij = decide_amplified_oe(g, h)
+    assert ok
+    # a path's only reachability isomorphism follows it from its source
+    order = {c.src: c.dst for c in h.edge_classes}
+    at = next(iter(set(h.vertices) - set(order.values())))
+    for v in g.vertices:
+        assert bij[v] == at
+        at = order.get(at)
+
+
+def test_decide_amplified_path_2000_without_a_middle_arc():
+    g = path_graph(2000)
+    broken = Graph(g.vertices, [tuple(c) for c in g.edge_classes if c.cid != "e1000"])
+    assert decide_amplified_oe(g, broken) == (False, None)
+    assert decide_amplified_oe(broken, g) == (False, None)
+
+
+def layered_dag(rng, layers, width):
+    """Components in ``layers`` layers of 1 to ``width``: a lone vertex, a
+    loop or a 2-cycle, each with one to three arcs into random components of
+    the next few layers."""
+    vs, classes, comps = [], [], []
+    for layer in range(layers):
+        row = []
+        for _ in range(rng.randint(1, width)):
+            k = len(vs)
+            kind = rng.randrange(3)
+            members = [f"v{k}", f"v{k + 1}"] if kind == 2 else [f"v{k}"]
+            vs += members
+            if kind == 1:
+                classes.append((f"l{k}", members[0], members[0], 1))
+            if kind == 2:
+                classes += [(f"f{k}", members[0], members[1], 1), (f"b{k}", members[1], members[0], 1)]
+            row.append(members)
+        comps.append(row)
+    for layer, row in enumerate(comps[:-1]):
+        for members in row:
+            for m in range(rng.randint(1, 3)):
+                target = rng.choice(comps[rng.randint(layer + 1, min(layer + 3, layers - 1))])
+                classes.append((f"x{members[0]}_{m}", rng.choice(members), rng.choice(target), 1))
+    return Graph(vs, classes)
+
+
+def assert_carries_closure(g1, g2, bij):
+    """``bij`` carries positive-length reachability, read off the
+    condensations' closure bitsets."""
+    c1, c2 = condensation(g1), condensation(g2)
+    i1 = {v: i for i, v in enumerate(g1.vertices)}
+    i2 = {v: i for i, v in enumerate(g2.vertices)}
+    row2 = [c2.reach[c2.comp[i2[bij[v]]]] for v in g1.vertices]
+    col2 = [c2.comp[i2[bij[v]]] for v in g1.vertices]
+    for a, v in enumerate(g1.vertices):
+        bits = c1.reach[c1.comp[i1[v]]]
+        assert all((bits >> c1.comp[b] & 1) == (row2[a] >> col2[b] & 1) for b in range(len(g1.vertices)))
+
+
+def test_decide_amplified_layered_dag_500():
+    rng = random.Random(33)
+    g = layered_dag(rng, 100, 9)
+    cond, arcs = _reduced_dag(g)
+    assert 400 <= len(cond.members) <= 600
+    h = relabelled(g, rng)
+    ok, bij = decide_amplified_oe(g, h)
+    assert ok
+    assert_carries_closure(g, h, bij)
+    # every arc of the reduction is needed: dropping the classes that carry
+    # one changes the closure
+    c, d = sorted(arcs)[len(arcs) // 2]
+    cut = [tuple(e) for e in g.edge_classes
+           if (cond.comp[g.vertices.index(e.src)], cond.comp[g.vertices.index(e.dst)]) != (c, d)]
+    assert decide_amplified_oe(g, Graph(g.vertices, cut)) == (False, None)
+
+
+def test_digraph_isomorphic_path_2000():
+    rng = random.Random(34)
+    g = path_graph(2000)
+    h = relabelled(g, rng)
+    assert_carries_patterns(g, h, digraph_isomorphic(g, h))
