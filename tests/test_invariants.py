@@ -635,11 +635,6 @@ def closed_dag(g):
     return cond.label, {(c, d): 0 for c, bits in enumerate(cond.reach) for d in range(c) if bits >> d & 1}
 
 
-def reduced_dag(g):
-    cond, arcs = _reduced_dag(g)
-    return cond.label, arcs
-
-
 def test_isomorphism_matches_round_based_oracle_in_reach_profile_buckets():
     """Every pair of pool graphs inside a reach-profile bucket, on the
     reduced component DAGs that ``decide_amplified_oe`` compares and on the
@@ -650,7 +645,8 @@ def test_isomorphism_matches_round_based_oracle_in_reach_profile_buckets():
     buckets = {}
     for g in iter_small_graphs(3):
         bucket = buckets.setdefault((len(g.vertices), reach_profile(g)), {})
-        for dag in (reduced_dag(g), closed_dag(g)):
+        cond, arcs = _reduced_dag(g)
+        for dag in ((cond.label, arcs), closed_dag(g)):
             bucket.setdefault((tuple(dag[0]), tuple(sorted(dag[1].items()))), dag)
     yes = no = 0
     for bucket in buckets.values():
