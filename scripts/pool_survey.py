@@ -8,9 +8,13 @@ most two (up to vertex permutation) this runs:
   * the amplified-orbit-equivalence classification: graphs are bucketed by
     a reachability degree profile, and inside each bucket every graph is
     decided against the class representatives found so far, which counts
-    the exact classes of the reachability relation up to isomorphism.
+    the exact classes of the reachability relation up to isomorphism,
+  * the classes of the graphs with a finite boundary, read off their tail
+    class counts: orbit equivalence by the sorted class sizes, and groupoid
+    isomorphism by the sorted (size, on a cycle) pairs, since a class on an
+    exitless cycle has isotropy Z and one at a sink none.
 
-It prints the counts, then the time spent in each of the three stages.
+It prints the counts, then the time spent in each of the four stages.
 
 Run:  python scripts/pool_survey.py [max_vertices]
 """
@@ -21,6 +25,7 @@ import itertools
 import sys
 import time
 
+from oeg.boundary import tail_class_sizes
 from oeg.digraphs import condensation
 from oeg.graphs import condition_l
 from oeg.moves import decide_amplified_oe
@@ -44,11 +49,12 @@ def reach_profile(g) -> tuple:
 def main() -> int:
     max_v = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     t0 = time.perf_counter()
-    spent = dict.fromkeys(("condition (L)", "phi check", "amplified classes"), 0.0)
+    spent = dict.fromkeys(("condition (L)", "phi check", "amplified classes", "finite boundaries"), 0.0)
     n = 0
     with_l = 0
     phi_failures = 0
     reps: dict[tuple, list] = {}
+    finite, oe_classes, groupoid_classes = 0, set(), set()
     for g in iter_small_graphs(max_v):
         n += 1
         marks = [time.perf_counter()]
@@ -61,6 +67,12 @@ def main() -> int:
         if not any(decide_amplified_oe(g, r)[0] for r in group):
             group.append(g)
         marks.append(time.perf_counter())
+        sizes = tail_class_sizes(g)
+        if sizes is not None:
+            finite += 1
+            oe_classes.add(tuple(sorted(size for _, size in sizes)))
+            groupoid_classes.add(tuple(sorted((size, d > 0) for d, size in sizes)))
+        marks.append(time.perf_counter())
         for name, start, end in zip(spent, marks, marks[1:]):
             spent[name] += end - start
     elapsed = time.perf_counter() - t0
@@ -69,6 +81,9 @@ def main() -> int:
     print(f"germ/element comparison failures:{phi_failures}")
     print(f"reachability profile classes:    {len(reps)}")
     print(f"amplified OE classes (exact):    {sum(map(len, reps.values()))}")
+    print(f"finite boundaries:               {finite}")
+    print(f"  OE classes (class sizes):      {len(oe_classes)}")
+    print(f"  groupoid classes (+ isotropy): {len(groupoid_classes)}")
     print(f"elapsed:                         {elapsed:.1f}s")
     for name, seconds in spent.items():
         print(f"  {name + ':':31}{seconds:.1f}s ({seconds / elapsed:.0%})")

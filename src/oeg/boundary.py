@@ -10,6 +10,7 @@ short as possible.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -458,22 +459,36 @@ def check_listable(classes: Iterable[EdgeClass], inf_cap: int = 0) -> None:
     refuse_over_limit(total, "listing {count} edges one by one is over the census limit of {limit}")
 
 
-def _census_size(g: Graph, cond) -> int:
-    """The number of points of a finite boundary, counted without listing
-    them.  A sink, or a vertex on a cycle (which has no exit here), starts
-    one point; any other vertex starts those of its out-edges' ranges, each
-    class counted with its multiplicity.  Tarjan's condensation numbers
-    every component after the components it reaches, so one pass in that
-    order finds every range already counted."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    count = [1] * len(g.vertices)
-    for k, members in enumerate(cond.members):
-        if not cond.label[k][1]:
-            (i,) = members
-            classes = g.out_classes(g.vertices[i])
-            if classes:
-                count[i] = sum(c.mult * count[index[c.dst]] for c in classes)
-    return sum(count)
+def tail_class_sizes(g: Graph) -> list[tuple[int, int]] | None:
+    """One ``(d, size)`` pair per tail class of a finite boundary, sinks
+    first, or None when it is infinite; no point is listed.  ``d`` generates
+    the isotropy: 0 at a sink, the length of an exitless cycle.  A pass in
+    Kahn's order counts the paths ending at each vertex, the empty one too.
+    The vertices it never frees are those a cycle reaches: all of out-degree
+    1 iff the boundary is finite, and then they are the cycles to sum over."""
+    out, deg = g._out, g._deg
+    if INF in deg.values():  # an infinite class
+        return None
+    left = Counter(c.dst for c in g.edge_classes)  # in-classes not yet passed
+    count = dict.fromkeys(g.vertices, 1)
+    free = [v for v in g.vertices if not left[v]]
+    for u in free:  # grows as the pass frees vertices
+        for c in out[u]:
+            count[c.dst] += c.mult * count[u]
+            left[c.dst] -= 1
+            if not left[c.dst]:
+                free.append(c.dst)
+    if any(k and deg[v] != 1 for v, k in left.items()):
+        return None
+    sizes = [(0, count[v]) for v in g.vertices if not deg[v]]
+    for v in g.vertices:
+        d = size = 0
+        while left[v]:  # once round the cycle through v, clearing it
+            left[v] = 0
+            d, size, v = d + 1, size + count[v], out[v][0].dst
+        if d:
+            sizes.append((d, size))
+    return sizes
 
 
 def _cycle_through(g: Graph, u: str) -> Path:
@@ -506,8 +521,8 @@ def boundary_size(g: Graph) -> int | str:
     ``CENSUS_LIMIT`` points raises :class:`UnsupportedScaleError`.
 
     The space is finite iff the graph has no infinite class and no loop with
-    an exit.  Only a vertex of out-degree >= 2 can close a loop with an exit
-    or start more than one point, so without one each vertex starts one."""
+    an exit.  Only a vertex of out-degree >= 2 closes one or starts two points,
+    so without one each vertex starts one; else the tail classes are summed."""
     for c in g.edge_classes:
         if c.is_infinite:
             return f"infinite parallel class {c.cid!r}"
@@ -521,7 +536,7 @@ def boundary_size(g: Graph) -> int | str:
     for i, v in enumerate(g.vertices):
         if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
             return f"loop {'.'.join(e.cls for e in _cycle_through(g, v).edges)} has an exit"
-    size = _census_size(g, cond)
+    size = sum(n for _, n in tail_class_sizes(g))
     refuse_over_limit(size, "the boundary has {count} points, over the census limit of {limit} points")
     return size
 

@@ -27,6 +27,7 @@ from .boundary import (
     minimal_witness,
     point_sort_key,
     shift,
+    tail_class_sizes,
     tail_classes,
 )
 from .dsl import print_point
@@ -369,18 +370,19 @@ def search_oe_witness(E: Graph, F: Graph) -> OrbitWitness | None:
     witness, so a witness maps tail classes (the points ending at one sink,
     or on one exitless cycle) bijectively onto tail classes.  Conversely any
     class-respecting bijection admits delay tables, so the graphs are orbit
-    equivalent exactly when their multisets of class sizes agree.  Classes
-    of equal size are paired, and their points, in census order.
+    equivalent exactly when their multisets of class sizes agree.  These are
+    counted, and only a "yes" lists the censuses: classes of equal size are
+    paired, and their points, in census order.
     """
-    classes = []
-    for g in (E, F):  # E is refused before F is censused
-        census = boundary_census(g)
-        if not census.finite:
-            raise UnsupportedScaleError(f"the boundary space is infinite ({census.witness})")
-        classes.append(sorted(tail_classes(g, census.points).values(), key=len))
-    classes_e, classes_f = classes
-    if [len(c) for c in classes_e] != [len(c) for c in classes_f]:
+    sizes = []
+    for g in (E, F):  # E is refused before F is counted
+        counted = tail_class_sizes(g)
+        if counted is None:
+            _finite_size(g)  # raises with boundary_size's reason
+        sizes.append(sorted(n for _, n in counted))
+    if sizes[0] != sizes[1]:
         return None
+    classes_e, classes_f = (sorted(tail_classes(g, boundary_census(g).points).values(), key=len) for g in (E, F))
     h = {x: y for ce, cf in zip(classes_e, classes_f) for x, y in zip(ce, cf)}
     w = OrbitWitness(E, F, h, *_delay_tables(E, F, h), *_delay_tables(F, E, {y: x for x, y in h.items()}))
     report = verify_oe_witness(w)

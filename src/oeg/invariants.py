@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain, compress, product
 from typing import NamedTuple
 
-from .boundary import boundary_census
+from .boundary import boundary_size, tail_class_sizes
 from .errors import InputError, UnsupportedScaleError
 from .graphs import Graph, condition_l, is_singular, vertex_kind
 
@@ -165,7 +165,7 @@ class InvariantReport(NamedTuple):
     boundary_witness: str | None
     det_i_minus_a: int | None
     fixed_point_count: int
-    isotropy_census: dict[int, int] | None  # period generator -> count, full census only
+    isotropy_census: dict[int, int] | None  # isotropy generator -> point count, finite boundary only
 
     def to_json(self) -> dict:
         return {
@@ -188,37 +188,35 @@ class InvariantReport(NamedTuple):
 
 
 def invariant_report(g: Graph) -> InvariantReport:
-    """Consolidated invariants of a graph.
+    """Consolidated invariants of a graph.  The boundary fields read
+    :func:`boundary_size`, which refuses a boundary over the census limit,
+    and :func:`tail_class_sizes`; no point is listed.
 
     The determinant field det(I - A) is the classical flow-equivalence-style
     invariant of the edge shift; its invariance presumes irreducibility
     hypotheses that are not checked here.
     """
-    from .groupoid import isotropy
-
     ok, loop = condition_l(g)
     witness_text = None if ok else ".".join(e.cls for e in loop.edges)
     singular = {
         v: vertex_kind(g, v) for v in g.vertices if is_singular(g, v)
     }
-    census = boundary_census(g)
+    size = boundary_size(g)
+    finite = not isinstance(size, str)
     try:
         det = det_invariant(g)
     except UnsupportedScaleError:
         det = None
-    iso_census = None
-    if census.finite:
-        iso_census = {}
-        for x in census.points:  # every point of a finite boundary is isolated
-            d = isotropy(g, x).d
-            iso_census[d] = iso_census.get(d, 0) + 1
+    iso_census = {} if finite else None
+    for d, n in tail_class_sizes(g) if finite else ():  # each point has its class's isotropy
+        iso_census[d] = iso_census.get(d, 0) + n
     return InvariantReport(
         condition_l=ok,
         exitless_loop=witness_text,
         singular_vertices=singular,
-        boundary_finite=census.finite,
-        boundary_size=len(census.points) if census.finite else None,
-        boundary_witness=census.witness,
+        boundary_finite=finite,
+        boundary_size=size if finite else None,
+        boundary_witness=None if finite else size,
         det_i_minus_a=det,
         # a fixed point repeats one loop edge; an infinite class gives one
         fixed_point_count=sum(1 if c.is_infinite else c.mult for c in g.edge_classes if c.src == c.dst),

@@ -21,9 +21,9 @@ from oeg import boundary
 from oeg.boundary import (
     CENSUS_LIMIT,
     BoundaryPoint,
-    _census_size,
     _cycle_through,
     boundary_census,
+    boundary_size,
     bounded_points,
     canonicalize,
     cyl_is_empty,
@@ -38,12 +38,14 @@ from oeg.boundary import (
     point_sort_key,
     prepend,
     shift,
+    tail_class_sizes,
+    tail_classes,
     tail_key,
 )
-from oeg.digraphs import condensation
 from oeg.dynamics import search_oe_witness, verify_oe_witness
 from oeg.errors import DomainError, InputError, UnsupportedScaleError
 from oeg.graphs import Edge, EdgeClass, Graph, enumerate_simple_loops
+from oeg.groupoid import isotropy
 from oeg.invariants import invariant_report
 from oeg.moves import decide_amplified_oe
 from oeg.pointtable import PointTable
@@ -610,20 +612,76 @@ def _doubled_chain(rungs: int) -> Graph:
     return Graph(verts, [(f"e{i}", verts[i], verts[i + 1], 2) for i in range(rungs)])
 
 
+def _fed_cycles(rng: random.Random) -> Graph:
+    """A graph with a finite boundary: up to three exitless cycles and a DAG
+    whose vertices lead, with multiplicities up to 3, to later DAG vertices
+    and to cycle vertices, or end as sinks."""
+    cycles = [[f"c{k}_{i}" for i in range(rng.randint(1, 3))] for k in range(rng.randint(0, 3))]
+    on_cycles = [v for cycle in cycles for v in cycle]
+    dag = [f"d{i}" for i in range(rng.randint(0 if cycles else 1, 5))]
+    classes = [(f"{v}>", v, cycle[(i + 1) % len(cycle)], 1) for cycle in cycles for i, v in enumerate(cycle)]
+    for i, v in enumerate(dag):
+        for w in dag[i + 1 :] + on_cycles:
+            if rng.random() < 0.35:
+                classes.append((f"{v}>{w}", v, w, rng.randint(1, 3)))
+    vertices = dag + on_cycles
+    rng.shuffle(vertices)
+    return Graph(vertices, classes)
+
+
+def _listed_class_sizes(g: Graph) -> list[tuple[int, int]]:
+    """The sorted ``(isotropy generator, size)`` pairs of the tail classes of
+    the listed census, each class checked to share one isotropy."""
+    pairs = []
+    for points in tail_classes(g, boundary_census(g).points).values():
+        (d,) = {isotropy(g, x).d for x in points}
+        pairs.append((d, len(points)))
+    return sorted(pairs)
+
+
 def test_census_size_matches_the_listing():
-    """The counted size equals the listed census on every finite-boundary
-    graph of the pool and on doubled chains, sinks, cycles and multiplicities
-    included."""
+    """The counted tail classes, and the size they sum to, equal those of
+    the listed census, isotropy included, on every finite-boundary graph of
+    the pool, on doubled chains, and on random exitless cycles fed by DAGs
+    with multiplicities; the count is None exactly on the pool's infinite
+    boundaries."""
     finite = 0
     for g in iter_small_graphs(3):
         census = boundary_census(g)
+        counted = tail_class_sizes(g)
+        assert (counted is None) == (not census.finite)
         if census.finite:
             finite += 1
-            assert _census_size(g, condensation(g)) == len(census.points)
+            assert sorted(counted) == _listed_class_sizes(g)
+            assert boundary_size(g) == len(census.points)
     assert finite == 70
     for rungs in range(1, 11):
         g = _doubled_chain(rungs)
-        assert _census_size(g, condensation(g)) == len(boundary_census(g).points) == 2 ** (rungs + 1) - 1
+        assert sorted(tail_class_sizes(g)) == _listed_class_sizes(g) == [(0, 2 ** (rungs + 1) - 1)]
+        assert boundary_size(g) == len(boundary_census(g).points) == 2 ** (rungs + 1) - 1
+    rng = random.Random(23)
+    for _ in range(3000):
+        g = _fed_cycles(rng)
+        assert sorted(tail_class_sizes(g)) == _listed_class_sizes(g)
+        assert boundary_size(g) == len(boundary_census(g).points)
+
+
+def test_tail_class_sizes_take_one_linear_pass():
+    """The count lists no point, so a 10,000-vertex chain and a
+    20,000-vertex DAG with 10^5 classes, whose path counts run to thousands
+    of digits, are each counted in under a second."""
+    rng = random.Random(5)
+    dag = [f"v{i}" for i in range(20000)]
+    starts = sorted(rng.randrange(19999) for _ in range(10**5))
+    wide = Graph(dag, [(f"e{k}", dag[i], dag[i + 1 + rng.randrange(min(50, 19999 - i))], 1) for k, i in enumerate(starts)])
+    counted = []
+    for g in (chain_graph(10000), wide):
+        start = time.perf_counter()
+        counted.append(tail_class_sizes(g))
+        assert time.perf_counter() - start < 1.0
+    chain, sinks = counted
+    assert chain == [(0, 10000)]
+    assert {d for d, _ in sinks} == {0} and sum(n for _, n in sinks) > 2**2000
 
 
 @pytest.mark.parametrize(

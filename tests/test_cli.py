@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import small_graph_st
+from sampling import chain_graph
 from oeg.boundary import boundary_census, bounded_points
 from oeg.cli import build_parser, main
 from oeg.dsl import print_graph, print_point, print_witness
@@ -247,21 +248,23 @@ def test_pseudo_commands(files, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, censuses",
+    "argv, censuses, want",
     [
-        pytest.param(argv, censuses, id=argv[0])
-        for argv, censuses in [
-            (["verify-oe", "E1", "F1", "W1"], 0),
-            (["search-oe", "E1", "F1"], 2),
-            (["extend-cocycles", "E1", "F1", "W1", "3"], 0),
-            (["verify-pseudo", "E1", "el"], 0),
-            (["conjugate-pseudo", "E1", "F1", "W1", "el"], 0),
+        pytest.param(argv, censuses, want, id=name)
+        for name, argv, censuses, want in [
+            ("verify-oe", ["verify-oe", "E1", "F1", "W1"], 0, 0),
+            ("search-oe", ["search-oe", "E1", "F1"], 2, 0),
+            ("search-oe-no", ["search-oe", "G0", "E1"], 0, 1),
+            ("extend-cocycles", ["extend-cocycles", "E1", "F1", "W1", "3"], 0, 0),
+            ("verify-pseudo", ["verify-pseudo", "E1", "el"], 0, 0),
+            ("conjugate-pseudo", ["conjugate-pseudo", "E1", "F1", "W1", "el"], 0, 0),
         ]
     ],
 )
-def test_witness_commands_census_each_graph_once(argv, censuses, files, capsys, tmp_path, monkeypatch):
+def test_witness_commands_census_each_graph_once(argv, censuses, want, files, capsys, tmp_path, monkeypatch):
     """A witness check counts the boundaries and lists no census, so only
-    ``search-oe`` censuses E and F, once each, to pair their points."""
+    ``search-oe`` censuses E and F, once each, to pair their points; a "no"
+    is decided from the counts and lists none."""
     from oeg import boundary, dynamics
 
     (tmp_path / "el.json").write_text(json.dumps(_IDENTITY_TO_THE_7))
@@ -271,7 +274,7 @@ def test_witness_commands_census_each_graph_once(argv, censuses, files, capsys, 
     for module in (boundary, dynamics):
         monkeypatch.setattr(module, "boundary_census", lambda g: calls.append(g) or census(g))
     code, _ = run(capsys, *(named.get(w, w) for w in argv))
-    assert code == 0 and len(calls) == censuses
+    assert code == want and len(calls) == censuses
 
 
 def test_input_errors(files, capsys):
@@ -372,6 +375,30 @@ def test_census_over_the_limit_exits_2(command, graph, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: the boundary has {size} points, over the census limit of 1000000 points\n"
+
+
+def test_search_oe_over_the_limit_says_no_from_the_counts(tmp_path, capsys):
+    """Two boundaries too large to list, of different sizes, are told apart
+    by their tail-class counts: a "no", at once, with no census."""
+    for name, mult in (("e", 10**12), ("f", 10**12 + 1)):
+        (tmp_path / f"{name}.graph").write_text(f"graph {name}\nvertex u, v\nedge a * {mult}: u -> v\n")
+    start = time.perf_counter()
+    code = main(["search-oe", str(tmp_path / "e.graph"), str(tmp_path / "f.graph")])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "not orbit equivalent\n" and captured.err == ""
+
+
+def test_info_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """``info`` counts the boundary and its isotropy without listing it, so a
+    chain far deeper than Python's recursion limit is reported."""
+    p = tmp_path / "chain.graph"
+    p.write_text(print_graph(chain_graph(2000), "Chain"))
+    code = main(["--json", "info", str(p)])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["boundary"] == {"finite": True, "size": 2000, "witness": None}
+    assert data["isotropyCensus"] == {"0": 2000}
 
 
 _HUGE_LOOP = "graph B\nvertex u\nedge a * 1000000000000: u -> u\n"
@@ -551,7 +578,7 @@ _BASE_MODULES = {"oeg.boundary", "oeg.cli", "oeg.dsl", "oeg.errors", "oeg.graphs
 _CLOSURES = {
     "census": (["census", "E1"], 0, set()),
     "det": (["det", "E2"], 0, {"invariants"}),
-    "info": (["info", "E1"], 0, {"invariants", "groupoid"}),
+    "info": (["info", "E1"], 0, {"invariants"}),
     "shift": (["shift", "E1", "a.(b)*", "1"], 0, set()),
     "search-oe": (["search-oe", "G0", "Floop"], 0, {"dynamics"}),
     "verify-oe": (["verify-oe", "E1", "F1", "W1"], 0, {"dynamics"}),

@@ -147,9 +147,9 @@ def test_partial_witness_is_an_input_error():
 
 
 def test_census_calls(monkeypatch):
-    """Only the search lists censuses, one of each graph, to pair their
-    points; the witness and pseudogroup checks and the transport count the
-    boundaries."""
+    """Only a search that says "yes" lists censuses, one of each graph, to
+    pair their points; a "no", the witness and pseudogroup checks and the
+    transport count the boundaries."""
     from oeg import dynamics
 
     w = example_witness()
@@ -163,6 +163,7 @@ def test_census_calls(monkeypatch):
     for run, count in (
         (lambda: verify_oe_witness(w), 0),
         (lambda: search_oe_witness(w.E, w.F), 2),
+        (lambda: search_oe_witness(w.E, lone_vertex()), 0),
         (lambda: extend_cocycles(w, 3), 0),
         (lambda: check_extended_identity(w, tables), 0),
         (lambda: verify_pseudogroup_element(deep), 0),
