@@ -590,6 +590,16 @@ _CLOSURES = {
     "move out-split": (["move", "out-split", "E2", "split", "--map-point", "(a11)*"], 0, {"moves"}),
     "move saturate": (["move", "saturate", "amp", "A[0].B[0]", "--map-point", "M[3].(B[0])*"], 0, {"moves"}),
     "decide-amplified": (["decide-amplified", "E1", "F1"], 1, {"moves", "digraphs"}),
+    "extend-cocycles": (["extend-cocycles", "E1", "F1", "W1", "2"], 0, {"dynamics"}),
+    "verify-pseudo": (["verify-pseudo", "E1", "el"], 0, {"dynamics"}),
+    "conjugate-pseudo": (["conjugate-pseudo", "E1", "F1", "W1", "el"], 0, {"dynamics"}),
+    "groupoid isotropy": (["groupoid", "isotropy", "F1", "(c.d)*"], 0, {"groupoid"}),
+    "groupoid principality": (["groupoid", "principality", "Floop"], 1, {"groupoid"}),
+    "weyl germ": (["weyl", "germ", "E1", "a", "@v", "(b)*"], 0, {"groupoid", "pointtable", "weyl"}),
+    "weyl equiv": (["weyl", "equiv", "E1", "[b | @v | (b)*]", "[@v | @v | (b)*]"], 1, {"groupoid", "pointtable", "weyl"}),
+    "weyl winding": (["weyl", "winding", "E1", "[b | @v | (b)*]", "[@v | @v | (b)*]"], 0, {"groupoid", "pointtable", "weyl"}),
+    "move amplify": (["move", "amplify", "E1"], 0, {"moves"}),
+    "move tclose": (["move", "tclose", "F1"], 0, {"moves", "digraphs"}),
 }
 
 # the generated-code machinery that records as NamedTuples keep out of a run
@@ -614,14 +624,30 @@ def _src_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _named_files(files, tmp_path) -> dict:
+    """The ``files`` fixture's paths, and those of a partition, a graph with
+    infinite classes, an element, an element that fails and a witness that
+    fails, by name."""
+    texts = {
+        "split": "split 1: {a11} | {a12}\n",
+        "amp": "graph amp\nvertex u, v\nedge A * inf: u -> v\nedge B * inf: v -> v\n",
+        "el": json.dumps({"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 1]], "n": [["(b)*", 0]]}),
+        "el_bad": json.dumps({"alpha": [["a.(b)*", "(b)*"]], "m": [["a.(b)*", 0]], "n": [["a.(b)*", 0]]}),
+        "W_bad": json.dumps(dict(json.loads((tmp_path / "W1.json").read_text()), k1=[["a.(b)*", 0], ["(b)*", 0]])),
+    }
+    named = dict(files)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        named[name] = str(tmp_path / name)
+    return named
+
+
 @pytest.mark.parametrize("command", list(_CLOSURES))
 def test_command_imports_only_its_modules(command, files, tmp_path):
     """Each command, run in a fresh interpreter, loads the DSL's modules and
     the library modules it runs, and no others, and neither ``dataclasses``
     nor ``inspect``."""
-    (tmp_path / "split.part").write_text("split 1: {a11} | {a12}\n")
-    (tmp_path / "amp.graph").write_text("graph amp\nvertex u, v\nedge A * inf: u -> v\nedge B * inf: v -> v\n")
-    named = dict(files, split=str(tmp_path / "split.part"), amp=str(tmp_path / "amp.graph"))
+    named = _named_files(files, tmp_path)
     words, want_code, extra = _CLOSURES[command]
     argv = [named.get(w, w) for w in words]
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=_src_env())
@@ -630,6 +656,138 @@ def test_command_imports_only_its_modules(command, files, tmp_path):
     assert code == want_code
     assert set(loaded) == _BASE_MODULES | {f"oeg.{m}" for m in extra}
     assert heavy == []
+
+
+# -- what each command prints ---------------------------------------------------
+
+_SEARCH_OE_WITNESS = (
+    '{\n  "h": [\n    [\n      "@v",\n      "(e)*"\n    ]\n  ],\n  "k1": [],\n  "l1": [],\n'
+    '  "k1p": [\n    [\n      "(e)*",\n      0\n    ]\n  ],\n  "l1p": [\n    [\n      "(e)*",\n      0\n    ]\n  ]\n}\n'
+)
+_E2_SPLIT = (
+    "graph E2_split\nvertex 1^1, 1^2, 2^1\nedge a11^1: 1^1 -> 1^1\nedge a11^2: 1^1 -> 1^2\nedge a12^1: 1^2 -> 2^1\n"
+    "edge a21^1: 2^1 -> 1^1\nedge a21^2: 2^1 -> 1^2\nedge a22^1: 2^1 -> 2^1\n"
+)
+_E1_COCYCLES_2 = {
+    "n": 2,
+    "k": [["(b)*", 0], ["a.(b)*", 1]],
+    "l": [["(b)*", 0], ["a.(b)*", 0]],
+    "kp": [["(c.d)*", 1], ["(d.c)*", 0]],
+    "lp": [["(c.d)*", 1], ["(d.c)*", 0]],
+}
+_FAILS = "forward identity fails at a.(b)*"
+
+# (argv over ``_named_files``, exit code, stdout, stdout under --json, or None
+# where --json changes nothing); a dict stands for its sorted, indented JSON
+_OUTPUTS = {
+    "info": (
+        ["info", "E1"], 0,
+        'conditionL: false\nexitlessLoop: "b"\nsingularVertices: {}\n'
+        'boundary: {"finite": true, "size": 2, "witness": null}\ndetIMinusA: 0\nfixedPoints: 1\n'
+        'isotropyCensus: {"1": 2}\n',
+        {"boundary": {"finite": True, "size": 2, "witness": None}, "conditionL": False, "detIMinusA": 0,
+         "exitlessLoop": "b", "fixedPoints": 1, "isotropyCensus": {"1": 2}, "singularVertices": {}},
+    ),
+    "census": (["census", "E1"], 0, "(b)*\na.(b)*\n", {"finite": True, "points": ["(b)*", "a.(b)*"]}),
+    "census infinite": (
+        ["census", "E2"], 0, "infinite: loop a11 has an exit\n", {"finite": False, "witness": "loop a11 has an exit"}
+    ),
+    "det": (["det", "E2"], 0, "-1\n", {"detIMinusA": -1}),
+    "shift": (["shift", "E1", "a.(b)*", "1"], 0, "(b)*\n", {"point": "(b)*"}),
+    "verify-oe": (["verify-oe", "E1", "F1", "W1"], 0, "ok\n", {"failures": [], "ok": True}),
+    "verify-oe no": (["verify-oe", "E1", "F1", "W_bad"], 1, _FAILS + "\n", {"failures": [_FAILS], "ok": False}),
+    "search-oe": (["search-oe", "G0", "Floop"], 0, _SEARCH_OE_WITNESS, None),
+    "search-oe no": (["search-oe", "G0", "E1"], 1, "not orbit equivalent\n", {"found": False}),
+    "extend-cocycles": (["extend-cocycles", "E1", "F1", "W1", "2"], 0, _E1_COCYCLES_2, None),
+    "extend-cocycles no": (
+        ["extend-cocycles", "E1", "F1", "W_bad", "2"], 1, _FAILS + "\n", {"failures": [_FAILS], "ok": False}
+    ),
+    "verify-pseudo": (["verify-pseudo", "E1", "el"], 0, "ok\n", {"ok": True}),
+    "verify-pseudo no": (["verify-pseudo", "E1", "el_bad"], 1, "not a pseudogroup element\n", {"ok": False}),
+    "conjugate-pseudo": (
+        ["conjugate-pseudo", "E1", "F1", "W1", "el"], 0,
+        {"alpha": [["(d.c)*", "(d.c)*"]], "m": [["(d.c)*", 0]], "n": [["(d.c)*", 0]]}, None,
+    ),
+    "conjugate-pseudo no": (
+        ["conjugate-pseudo", "E1", "F1", "W_bad", "el"], 1, "witness does not verify\n", {"ok": False}
+    ),
+    "groupoid make": (
+        ["groupoid", "make", "E1", "a.(b)*", "1", "0", "(b)*"], 0,
+        "(a.(b)* | 1 | (b)*)\n", {"element": "(a.(b)* | 1 | (b)*)", "m": 1, "n": 0},
+    ),
+    "groupoid compose": (
+        ["groupoid", "compose", "E1", "(a.(b)* | 1 | (b)*)", "((b)* | 1 | (b)*)"], 0,
+        "(a.(b)* | 2 | (b)*)\n", {"element": "(a.(b)* | 2 | (b)*)"},
+    ),
+    "groupoid isotropy": (["groupoid", "isotropy", "F1", "(c.d)*"], 0, "2Z\n", {"generator": 2}),
+    "groupoid principality": (["groupoid", "principality", "E2"], 0, "principal: True\n", {"principal": True}),
+    "groupoid principality no": (
+        ["groupoid", "principality", "Floop"], 1,
+        "principal: False\nwitness unit: ((e)* | 0 | (e)*) with isotropy 1Z\n",
+        {"isotropy": 1, "principal": False, "witnessUnit": "((e)* | 0 | (e)*)"},
+    ),
+    "weyl germ": (
+        ["weyl", "germ", "E1", "a", "@v", "(b)*"], 0,
+        "[a | @v | (b)*]\ncocycle 1\nimage a.(b)*\n", {"cocycle": 1, "germ": "[a | @v | (b)*]", "image": "a.(b)*"},
+    ),
+    "weyl equiv": (
+        ["weyl", "equiv", "E1", "[b | @v | (b)*]", "[@v | @v | (b)*]"], 1, "not equivalent\n", {"equivalent": False}
+    ),
+    "weyl winding": (["weyl", "winding", "E1", "[b | @v | (b)*]", "[@v | @v | (b)*]"], 0, "1\n", {"winding": 1}),
+    "weyl phi-check": (
+        ["weyl", "phi-check", "F1", "--bound", "2"], 0,
+        "bound: 2\npoolSize: 2\npoolComplete: True\nelements: 10\nclasses: 10\ngerms: 18\nok: True\nviolations: []\n",
+        {"bound": 2, "classes": 10, "elements": 10, "germs": 18, "ok": True, "poolComplete": True, "poolSize": 2,
+         "violations": []},
+    ),
+    "move out-split": (["move", "out-split", "E2", "split", "--map-point", "(a11)*"], 0, _E2_SPLIT + "(a11^1)*\n", None),
+    "move out-split bare": (["move", "out-split", "E2", "split"], 0, _E2_SPLIT, None),
+    "move amplify": (
+        ["move", "amplify", "E1"], 0, "graph E1_amp\nvertex u, v\nedge u_v * inf: u -> v\nedge v_v * inf: v -> v\n", None
+    ),
+    "move tclose": (
+        ["move", "tclose", "F1"], 0,
+        "graph F1_tclose\nvertex p, q\nedge p_p * inf: p -> p\nedge p_q * inf: p -> q\nedge q_p * inf: q -> p\n"
+        "edge q_q * inf: q -> q\n",
+        None,
+    ),
+    "move saturate": (
+        ["move", "saturate", "amp", "A[0].B[0]", "--map-point", "M[3].(B[0])*"], 0,
+        "graph amp_sat\nvertex u, v\nedge A * inf: u -> v\nedge B * inf: v -> v\nedge M * inf: u -> v\n"
+        "A[6].(B[0])*\n",
+        None,
+    ),
+    "decide-amplified": (
+        ["decide-amplified", "E2", "F1"], 0,
+        'equivalent {"1": "p", "2": "q"}\n', {"equivalent": True, "vertexBijection": {"1": "p", "2": "q"}},
+    ),
+    "decide-amplified no": (
+        ["decide-amplified", "E1", "F1"], 1, "not equivalent\n", {"equivalent": False, "vertexBijection": None}
+    ),
+}
+
+
+def _printed(want) -> str:
+    return json.dumps(want, indent=2, sort_keys=True) + "\n" if isinstance(want, dict) else want
+
+
+def test_outputs_and_closures_cover_every_command():
+    commands = [words for words, _ in _FUZZ_COMMANDS]
+    assert all(any(argv[:len(words)] == words for argv, *_ in _OUTPUTS.values()) for words in commands)
+    assert sorted(_CLOSURES) == sorted(" ".join(words) for words in commands)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", list(_OUTPUTS))
+def test_command_output(case, as_json, files, tmp_path, capsys):
+    """Each command, as text and under ``--json``, prints exactly its pinned
+    output and exits with its pinned code."""
+    named = _named_files(files, tmp_path)
+    words, want_code, text, as_json_text = _OUTPUTS[case]
+    want = as_json_text if as_json and as_json_text is not None else text
+    code = main(["--json"] * as_json + [named.get(w, w) for w in words])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (want_code, _printed(want), "")
 
 
 @pytest.mark.parametrize(
