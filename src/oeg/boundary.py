@@ -522,21 +522,24 @@ def boundary_size(g: Graph) -> int | str:
 
     The space is finite iff the graph has no infinite class and no loop with
     an exit.  Only a vertex of out-degree >= 2 closes one or starts two points,
-    so without one each vertex starts one; else the tail classes are summed."""
+    so without one each vertex starts one; else the tail classes are summed,
+    and only an infinite boundary's reason needs the condensation."""
     for c in g.edge_classes:
         if c.is_infinite:
             return f"infinite parallel class {c.cid!r}"
     if not any(g.out_degree(v) >= 2 for v in g.vertices):
         return len(g.vertices)
-    from .digraphs import condensation  # loaded on use: graphs without a branching vertex never need it
+    sizes = tail_class_sizes(g)
+    if sizes is None:
+        from .digraphs import condensation  # loaded on use: a finite boundary never needs it
 
-    cond = condensation(g)
-    # a loop with an exit exists iff a cycle passes through a vertex of
-    # out-degree >= 2; it is traced through the first in declaration order
-    for i, v in enumerate(g.vertices):
-        if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
-            return f"loop {'.'.join(e.cls for e in _cycle_through(g, v).edges)} has an exit"
-    size = sum(n for _, n in tail_class_sizes(g))
+        cond = condensation(g)
+        # a loop with an exit exists iff a cycle passes through a vertex of
+        # out-degree >= 2; it is traced through the first in declaration order
+        for i, v in enumerate(g.vertices):
+            if g.out_degree(v) >= 2 and cond.label[cond.comp[i]][1]:
+                return f"loop {'.'.join(e.cls for e in _cycle_through(g, v).edges)} has an exit"
+    size = sum(n for _, n in sizes)
     refuse_over_limit(size, "the boundary has {count} points, over the census limit of {limit} points")
     return size
 

@@ -8,9 +8,13 @@ read as UTF-8 text (missing, a directory, binary) is an input error.  A
 reader that closes the output pipe early ends the output quietly, with the
 command's own exit code.
 
+Each command is defined once, in ``_COMMANDS`` (words, help, positionals,
+options, handler).  ``build_parser`` builds argparse's subcommands from that
+table, argparse picks the handler, and handlers answer through ``_answer``,
+which prints the text or JSON form and maps the verdict to exit code 0 or 1.
+
 Every command parses a graph file, so the DSL is imported with this module;
-each command imports the library modules it runs when it is dispatched, and
-no others.
+each handler imports the library modules it runs, and no others.
 """
 
 from __future__ import annotations
@@ -43,12 +47,295 @@ def _load_graph(path: str) -> dsl.GraphDocument:
     return dsl.parse_graph(_read_text(path))
 
 
-def _emit(payload, as_json: bool, text_lines=None):
+def _graph(args):
+    """The graph that ``args`` names."""
+    return _load_graph(args.graph).graph
+
+
+def _pair(args) -> tuple:
+    """The graphs E and F that ``args`` names."""
+    return _load_graph(args.graph_e).graph, _load_graph(args.graph_f).graph
+
+
+def _witness(args) -> tuple:
+    """E, F, the witness file between them that ``args`` names, and its
+    verification report."""
+    from . import dynamics
+
+    E, F = _pair(args)
+    w = dsl.parse_witness(E, F, _read_text(args.witness))
+    return E, F, w, dynamics.verify_oe_witness(w)
+
+
+def _answer(ok: bool, payload, as_json: bool, lines) -> int:
+    """Print ``payload`` as JSON or ``lines`` as text, and exit 0 on an
+    affirmative ``ok``, 1 on a negative one."""
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines if text_lines is not None else [payload]:
+        for line in lines:
             print(line)
+    return EXIT_OK if ok else EXIT_NO
+
+
+def _info(args) -> int:
+    from . import invariants
+
+    report = invariants.invariant_report(_graph(args)).to_json()
+    return _answer(True, report, args.json, [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in report.items()])
+
+
+def _census(args) -> int:
+    from . import boundary
+
+    g = _graph(args)
+    census = boundary.boundary_census(g)
+    if not census.finite:
+        return _answer(True, {"finite": False, "witness": census.witness}, args.json, [f"infinite: {census.witness}"])
+    pts = [dsl.print_point(g, x) for x in census.points]
+    return _answer(True, {"finite": True, "points": pts}, args.json, pts)
+
+
+def _det(args) -> int:
+    from . import invariants
+
+    value = invariants.det_invariant(_graph(args))
+    return _answer(True, {"detIMinusA": value}, args.json, [value])
+
+
+def _shift(args) -> int:
+    from . import boundary
+
+    g = _graph(args)
+    y = dsl.print_point(g, boundary.shift(g, dsl.parse_point(g, args.point), args.n))
+    return _answer(True, {"point": y}, args.json, [y])
+
+
+def _verify_oe(args) -> int:
+    report = _witness(args)[3]
+    return _answer(report.ok, {"ok": report.ok, "failures": report.failures}, args.json,
+                   ["ok"] if report.ok else report.failures)
+
+
+def _search_oe(args) -> int:
+    from . import dynamics
+
+    w = dynamics.search_oe_witness(*_pair(args))
+    if w is None:
+        return _answer(False, {"found": False}, args.json, ["not orbit equivalent"])
+    print(dsl.print_witness(w), end="")
+    return EXIT_OK
+
+
+def _extend_cocycles(args) -> int:
+    from . import dynamics
+
+    E, F, w, report = _witness(args)
+    if not report.ok:
+        return _answer(False, {"ok": False, "failures": report.failures}, args.json, report.failures)
+    tables = dynamics.extend_cocycles(w, args.n)
+    payload = {"n": args.n, "k": dsl.table_json(E, tables.k), "l": dsl.table_json(E, tables.l),
+               "kp": dsl.table_json(F, tables.kp), "lp": dsl.table_json(F, tables.lp)}
+    return _answer(True, payload, True, ())
+
+
+def _verify_pseudo(args) -> int:
+    from . import dynamics
+
+    g = _graph(args)
+    ok = dynamics.verify_pseudogroup_element(dsl.parse_element(g, _read_text(args.element)))
+    return _answer(ok, {"ok": ok}, args.json, ["ok" if ok else "not a pseudogroup element"])
+
+
+def _conjugate_pseudo(args) -> int:
+    from . import dynamics
+
+    E, F, w, report = _witness(args)
+    if not report.ok:
+        return _answer(False, {"ok": False}, args.json, ["witness does not verify"])
+    el = dsl.parse_element(E, _read_text(args.element))
+    return _answer(True, dsl.element_to_json(F, dynamics.conjugate_pseudogroup(w, el)), True, ())
+
+
+def _groupoid_make(args) -> int:
+    from . import groupoid
+
+    g = _graph(args)
+    e = groupoid.make_element(g, dsl.parse_point(g, args.x), args.m, args.n, dsl.parse_point(g, args.y))
+    text = dsl.print_groupoid_element(g, e)
+    return _answer(True, {"element": text, "m": e.m, "n": e.n}, args.json, [text])
+
+
+def _groupoid_compose(args) -> int:
+    from . import groupoid
+
+    g = _graph(args)
+    e1 = dsl.parse_groupoid_element(g, args.e1)
+    e2 = dsl.parse_groupoid_element(g, args.e2)
+    text = dsl.print_groupoid_element(g, groupoid.compose(g, e1, e2))
+    return _answer(True, {"element": text}, args.json, [text])
+
+
+def _groupoid_isotropy(args) -> int:
+    from . import groupoid
+
+    g = _graph(args)
+    iso = groupoid.isotropy(g, dsl.parse_point(g, args.x))
+    return _answer(True, {"generator": iso.d}, args.json, [iso])
+
+
+def _groupoid_principality(args) -> int:
+    from . import groupoid
+
+    g = _graph(args)
+    report = groupoid.principality_report(g)
+    payload = {"principal": report.principal}
+    lines = [f"principal: {report.principal}"]
+    if report.witness_unit is not None:
+        payload["witnessUnit"] = dsl.print_groupoid_element(g, report.witness_unit)
+        payload["isotropy"] = report.witness_isotropy.d
+        lines.append(f"witness unit: {payload['witnessUnit']} with isotropy {report.witness_isotropy}")
+    return _answer(report.principal, payload, args.json, lines)
+
+
+def _weyl_germ(args) -> int:
+    from . import weyl
+
+    g = _graph(args)
+    germ = weyl.germ_make(g, dsl.parse_path(g, args.mu), dsl.parse_path(g, args.nu), dsl.parse_point(g, args.x))
+    payload = {"germ": dsl.print_germ(g, germ), "cocycle": germ.cocycle,
+               "image": dsl.print_point(g, weyl.germ_apply(g, germ))}
+    return _answer(True, payload, args.json, [payload["germ"], f"cocycle {germ.cocycle}", f"image {payload['image']}"])
+
+
+def _weyl_equiv(args) -> int:
+    from . import weyl
+
+    g = _graph(args)
+    eq = weyl.germ_equivalent(g, dsl.parse_germ(g, args.germ1), dsl.parse_germ(g, args.germ2))
+    return _answer(eq, {"equivalent": eq}, args.json, ["equivalent" if eq else "not equivalent"])
+
+
+def _weyl_winding(args) -> int:
+    from . import weyl
+
+    g = _graph(args)
+    value = weyl.winding(g, dsl.parse_germ(g, args.germ1), dsl.parse_germ(g, args.germ2))
+    return _answer(True, {"winding": value}, args.json, [value])
+
+
+def _weyl_phi_check(args) -> int:
+    from . import weyl
+
+    report = weyl.phi_bijectivity_check(_graph(args), args.bound)
+    payload = {"bound": report.bound, "poolSize": report.pool_size, "poolComplete": report.pool_complete,
+               "elements": report.element_count, "classes": report.class_count, "germs": report.germ_count,
+               "ok": report.ok, "violations": report.violations}
+    return _answer(report.ok, payload, args.json, [f"{k}: {v}" for k, v in payload.items()])
+
+
+def _move_out_split(args) -> int:
+    from . import moves
+
+    doc = _load_graph(args.graph)
+    g = doc.graph
+    split = moves.out_split(g, dsl.parse_partition(g, _read_text(args.partition)))
+    print(dsl.print_graph(split.graph, name=f"{doc.name}_split"), end="")
+    if args.map_point is not None:
+        x = dsl.parse_point(g, args.map_point)
+        print(dsl.print_point(split.graph, moves.out_split_map(g, split, x)))
+    return EXIT_OK
+
+
+def _move_amplify(args) -> int:
+    from . import moves
+
+    doc = _load_graph(args.graph)
+    print(dsl.print_graph(moves.amplify(doc.graph), name=f"{doc.name}_amp"), end="")
+    return EXIT_OK
+
+
+def _move_tclose(args) -> int:
+    from . import moves
+
+    doc = _load_graph(args.graph)
+    print(dsl.print_graph(moves.amplified_transitive_closure(doc.graph), name=f"{doc.name}_tclose"), end="")
+    return EXIT_OK
+
+
+def _move_saturate(args) -> int:
+    from . import moves
+
+    doc = _load_graph(args.graph)
+    g = doc.graph
+    sat, witness = moves.saturate(g, dsl.parse_path(g, args.pattern))
+    print(dsl.print_graph(sat, name=f"{doc.name}_sat"), end="")
+    if args.map_point is not None:
+        x = dsl.parse_point(sat, args.map_point)
+        print(dsl.print_point(g, moves.saturate_map(witness, x)))
+    return EXIT_OK
+
+
+def _decide_amplified(args) -> int:
+    from . import moves
+
+    equivalent, bij = moves.decide_amplified_oe(*_pair(args))
+    text = "equivalent " + json.dumps(bij, sort_keys=True) if equivalent else "not equivalent"
+    return _answer(equivalent, {"equivalent": equivalent, "vertexBijection": bij}, args.json, [text])
+
+
+# Every command, once: its name, help, handler, positionals (``m`` and ``n``
+# are integers) and, last, any options; a dict in place of the handler holds
+# a group's subcommands.
+_COMMANDS = {
+    "info": ("consolidated invariant report", _info, "graph"),
+    "census": ("boundary census or infiniteness witness", _census, "graph"),
+    "det": ("det(I - A) over exact integers", _det, "graph"),
+    "shift": ("shift a point n times", _shift, "graph point n"),
+    "verify-oe": ("verify an orbit-equivalence witness", _verify_oe, "graph_e graph_f witness"),
+    "search-oe": ("decide orbit equivalence and print a witness", _search_oe, "graph_e graph_f"),
+    "extend-cocycles": ("extend witness cocycles to degree n", _extend_cocycles, "graph_e graph_f witness n"),
+    "verify-pseudo": ("verify a pseudogroup element", _verify_pseudo, "graph element"),
+    "conjugate-pseudo": ("transport a pseudogroup element through a witness", _conjugate_pseudo,
+                         "graph_e graph_f witness element"),
+    "groupoid": ("groupoid element operations", {
+        "make": ("the element (x, m - n, y), where shift^m x = shift^n y", _groupoid_make, "graph x m n y"),
+        "compose": ("compose two composable elements", _groupoid_compose, "graph e1 e2"),
+        "isotropy": ("the isotropy group of a point", _groupoid_isotropy, "graph x"),
+        "principality": ("decide whether the groupoid is principal", _groupoid_principality, "graph"),
+    }),
+    "weyl": ("germ operations", {
+        "germ": ("the germ [mu | nu | x], its cocycle and image", _weyl_germ, "graph mu nu x"),
+        "equiv": ("decide whether two germs are equivalent", _weyl_equiv, "graph germ1 germ2"),
+        "winding": ("the winding index of two germs at one anchor", _weyl_winding, "graph germ1 germ2"),
+        "phi-check": ("compare germ classes with groupoid elements up to a bound", _weyl_phi_check, "graph",
+                      {"--bound": {"type": int, "default": 3}}),
+    }),
+    "move": ("graph transformations", {
+        "out-split": ("out-split along a partition file", _move_out_split, "graph partition",
+                      {"--map-point": {"help": "also map this point"}}),
+        "amplify": ("one infinite class per joined vertex pair", _move_amplify, "graph"),
+        "tclose": ("one infinite class per pair joined by a path", _move_tclose, "graph"),
+        "saturate": ("add an infinite class shadowing a path", _move_saturate, "graph pattern",
+                     {"--map-point": {"help": "map this saturated-graph point"}}),
+    }),
+    "decide-amplified": ("decide amplified orbit equivalence", _decide_amplified, "graph_e graph_f"),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, run, *arguments) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(run, dict):
+            _add_commands(p, run, "subcommand")
+            continue
+        positionals, *options = arguments
+        for arg in positionals.split():
+            p.add_argument(arg, type=int if arg in ("m", "n") else None)
+        for flag, kwargs in (options[0] if options else {}).items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,364 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Boundary-path dynamics, orbit equivalence and moves of finite directed graphs.",
     )
     ap.add_argument("--json", action="store_true", help="JSON output where applicable")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="consolidated invariant report")
-    p.add_argument("graph")
-
-    p = sub.add_parser("census", help="boundary census or infiniteness witness")
-    p.add_argument("graph")
-
-    p = sub.add_parser("det", help="det(I - A) over exact integers")
-    p.add_argument("graph")
-
-    p = sub.add_parser("shift", help="shift a point n times")
-    p.add_argument("graph")
-    p.add_argument("point")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("verify-oe", help="verify an orbit-equivalence witness")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-    p.add_argument("witness")
-
-    p = sub.add_parser("search-oe", help="decide orbit equivalence and print a witness")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-
-    p = sub.add_parser("extend-cocycles", help="extend witness cocycles to degree n")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-    p.add_argument("witness")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("verify-pseudo", help="verify a pseudogroup element")
-    p.add_argument("graph")
-    p.add_argument("element")
-
-    p = sub.add_parser("conjugate-pseudo", help="transport a pseudogroup element through a witness")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-    p.add_argument("witness")
-    p.add_argument("element")
-
-    p = sub.add_parser("groupoid", help="groupoid element operations")
-    gsub = p.add_subparsers(dest="subcommand", required=True)
-    q = gsub.add_parser("make")
-    q.add_argument("graph")
-    q.add_argument("x")
-    q.add_argument("m", type=int)
-    q.add_argument("n", type=int)
-    q.add_argument("y")
-    q = gsub.add_parser("compose")
-    q.add_argument("graph")
-    q.add_argument("e1")
-    q.add_argument("e2")
-    q = gsub.add_parser("isotropy")
-    q.add_argument("graph")
-    q.add_argument("x")
-    q = gsub.add_parser("principality")
-    q.add_argument("graph")
-
-    p = sub.add_parser("weyl", help="germ operations")
-    wsub = p.add_subparsers(dest="subcommand", required=True)
-    q = wsub.add_parser("germ")
-    q.add_argument("graph")
-    q.add_argument("mu")
-    q.add_argument("nu")
-    q.add_argument("x")
-    q = wsub.add_parser("equiv")
-    q.add_argument("graph")
-    q.add_argument("germ1")
-    q.add_argument("germ2")
-    q = wsub.add_parser("winding")
-    q.add_argument("graph")
-    q.add_argument("germ1")
-    q.add_argument("germ2")
-    q = wsub.add_parser("phi-check")
-    q.add_argument("graph")
-    q.add_argument("--bound", type=int, default=3)
-
-    p = sub.add_parser("move", help="graph transformations")
-    msub = p.add_subparsers(dest="subcommand", required=True)
-    q = msub.add_parser("out-split")
-    q.add_argument("graph")
-    q.add_argument("partition")
-    q.add_argument("--map-point", default=None, help="also map this point")
-    q = msub.add_parser("amplify")
-    q.add_argument("graph")
-    q = msub.add_parser("tclose")
-    q.add_argument("graph")
-    q = msub.add_parser("saturate")
-    q.add_argument("graph")
-    q.add_argument("pattern")
-    q.add_argument("--map-point", default=None, help="map this saturated-graph point")
-
-    p = sub.add_parser("decide-amplified", help="decide amplified orbit equivalence")
-    p.add_argument("graph_e")
-    p.add_argument("graph_f")
-
+    _add_commands(ap, _COMMANDS, "command")
     return ap
-
-
-def _run(args) -> int:
-    as_json = args.json
-    cmd = args.command
-
-    if cmd == "info":
-        from . import invariants
-
-        doc = _load_graph(args.graph)
-        report = invariants.invariant_report(doc.graph)
-        if as_json:
-            _emit(report.to_json(), True)
-        else:
-            for key, val in report.to_json().items():
-                print(f"{key}: {json.dumps(val, sort_keys=True)}")
-        return EXIT_OK
-
-    if cmd == "census":
-        from . import boundary
-
-        doc = _load_graph(args.graph)
-        census = boundary.boundary_census(doc.graph)
-        if census.finite:
-            pts = [dsl.print_point(doc.graph, x) for x in census.points]
-            _emit({"finite": True, "points": pts}, as_json, pts)
-        else:
-            _emit(
-                {"finite": False, "witness": census.witness},
-                as_json,
-                [f"infinite: {census.witness}"],
-            )
-        return EXIT_OK
-
-    if cmd == "det":
-        from . import invariants
-
-        doc = _load_graph(args.graph)
-        value = invariants.det_invariant(doc.graph)
-        _emit({"detIMinusA": value}, as_json, [str(value)])
-        return EXIT_OK
-
-    if cmd == "shift":
-        from . import boundary
-
-        doc = _load_graph(args.graph)
-        x = dsl.parse_point(doc.graph, args.point)
-        y = boundary.shift(doc.graph, x, args.n)
-        _emit({"point": dsl.print_point(doc.graph, y)}, as_json, [dsl.print_point(doc.graph, y)])
-        return EXIT_OK
-
-    if cmd == "verify-oe":
-        from . import dynamics
-
-        E = _load_graph(args.graph_e).graph
-        F = _load_graph(args.graph_f).graph
-        w = dsl.parse_witness(E, F, _read_text(args.witness))
-        report = dynamics.verify_oe_witness(w)
-        _emit(
-            {"ok": report.ok, "failures": report.failures},
-            as_json,
-            ["ok"] if report.ok else report.failures,
-        )
-        return EXIT_OK if report.ok else EXIT_NO
-
-    if cmd == "search-oe":
-        from . import dynamics
-
-        E = _load_graph(args.graph_e).graph
-        F = _load_graph(args.graph_f).graph
-        w = dynamics.search_oe_witness(E, F)
-        if w is None:
-            _emit({"found": False}, as_json, ["not orbit equivalent"])
-            return EXIT_NO
-        print(dsl.print_witness(w), end="")
-        return EXIT_OK
-
-    if cmd == "extend-cocycles":
-        from . import dynamics
-
-        E = _load_graph(args.graph_e).graph
-        F = _load_graph(args.graph_f).graph
-        w = dsl.parse_witness(E, F, _read_text(args.witness))
-        report = dynamics.verify_oe_witness(w)
-        if not report.ok:
-            _emit({"ok": False, "failures": report.failures}, as_json, report.failures)
-            return EXIT_NO
-        tables = dynamics.extend_cocycles(w, args.n)
-        payload = {
-            "n": args.n,
-            "k": dsl.table_json(E, tables.k),
-            "l": dsl.table_json(E, tables.l),
-            "kp": dsl.table_json(F, tables.kp),
-            "lp": dsl.table_json(F, tables.lp),
-        }
-        _emit(payload, True)
-        return EXIT_OK
-
-    if cmd == "verify-pseudo":
-        from . import dynamics
-
-        doc = _load_graph(args.graph)
-        el = dsl.parse_element(doc.graph, _read_text(args.element))
-        ok = dynamics.verify_pseudogroup_element(el)
-        _emit({"ok": ok}, as_json, ["ok" if ok else "not a pseudogroup element"])
-        return EXIT_OK if ok else EXIT_NO
-
-    if cmd == "conjugate-pseudo":
-        from . import dynamics
-
-        E = _load_graph(args.graph_e).graph
-        F = _load_graph(args.graph_f).graph
-        w = dsl.parse_witness(E, F, _read_text(args.witness))
-        if not dynamics.verify_oe_witness(w).ok:
-            _emit({"ok": False}, as_json, ["witness does not verify"])
-            return EXIT_NO
-        el = dsl.parse_element(E, _read_text(args.element))
-        out = dynamics.conjugate_pseudogroup(w, el)
-        _emit(dsl.element_to_json(F, out), True)
-        return EXIT_OK
-
-    if cmd == "groupoid":
-        return _run_groupoid(args, as_json)
-    if cmd == "weyl":
-        return _run_weyl(args, as_json)
-    if cmd == "move":
-        return _run_move(args, as_json)
-
-    if cmd == "decide-amplified":
-        from . import moves
-
-        E = _load_graph(args.graph_e).graph
-        F = _load_graph(args.graph_f).graph
-        equivalent, bij = moves.decide_amplified_oe(E, F)
-        payload = {"equivalent": equivalent, "vertexBijection": bij}
-        _emit(
-            payload,
-            as_json,
-            ["equivalent " + json.dumps(bij, sort_keys=True) if equivalent else "not equivalent"],
-        )
-        return EXIT_OK if equivalent else EXIT_NO
-
-    raise AssertionError(f"unhandled command {cmd!r}")
-
-
-def _run_groupoid(args, as_json: bool) -> int:
-    from . import groupoid
-
-    doc = _load_graph(args.graph)
-    g = doc.graph
-    if args.subcommand == "make":
-        e = groupoid.make_element(
-            g, dsl.parse_point(g, args.x), args.m, args.n, dsl.parse_point(g, args.y)
-        )
-        _emit(
-            {"element": dsl.print_groupoid_element(g, e), "m": e.m, "n": e.n},
-            as_json,
-            [dsl.print_groupoid_element(g, e)],
-        )
-        return EXIT_OK
-    if args.subcommand == "compose":
-        e1 = dsl.parse_groupoid_element(g, args.e1)
-        e2 = dsl.parse_groupoid_element(g, args.e2)
-        e = groupoid.compose(g, e1, e2)
-        _emit({"element": dsl.print_groupoid_element(g, e)}, as_json, [dsl.print_groupoid_element(g, e)])
-        return EXIT_OK
-    if args.subcommand == "isotropy":
-        iso = groupoid.isotropy(g, dsl.parse_point(g, args.x))
-        _emit({"generator": iso.d}, as_json, [str(iso)])
-        return EXIT_OK
-    if args.subcommand == "principality":
-        report = groupoid.principality_report(g)
-        payload = {"principal": report.principal}
-        lines = [f"principal: {report.principal}"]
-        if report.witness_unit is not None:
-            payload["witnessUnit"] = dsl.print_groupoid_element(g, report.witness_unit)
-            payload["isotropy"] = report.witness_isotropy.d
-            lines.append(f"witness unit: {payload['witnessUnit']} with isotropy {report.witness_isotropy}")
-        _emit(payload, as_json, lines)
-        return EXIT_OK if report.principal else EXIT_NO
-    raise AssertionError
-
-
-def _run_weyl(args, as_json: bool) -> int:
-    from . import weyl
-
-    doc = _load_graph(args.graph)
-    g = doc.graph
-    if args.subcommand == "germ":
-        germ = weyl.germ_make(
-            g, dsl.parse_path(g, args.mu), dsl.parse_path(g, args.nu), dsl.parse_point(g, args.x)
-        )
-        payload = {
-            "germ": dsl.print_germ(g, germ),
-            "cocycle": germ.cocycle,
-            "image": dsl.print_point(g, weyl.germ_apply(g, germ)),
-        }
-        _emit(payload, as_json, [payload["germ"], f"cocycle {germ.cocycle}", f"image {payload['image']}"])
-        return EXIT_OK
-    if args.subcommand == "equiv":
-        a = dsl.parse_germ(g, args.germ1)
-        b = dsl.parse_germ(g, args.germ2)
-        eq = weyl.germ_equivalent(g, a, b)
-        _emit({"equivalent": eq}, as_json, ["equivalent" if eq else "not equivalent"])
-        return EXIT_OK if eq else EXIT_NO
-    if args.subcommand == "winding":
-        a = dsl.parse_germ(g, args.germ1)
-        b = dsl.parse_germ(g, args.germ2)
-        value = weyl.winding(g, a, b)
-        _emit({"winding": value}, as_json, [str(value)])
-        return EXIT_OK
-    if args.subcommand == "phi-check":
-        report = weyl.phi_bijectivity_check(g, args.bound)
-        payload = {
-            "bound": report.bound,
-            "poolSize": report.pool_size,
-            "poolComplete": report.pool_complete,
-            "elements": report.element_count,
-            "classes": report.class_count,
-            "germs": report.germ_count,
-            "ok": report.ok,
-            "violations": report.violations,
-        }
-        _emit(
-            payload,
-            as_json,
-            [f"{k}: {v}" for k, v in payload.items()],
-        )
-        return EXIT_OK if report.ok else EXIT_NO
-    raise AssertionError
-
-
-def _run_move(args, as_json: bool) -> int:
-    from . import moves
-
-    doc = _load_graph(args.graph)
-    g = doc.graph
-    if args.subcommand == "out-split":
-        partition = dsl.parse_partition(g, _read_text(args.partition))
-        split = moves.out_split(g, partition)
-        print(dsl.print_graph(split.graph, name=f"{doc.name}_split"), end="")
-        if args.map_point is not None:
-            x = dsl.parse_point(g, args.map_point)
-            print(dsl.print_point(split.graph, moves.out_split_map(g, split, x)))
-        return EXIT_OK
-    if args.subcommand == "amplify":
-        print(dsl.print_graph(moves.amplify(g), name=f"{doc.name}_amp"), end="")
-        return EXIT_OK
-    if args.subcommand == "tclose":
-        print(dsl.print_graph(moves.amplified_transitive_closure(g), name=f"{doc.name}_tclose"), end="")
-        return EXIT_OK
-    if args.subcommand == "saturate":
-        pattern = dsl.parse_path(g, args.pattern)
-        sat, witness = moves.saturate(g, pattern)
-        print(dsl.print_graph(sat, name=f"{doc.name}_sat"), end="")
-        if args.map_point is not None:
-            x = dsl.parse_point(sat, args.map_point)
-            print(dsl.print_point(g, moves.saturate_map(witness, x)))
-        return EXIT_OK
-    raise AssertionError
 
 
 class _UntilClosed:
@@ -466,7 +397,7 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return _run(args)
+        return args.run(args)
     except OegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -684,6 +684,20 @@ def test_tail_class_sizes_take_one_linear_pass():
     assert {d for d, _ in sinks} == {0} and sum(n for _, n in sinks) > 2**2000
 
 
+def test_boundary_size_of_a_finite_boundary_builds_no_condensation(monkeypatch):
+    """A finite boundary with a branching vertex is counted from its tail
+    classes alone: the condensation, whose closure is quadratic in the
+    vertices, is built only to word an infinite boundary's reason.  Here a
+    20,000-vertex chain with one more edge from its first vertex to its last
+    has 20,001 points."""
+    from oeg import digraphs
+
+    monkeypatch.setattr(digraphs, "condensation", lambda g: pytest.fail("condensation built"))
+    chain = [f"v{i}" for i in range(20000)]
+    classes = [(f"e{i}", chain[i], chain[i + 1], 1) for i in range(19999)]
+    assert boundary_size(Graph(chain, classes + [("skip", chain[0], chain[-1], 1)])) == 20001
+
+
 @pytest.mark.parametrize(
     "graph, size",
     [

@@ -301,6 +301,7 @@ def test_console_entrypoint_smoke(files):
         [sys.executable, "-m", "oeg.cli", "det", files["E2"]],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "-1"
 
