@@ -324,6 +324,7 @@ _COMMANDS = {
 
 
 def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) -> None:
+    """Add a table of ``_COMMANDS``' shape to ``parser`` as subcommands."""
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, run, *arguments) in commands.items():
         p = sub.add_parser(name, help=help_text)
