@@ -27,8 +27,9 @@ import random
 import statistics
 import time
 
+from oeg.digraphs import closure
 from oeg.graphs import Graph
-from oeg.moves import _reduced_dag, decide_amplified_oe
+from oeg.moves import decide_amplified_oe
 
 
 def path(n: int) -> Graph:
@@ -117,7 +118,7 @@ def main() -> None:
             times[k].append(time.perf_counter() - start)
     print(f"{'family':9}{'vertices':>10}{'components':>12}{'reduced arcs':>14}{'verdict':>9}{'median ms':>12}")
     for (family, g, _), ts, verdict in zip(pairs, times, verdicts):
-        cond, arcs = _reduced_dag(g)
+        cond, _, arcs = closure(g)
         print(f"{family:9}{len(g.vertices):>10}{len(cond.members):>12}{len(arcs):>14}"
               f"{'yes' if verdict else 'no':>9}{statistics.median(ts) * 1e3:>12.2f}")
 

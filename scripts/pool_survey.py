@@ -5,10 +5,13 @@ most two (up to vertex permutation) this runs:
 
   * condition (L), counting the graphs where it holds,
   * the germ-class / groupoid-element comparison at bound 3,
-  * the amplified-orbit-equivalence classification: graphs are bucketed by
-    a reachability degree profile, and inside each bucket every graph is
-    decided against the class representatives found so far, which counts
-    the exact classes of the reachability relation up to isomorphism,
+  * the amplified-orbit-equivalence classification: each graph's component
+    closure is built once, graphs are bucketed by the reachability degree
+    profile read off it, and inside each bucket every graph's labelled
+    transitive reduction is compared with those of the class
+    representatives found so far (as ``decide_amplified_oe`` compares
+    them), which counts the exact classes of the reachability relation up
+    to isomorphism,
   * the classes of the graphs with a finite boundary, read off their tail
     class counts: orbit equivalence by the sorted class sizes, and groupoid
     isomorphism by the sorted (size, on a cycle) pairs, since a class on an
@@ -26,24 +29,23 @@ import sys
 import time
 
 from oeg.boundary import tail_class_sizes
-from oeg.digraphs import condensation
+from oeg.digraphs import closure, isomorphism
 from oeg.graphs import condition_l
 from oeg.moves import decide_amplified_oe
 from oeg.weyl import phi_bijectivity_check
 from oeg.zoo import iter_small_graphs
 
 
-def reach_profile(g) -> tuple:
+def reach_profile(cond, reach) -> tuple:
     """The sorted (out-reach, in-reach, self-reach) of every vertex: how many
     vertices it reaches by a path of length >= 1, how many reach it, and
-    whether it reaches itself.  Read off the condensation's closure bitsets,
-    each component weighted by its size."""
-    cond = condensation(g)
+    whether it reaches itself.  Read off the closure bitsets of the
+    condensation ``cond``, each component weighted by its size."""
     sizes = list(map(len, cond.members))
     comps = range(len(sizes))
-    out = [sum(sizes[d] for d in comps if bits >> d & 1) for bits in cond.reach]
-    inn = [sum(sizes[d] for d in comps if cond.reach[d] >> c & 1) for c in comps]
-    return tuple(sorted((out[c], inn[c], cond.reach[c] >> c & 1 == 1) for c in cond.comp))
+    out = [sum(sizes[d] for d in comps if bits >> d & 1) for bits in reach]
+    inn = [sum(sizes[d] for d in comps if reach[d] >> c & 1) for c in comps]
+    return tuple(sorted((out[c], inn[c], reach[c] >> c & 1 == 1) for c in cond.comp))
 
 
 def main() -> int:
@@ -63,9 +65,10 @@ def main() -> int:
         if not phi_bijectivity_check(g, 3, max_points=18).ok:
             phi_failures += 1
         marks.append(time.perf_counter())
-        group = reps.setdefault((len(g.vertices), reach_profile(g)), [])
-        if not any(decide_amplified_oe(g, r)[0] for r in group):
-            group.append(g)
+        cond, reach, arcs = closure(g)
+        group = reps.setdefault((len(g.vertices), reach_profile(cond, reach)), [])
+        if not any(isomorphism(cond.label, arcs, *r) is not None for r in group):
+            group.append((cond.label, arcs))
         marks.append(time.perf_counter())
         sizes = tail_class_sizes(g)
         if sizes is not None:

@@ -1,7 +1,8 @@
 """Algorithms on integer-indexed digraphs: the strongly connected
-condensation of a graph with the bitset closure of its component DAG, and
-isomorphism of vertex- and arc-coloured digraphs by colour refinement with a
-splitter queue, which re-examines only the cells a split touches, and
+condensation of a graph in one linear pass, the bitset closure and
+transitive reduction of its component DAG for the callers that read them,
+and isomorphism of vertex- and arc-coloured digraphs by colour refinement
+with a splitter queue, which re-examines only the cells a split touches, and
 individualisation."""
 
 from __future__ import annotations
@@ -13,25 +14,24 @@ from .graphs import Graph
 
 
 class Condensation(NamedTuple):
-    """Strongly connected components of a graph, closed under reachability.
+    """Strongly connected components of a graph.
 
     Components are numbered in the order Tarjan's pass completes them, so
     every component reachable from ``c`` has a smaller number.  ``comp[i]``
     is the component of the ``i``-th declared vertex, ``members[c]`` lists
-    its vertex indices in declaration order, ``label[c]`` is ``(size,
-    cyclic)`` with cyclic meaning size >= 2 or a self-loop, and bit ``d`` of
-    ``reach[c]`` is set when a path of length >= 1 leads from ``c`` to ``d``.
+    its vertex indices in declaration order, and ``label[c]`` is ``(size,
+    cyclic)`` with cyclic meaning size >= 2 or a self-loop: the component
+    reaches itself by a path of length >= 1.
     """
 
     comp: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     label: tuple[tuple[int, bool], ...]
-    reach: tuple[int, ...]
 
 
 def condensation(g: Graph) -> Condensation:
-    """Iterative Tarjan SCC pass with the bitset closure of the condensation
-    DAG, built as each component completes."""
+    """Iterative Tarjan SCC pass (Tarjan, SIAM J. Comput. 1, 1972), linear
+    in the vertices and classes."""
     index = {v: i for i, v in enumerate(g.vertices)}
     n = len(g.vertices)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -43,7 +43,6 @@ def condensation(g: Graph) -> Condensation:
     stack: list[int] = []
     members: list[tuple[int, ...]] = []
     label: list[tuple[int, bool]] = []
-    reach: list[int] = []
     seen = 0
     for root in range(n):
         if order[root] >= 0:
@@ -77,16 +76,38 @@ def condensation(g: Graph) -> Condensation:
                         scc.append(w)
                         if w == v:
                             break
-                    # every other component this one reaches is complete
-                    bits = 0
-                    for x in scc:
-                        for y in succ[x]:
-                            d = comp[y]
-                            bits |= 1 << d if d == k else reach[d] | 1 << d
                     members.append(tuple(sorted(scc)))
-                    label.append((len(scc), bits >> k & 1 == 1))
-                    reach.append(bits)
-    return Condensation(tuple(comp), tuple(members), tuple(label), tuple(reach))
+                    label.append((len(scc), len(scc) > 1 or v in succ[v]))
+    return Condensation(tuple(comp), tuple(members), tuple(label))
+
+
+def closure(g: Graph) -> tuple[Condensation, tuple[int, ...], dict[tuple[int, int], int]]:
+    """The condensation of ``g``, the bitset closure ``reach`` of its
+    component DAG, and the arcs ``(c, d): 0`` of the DAG's transitive
+    reduction.  Bit ``d`` of ``reach[c]`` is set when a path of length >= 1
+    leads from ``c`` to ``d``, so bit ``c`` is ``label[c]``'s cyclic flag.
+    Components reach only smaller numbers, so one loop in increasing order
+    builds both: of ``c``'s direct successors, taken largest first, each
+    one that none before it reaches is an arc, and its closure joins
+    ``reach[c]``.  The closure is quadratic in the components."""
+    cond = condensation(g)
+    comp = dict(zip(g.vertices, cond.comp))
+    direct = [0] * len(cond.members)  # bit d: an edge leads into component d
+    for c in g.edge_classes:
+        direct[comp[c.src]] |= 1 << comp[c.dst]
+    reach: list[int] = []
+    arcs: dict[tuple[int, int], int] = {}
+    for c, bits in enumerate(direct):
+        ds = bits & ~(1 << c)
+        covered = 0
+        while ds:
+            d = ds.bit_length() - 1
+            ds ^= 1 << d
+            if not covered >> d & 1:
+                arcs[c, d] = 0
+                covered |= reach[d]
+        reach.append(bits | covered)
+    return cond, tuple(reach), arcs
 
 
 def _refine(part: list[list[int]], queue: list[int], adj: list[list[tuple[int, int]]], n: int) -> bool:

@@ -2,9 +2,9 @@
 reachability, digraph isomorphism, and a consolidated report.  The
 determinant is a sparse fraction-free elimination with sparsity-first
 (Markowitz-style) pivots, so a graph with a few edges per vertex costs far
-less than n^3 steps.  Reachability and isomorphism rest on
-the condensation and the refinement search in ``oeg.digraphs``, imported on
-first use so that commands which need neither do not load it."""
+less than n^3 steps.  Reachability and isomorphism rest on the component
+closure and the refinement search in ``oeg.digraphs``, imported on first
+use so that commands which need neither do not load it."""
 
 from __future__ import annotations
 
@@ -119,12 +119,12 @@ def det_invariant(g: Graph) -> int:
 
 def reachability(g: Graph) -> dict[tuple[str, str], bool]:
     """Positive-length reachability of ordered vertex pairs, read off the
-    bitset closure of the condensation: one row per component, shared by
+    bitset closure of the component DAG: one row per component, shared by
     its vertices."""
-    from .digraphs import condensation
+    from .digraphs import closure
 
-    cond = condensation(g)
-    rows = [[bits >> d & 1 == 1 for d in cond.comp] for bits in cond.reach]
+    cond, reach, _ = closure(g)
+    rows = [[bits >> d & 1 == 1 for d in cond.comp] for bits in reach]
     return dict(zip(product(g.vertices, repeat=2), chain.from_iterable(rows[c] for c in cond.comp)))
 
 

@@ -266,39 +266,12 @@ def amplify(g: Graph) -> Graph:
 
 def amplified_transitive_closure(g: Graph) -> Graph:
     """One infinite class for every pair joined by a path of length >= 1,
-    read off the bitset closure of the condensation."""
-    from .digraphs import condensation
+    read off the bitset closure of the component DAG."""
+    from .digraphs import closure
 
-    cond = condensation(g)
+    cond, reach, _ = closure(g)
     at = list(zip(g.vertices, cond.comp))
-    return _pair_graph(g, [(v, w) for v, c in at for w, d in at if cond.reach[c] >> d & 1])
-
-
-def _reduced_dag(g: Graph):
-    """The condensation of ``g`` and the arcs ``(c, d): 0`` of its
-    component DAG's transitive reduction: from each component to the direct
-    successor components that no other direct successor reaches, read off
-    ``Condensation.reach``."""
-    from .digraphs import condensation
-
-    cond = condensation(g)
-    comp = dict(zip(g.vertices, cond.comp))
-    direct = [0] * len(cond.members)  # bit d: an edge leads into component d
-    for c in g.edge_classes:
-        direct[comp[c.src]] |= 1 << comp[c.dst]
-    arcs: dict[tuple[int, int], int] = {}
-    for c, ds in enumerate(direct):
-        ds &= ~(1 << c)
-        covered = 0
-        # components reach only smaller numbers, so only a larger direct
-        # successor can reach d: take them largest first
-        while ds:
-            d = ds.bit_length() - 1
-            ds ^= 1 << d
-            if not covered >> d & 1:
-                arcs[c, d] = 0
-            covered |= cond.reach[d]
-    return cond, arcs
+    return _pair_graph(g, [(v, w) for v, c in at for w, d in at if reach[c] >> d & 1])
 
 
 def decide_amplified_oe(E: Graph, F: Graph) -> tuple[bool, dict[str, str] | None]:
@@ -311,12 +284,13 @@ def decide_amplified_oe(E: Graph, F: Graph) -> tuple[bool, dict[str, str] | None
     so the closures are isomorphic exactly when the condensations, closed
     under reachability and labelled by (size, cyclic), are.  A DAG's
     closure and its transitive reduction determine each other, so the
-    labelled reductions (``_reduced_dag``) are compared instead: a long
-    path's reduction has n - 1 arcs where its closure has n(n - 1)/2.  The
-    component bijection expands to vertices in declaration order."""
-    from .digraphs import isomorphism
+    labelled reductions that ``digraphs.closure`` returns are compared
+    instead: a long path's reduction has n - 1 arcs where its closure has
+    n(n - 1)/2.  The component bijection expands to vertices in declaration
+    order."""
+    from .digraphs import closure, isomorphism
 
-    (cE, arcsE), (cF, arcsF) = _reduced_dag(E), _reduced_dag(F)
+    (cE, _, arcsE), (cF, _, arcsF) = closure(E), closure(F)
     phi = isomorphism(cE.label, arcsE, cF.label, arcsF)
     if phi is None:
         return False, None

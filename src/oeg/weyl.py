@@ -22,6 +22,7 @@ from .boundary import (
     prefix_path,
     prepend,
     starts_with,
+    tail_class_sizes,
 )
 from .errors import CompositionError, InputError
 from .graphs import Graph, Path
@@ -155,12 +156,12 @@ def representable_pool(
     """The point pool a comparison run works over: the full census when the
     boundary is finite, otherwise the first ``max_points`` points of the
     point order with preperiods of at most one edge and periods of at most
-    ``max(3, min(bound, 4))`` edges (see :func:`bounded_points`)."""
-    census = boundary_census(g)
-    if census.finite:
-        return list(census.points), True
-    pts = bounded_points(g, max(3, min(bound, 4)), max_points)
-    return pts, False
+    ``max(3, min(bound, 4))`` edges (see :func:`bounded_points`).  The
+    tail-class count decides finiteness, so an infinite boundary is never
+    censused only to word its reason."""
+    if tail_class_sizes(g) is not None:
+        return list(boundary_census(g).points), True
+    return bounded_points(g, max(3, min(bound, 4)), max_points), False
 
 
 def _germs_agree(heads: list[tuple], x: int, period: int | None, a: tuple, b: tuple) -> bool:

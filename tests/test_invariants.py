@@ -7,7 +7,7 @@ import pytest
 
 from refinement_oracle import round_based_isomorphism
 from sampling import random_graph
-from oeg.digraphs import condensation, isomorphism
+from oeg.digraphs import closure, condensation, isomorphism
 from oeg.errors import UnsupportedScaleError
 from oeg.graphs import INF, Graph
 from oeg.invariants import (
@@ -17,7 +17,7 @@ from oeg.invariants import (
     invariant_report,
     reachability,
 )
-from oeg.moves import _reduced_dag, amplified_transitive_closure, amplify, decide_amplified_oe
+from oeg.moves import amplified_transitive_closure, amplify, decide_amplified_oe
 from oeg.zoo import iter_small_graphs
 
 
@@ -357,14 +357,24 @@ def test_reachability_matches_matrix_powers():
         assert reachability(g) == want
 
 
-def comprehension_reachability(g):
-    """Test oracle: the library's reachability before it shared one row per
-    component, one bit test per vertex pair."""
-    from oeg.digraphs import condensation
+def _searched(succ, v):
+    """The nodes a path of length >= 1 leads to from ``v``, by a
+    breadth-first search along the successor lists ``succ``."""
+    seen = set(succ[v])
+    frontier = list(seen)
+    while frontier:
+        frontier = [x for u in frontier for x in succ[u] if x not in seen and not seen.add(x)]
+    return seen
 
-    cond = condensation(g)
-    pairs = list(zip(g.vertices, cond.comp))
-    return {(v, w): cond.reach[c] >> d & 1 == 1 for v, c in pairs for w, d in pairs}
+
+def bfs_reachability(g):
+    """Test oracle: positive-length reachability of ordered vertex pairs, by
+    a breadth-first search from each vertex, keyed in the library's order."""
+    succ = {v: [] for v in g.vertices}
+    for c in g.edge_classes:
+        succ[c.src].append(c.dst)
+    reached = {v: _searched(succ, v) for v in g.vertices}
+    return {(v, w): w in reached[v] for v in g.vertices for w in g.vertices}
 
 
 def out_regular_graph(rng, n, out_deg):
@@ -374,14 +384,56 @@ def out_regular_graph(rng, n, out_deg):
 
 
 def test_reachability_matches_the_comprehension():
-    """Values and key order agree with the per-pair comprehension on the
-    pool and on out-regular digraphs of 50 to 150 vertices."""
+    """Values and key order agree with a breadth-first search from every
+    vertex on the pool and on out-regular digraphs of 50 to 150 vertices."""
     rng = random.Random(19)
     graphs = list(iter_small_graphs(3))
     graphs += [out_regular_graph(rng, n, d) for n in (50, 75, 100, 125, 150) for d in (1, 2)]
     for g in graphs:
-        got, want = reachability(g), comprehension_reachability(g)
+        got, want = reachability(g), bfs_reachability(g)
         assert got == want and list(got) == list(want)
+
+
+def _arc_closure(k, arcs):
+    """Bit ``d`` of entry ``c``: a path of length >= 1 along ``arcs`` leads
+    from ``c`` to ``d``, found by a search from each of the ``k`` nodes."""
+    succ = [[] for _ in range(k)]
+    for c, d in arcs:
+        succ[c].append(d)
+    return [sum(1 << d for d in _searched(succ, c)) for c in range(k)]
+
+
+def test_closure_matches_a_search_from_every_vertex():
+    """On the pool and on 300 random digraphs of up to 14 vertices: the
+    components are the classes of mutual reachability, numbered so that a
+    component reaches only smaller ones; each cyclic flag is the component's
+    self-reach bit; ``reach`` is the breadth-first reachability read per
+    component; and ``arcs`` is a transitive reduction, a DAG whose closure
+    is ``reach`` off the diagonal and from which no arc can be dropped."""
+    rng = random.Random(25)
+    graphs = list(iter_small_graphs(3))
+    graphs += [random_graph(rng, max_vertices=14, edge_prob=rng.choice((0.1, 0.2, 0.35))) for _ in range(300)]
+    for g in graphs:
+        cond, reach, arcs = closure(g)
+        bfs = bfs_reachability(g)
+        comp = dict(zip(g.vertices, cond.comp))
+        assert sorted(i for m in cond.members for i in m) == list(range(len(g.vertices)))
+        for c, m in enumerate(cond.members):
+            assert list(m) == sorted(m) and all(cond.comp[i] == c for i in m)
+        for v, w in itertools.product(g.vertices, repeat=2):
+            c, d = comp[v], comp[w]
+            assert (reach[c] >> d & 1 == 1) == bfs[v, w]
+            assert (c == d) == (v == w or bfs[v, w] and bfs[w, v])
+            assert not bfs[v, w] or c >= d
+        for c, (size, cyclic) in enumerate(cond.label):
+            v = g.vertices[cond.members[c][0]]
+            assert size == len(cond.members[c]) and cyclic == (reach[c] >> c & 1 == 1) == bfs[v, v]
+        k = len(cond.members)
+        assert set(arcs.values()) <= {0} and all(c > d for c, d in arcs)
+        rows = _arc_closure(k, arcs)
+        assert [row | reach[c] & 1 << c for c, row in enumerate(rows)] == list(reach)
+        for arc in arcs:
+            assert _arc_closure(k, [a for a in arcs if a != arc]) != rows
 
 
 def test_digraph_isomorphic(f1):
@@ -619,20 +671,24 @@ def assert_same_verdict(g, h):
 
 def reach_profile(g):
     """The sorted (out-reach, in-reach, self-reach) of every vertex, as
-    ``scripts/pool_survey.py`` buckets graphs."""
-    cond = condensation(g)
-    sizes = list(map(len, cond.members))
-    comps = range(len(sizes))
-    out = [sum(sizes[d] for d in comps if bits >> d & 1) for bits in cond.reach]
-    inn = [sum(sizes[d] for d in comps if cond.reach[d] >> c & 1) for c in comps]
-    return tuple(sorted((out[c], inn[c], cond.reach[c] >> c & 1 == 1) for c in cond.comp))
+    ``scripts/pool_survey.py`` buckets graphs, read off a breadth-first
+    search from every vertex."""
+    reach = bfs_reachability(g)
+    return tuple(sorted(
+        (sum(reach[v, w] for w in g.vertices), sum(reach[w, v] for w in g.vertices), reach[v, v])
+        for v in g.vertices
+    ))
 
 
 def closed_dag(g):
     """The labelled component DAG closed under reachability, as
-    ``decide_amplified_oe`` compared it before it took the reduction."""
+    ``decide_amplified_oe`` compared it before it took the reduction: the
+    components are the condensation's, and their reachability is a
+    breadth-first search's between first members."""
     cond = condensation(g)
-    return cond.label, {(c, d): 0 for c, bits in enumerate(cond.reach) for d in range(c) if bits >> d & 1}
+    reach = bfs_reachability(g)
+    first = [g.vertices[m[0]] for m in cond.members]
+    return cond.label, {(c, d): 0 for c, v in enumerate(first) for d, w in enumerate(first) if c != d and reach[v, w]}
 
 
 def test_isomorphism_matches_round_based_oracle_in_reach_profile_buckets():
@@ -645,7 +701,7 @@ def test_isomorphism_matches_round_based_oracle_in_reach_profile_buckets():
     buckets = {}
     for g in iter_small_graphs(3):
         bucket = buckets.setdefault((len(g.vertices), reach_profile(g)), {})
-        cond, arcs = _reduced_dag(g)
+        cond, _, arcs = closure(g)
         for dag in ((cond.label, arcs), closed_dag(g)):
             bucket.setdefault((tuple(dag[0]), tuple(sorted(dag[1].items()))), dag)
     yes = no = 0
@@ -819,22 +875,16 @@ def layered_dag(rng, layers, width):
 
 
 def assert_carries_closure(g1, g2, bij):
-    """``bij`` carries positive-length reachability, read off the
-    condensations' closure bitsets."""
-    c1, c2 = condensation(g1), condensation(g2)
-    i1 = {v: i for i, v in enumerate(g1.vertices)}
-    i2 = {v: i for i, v in enumerate(g2.vertices)}
-    row2 = [c2.reach[c2.comp[i2[bij[v]]]] for v in g1.vertices]
-    col2 = [c2.comp[i2[bij[v]]] for v in g1.vertices]
-    for a, v in enumerate(g1.vertices):
-        bits = c1.reach[c1.comp[i1[v]]]
-        assert all((bits >> c1.comp[b] & 1) == (row2[a] >> col2[b] & 1) for b in range(len(g1.vertices)))
+    """``bij`` carries positive-length reachability, found by a
+    breadth-first search from every vertex."""
+    r1, r2 = bfs_reachability(g1), bfs_reachability(g2)
+    assert all(r2[bij[v], bij[w]] == r for (v, w), r in r1.items())
 
 
 def test_decide_amplified_layered_dag_500():
     rng = random.Random(33)
     g = layered_dag(rng, 100, 9)
-    cond, arcs = _reduced_dag(g)
+    cond, _, arcs = closure(g)
     assert 400 <= len(cond.members) <= 600
     h = relabelled(g, rng)
     ok, bij = decide_amplified_oe(g, h)
