@@ -7,16 +7,19 @@ Run from the repository root.  The parent is a ``git archive`` of
 PARENT_REV in a temporary directory; the change is the working tree.  Pair
 ``i`` runs ``oegbench/run.py --workload W --seed S+i --seconds T`` once on
 each side, one run at a time, the parent first on even ``i`` and the change
-first on odd ``i``.  The last line of each run's output is its result.
+first on odd ``i``.  The last line of each run's output is its result, and
+the line before it the run's record, whose ``kind_p50_ms`` gives the median
+time of each query kind.
 
 The workload's entry in the output file gets, for each end-to-end metric of
 ``BENCHMARK.json``: the parent's and the change's medians and inclusive
 quartiles, the change's median over the parent's, the pairs in which the
-change was better, and every run, in pair order.  A pair in which either
-run fails is left out of the figures and its seed listed under
-``failed_seeds``.  Other workloads already in the file are kept, so one
-file gathers several calls; a workload already there is refused, so no
-run made is overwritten.
+change was better, and every run, in pair order.  Under ``kind_p50_ms`` it
+gets the same summary of each query kind's p50, so the file shows which
+kinds moved ``query_p50_ms``.  A pair in which either run fails is left out
+of the figures and its seed listed under ``failed_seeds``.  Other workloads
+already in the file are kept, so one file gathers several calls; a workload
+already there is refused, so no run made is overwritten.
 """
 
 from __future__ import annotations
@@ -34,15 +37,37 @@ import tempfile
 
 
 def _run(root: str, workload: str, seed: int, seconds: int) -> dict | None:
-    """One benchmark run in ``root``; its metric values, or None on failure."""
+    """One benchmark run in ``root``, read by :func:`_parse`, or None on
+    failure."""
     cmd = [sys.executable, "oegbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         sys.stderr.write(proc.stderr)
         return None
-    return {k: m["value"] for k, m in json.loads(lines[-1])["metrics"].items()}
+    return _parse(lines)
+
+
+def _parse(lines: list[str]) -> dict:
+    """A run's metric values, from its result line (the last), and under
+    ``kind_p50_ms`` each query kind's p50, from its record line (the one
+    before)."""
+    metrics = {k: m["value"] for k, m in json.loads(lines[-1])["metrics"].items()}
+    return {**metrics, "kind_p50_ms": json.loads(lines[-2])["kind_p50_ms"]}
+
+
+def _kind_summary(parent: list[dict], change: list[dict]) -> dict:
+    """For each query kind, the :func:`_summary` of its p50 over the pairs
+    of runs that both time it; a kind timed in fewer than two pairs is left
+    out."""
+    pairs = [(p["kind_p50_ms"], c["kind_p50_ms"]) for p, c in zip(parent, change)]
+    out = {}
+    for kind in sorted({k for p, c in pairs for k in p.keys() & c.keys()}):
+        timed = [(p[kind], c[kind]) for p, c in pairs if kind in p and kind in c]
+        if len(timed) >= 2:
+            out[kind] = _summary("lower", [p for p, _ in timed], [c for _, c in timed])
+    return out
 
 
 def _summary(better: str, parent: list[float], change: list[float]) -> dict:
@@ -115,6 +140,7 @@ def main(argv=None) -> int:
             for name in better
             if len(seeds) >= 2
         },
+        "kind_p50_ms": _kind_summary(runs["parent"], runs["change"]),
     }
     doc.setdefault("what", args.what)
     doc["machine"] = (f"{os.cpu_count()} vCPU, Python {platform.python_version()}, {platform.system()}; "
@@ -133,6 +159,8 @@ def main(argv=None) -> int:
     for name, m in entry["metrics"].items():
         print(f"{args.workload} {name}: {m['parent_median']} {m['parent_quartiles']} -> "
               f"{m['change_median']} {m['change_quartiles']} ({m['change_better_in']})")
+    for kind, m in entry["kind_p50_ms"].items():
+        print(f"{args.workload} p50 of {kind}: {m['parent_median']} -> {m['change_median']} ({m['change_better_in']})")
     return 0
 
 

@@ -71,30 +71,49 @@ def canonicalize(
     The period is replaced by its primitive root, then the preperiod is
     shortened while its last edge equals the last edge of the (suitably
     rotated) period.  Finite data whose range vertex is regular is rejected:
-    it does not denote a boundary path.
+    it does not denote a boundary path.  The checks are one walk, shared
+    with :func:`is_canonical`.
     """
     pre, period = tuple(pre), tuple(period)
-    # One pass checks every edge's index; a break in the path is raised
-    # after them and after the source, as separate passes would.
+    _walk(g, src, pre, period)
+    return _canonical(g, src, pre, period)
+
+
+def is_canonical(g: Graph, x: BoundaryPoint) -> bool:
+    """Whether ``canonicalize(g, x.src, x.pre, x.period) == x``, found
+    without building a point or raising: the fields pass canonicalize's
+    walk, and the period is primitive and its last edge does not end the
+    preperiod, so :func:`_canonical` changes nothing."""
+    pre, period = x.pre, x.period
+    if not (isinstance(pre, tuple) and isinstance(period, tuple)):
+        return False  # canonicalize gives tuples
+    try:
+        _walk(g, x.src, pre, period)
+    except InputError:
+        return False
+    return not period or (not (pre and pre[-1] == period[-1]) and _primitive_root_edges(period)[1] == 1)
+
+
+def _walk(g: Graph, src: str, pre: tuple[Edge, ...], period: tuple[Edge, ...]) -> None:
+    """Raise canonicalize's InputError on data that is no boundary path: an
+    edge's class or index first, then the source, a break in the path, an
+    open period or a finite path to a regular vertex."""
     classes, here, joined = g._by_id, src, True
-    for e in pre + period:
-        c = classes.get(e.cls) or g.cls(e.cls)  # g.cls names an unknown class
-        if e.idx < 0 or e.idx >= c.mult:
-            raise InputError(f"edge index {e.idx} out of range for class {e.cls!r}")
-        joined = joined and c.src == here
-        here = c.dst
+    for edges in (pre, period):
+        for e in edges:
+            c = classes.get(e.cls) or g.cls(e.cls)  # g.cls names an unknown class
+            if e.idx < 0 or e.idx >= c.mult:
+                raise InputError(f"edge index {e.idx} out of range for class {e.cls!r}")
+            joined = joined and c.src == here
+            here = c.dst
     g.check_vertex(src)
     if not joined:
         raise InputError("edges do not form a path")
     if not period:
-        if not is_singular(g, here):
-            raise InputError(
-                f"not a boundary path: {here!r} is a regular vertex"
-            )
-        return BoundaryPoint(src, pre, ())
-    if here != g.edge_src(period[0]):
+        if g._deg[here] not in (0, INF):
+            raise InputError(f"not a boundary path: {here!r} is a regular vertex")
+    elif here != classes[period[0].cls].src:
         raise InputError("period does not close up into a loop")
-    return _canonical(g, src, pre, period)
 
 
 def _canonical(g: Graph, src: str, pre: tuple[Edge, ...], period: tuple[Edge, ...]) -> BoundaryPoint:
@@ -116,22 +135,29 @@ def _canonical(g: Graph, src: str, pre: tuple[Edge, ...], period: tuple[Edge, ..
 
 def point_range(g: Graph, x: BoundaryPoint) -> str:
     """Range vertex of a finite point."""
-    if not x.is_finite:
+    if x.period:
         raise DomainError("an infinite point has no range vertex")
     return g.edge_dst(x.pre[-1]) if x.pre else x.src
 
 
 def drop_edges(g: Graph, x: BoundaryPoint, n: int) -> BoundaryPoint:
     """The point with its first ``n`` edges removed.  The tail of a
-    canonical point is canonical, so it is returned as it stands."""
-    if n > x.length:
-        raise DomainError(f"cannot drop {n} edges from a point of length {x.length}")
+    canonical point is canonical, so it is built from the fields as it
+    stands: the range of the ``n``-th edge and the rest of the preperiod,
+    or a rotation of the period once the preperiod is used up.  A negative
+    ``n`` raises InputError, and one past the end a DomainError."""
+    pre, period = x.pre, x.period
+    if 0 < n <= len(pre):
+        e = pre[n - 1]
+        return BoundaryPoint((g._by_id.get(e.cls) or g.cls(e.cls)).dst, pre[n:], period)
     if n == 0:
         return x
-    if n <= len(x.pre):
-        return BoundaryPoint(g.edge_dst(x.pre[n - 1]), x.pre[n:], x.period)
-    r = (n - len(x.pre)) % len(x.period)
-    rotated = x.period[r:] + x.period[:r]
+    if n < 0:
+        raise InputError("the number of edges to drop must be a natural number")
+    if not period:
+        raise DomainError(f"cannot drop {n} edges from a point of length {len(pre)}")
+    r = (n - len(pre)) % len(period)
+    rotated = period[r:] + period[:r]
     return BoundaryPoint(g.edge_src(rotated[0]), (), rotated)
 
 
@@ -527,7 +553,7 @@ def boundary_size(g: Graph) -> int | str:
     for c in g.edge_classes:
         if c.is_infinite:
             return f"infinite parallel class {c.cid!r}"
-    if not any(g.out_degree(v) >= 2 for v in g.vertices):
+    if max(g._deg.values(), default=0) < 2:
         return len(g.vertices)
     sizes = tail_class_sizes(g)
     if sizes is None:

@@ -52,6 +52,7 @@ def parse_graph(text: str) -> GraphDocument:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lead = len(raw) - len(raw.lstrip())  # a column is lead + 1 + its offset in line
         if name is None:
             m = _GRAPH_RE.match(line)
             if not m:
@@ -60,12 +61,15 @@ def parse_graph(text: str) -> GraphDocument:
             continue
         m = _VERTEX_RE.match(line)
         if m:
+            at = m.start(1)
             for tok in m.group(1).split(","):
                 v = tok.strip()
+                column = lead + at + len(tok) - len(tok.lstrip()) + 1
+                at += len(tok) + 1
                 if not re.fullmatch(_IDENT, v):
-                    raise ParseError(f"bad vertex identifier {v!r}", lineno, raw.find(tok) + 1)
+                    raise ParseError(f"bad vertex identifier {v!r}", lineno, column)
                 if v in seen_vertices:
-                    raise ParseError(f"duplicate vertex {v!r}", lineno, raw.find(tok) + 1)
+                    raise ParseError(f"duplicate vertex {v!r}", lineno, column)
                 seen_vertices.add(v)
                 vertices.append(v)
                 lines[v] = lineno
@@ -74,19 +78,19 @@ def parse_graph(text: str) -> GraphDocument:
         if m:
             cid, mult_tok, src, dst = m.groups()
             if cid in seen_classes:
-                raise ParseError(f"duplicate edge identifier {cid!r}", lineno, raw.find(cid) + 1)
+                raise ParseError(f"duplicate edge identifier {cid!r}", lineno, lead + m.start(1) + 1)
             seen_classes.add(cid)
-            for v in (src, dst):
+            for group, v in ((3, src), (4, dst)):
                 if v not in seen_vertices:
-                    raise ParseError(f"undeclared vertex {v!r}", lineno, raw.find(v) + 1)
+                    raise ParseError(f"undeclared vertex {v!r}", lineno, lead + m.start(group) + 1)
             if mult_tok is None:
                 mult: int | float = 1
             elif mult_tok == "inf":
                 mult = INF
             else:
-                mult = _int_token(mult_tok, "multiplicity", lineno, raw.find(mult_tok) + 1)
+                mult = _int_token(mult_tok, "multiplicity", lineno, lead + m.start(2) + 1)
                 if mult < 1:
-                    raise ParseError("multiplicity must be >= 1", lineno, raw.find(mult_tok) + 1)
+                    raise ParseError("multiplicity must be >= 1", lineno, lead + m.start(2) + 1)
             classes.append((cid, src, dst, mult))
             lines[cid] = lineno
             continue

@@ -12,6 +12,7 @@ classes, and the witness is built from that pairing directly.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .boundary import (
@@ -19,12 +20,13 @@ from .boundary import (
     CylinderSet,
     boundary_census,
     boundary_size,
-    canonicalize,
     check_listable,
     drop_edges,
     exponent_product,
+    is_canonical,
     isolating_cylinder,
     minimal_witness,
+    point_range,
     point_sort_key,
     shift,
     tail_class_sizes,
@@ -78,54 +80,57 @@ class WitnessReport(NamedTuple):
     failures: list[str]
 
 
-def _eq_after_shifts(g: Graph, k: int, a: BoundaryPoint, l: int, b: BoundaryPoint) -> bool:
-    """Strict check of sigma^k(a) == sigma^l(b): a shift past the end of a
-    point counts as failure, never as a skip."""
-    if a.length < k or b.length < l:
-        return False
-    return drop_edges(g, a, k) == drop_edges(g, b, l)
-
-
 def _identity_failures(
     src: Graph, dst: Graph, points: Iterable[BoundaryPoint], h: Callable, k: Callable, l: Callable, n: int, label: str
 ) -> list[str]:
     """One failure description for each of the points ``x`` (all of length
-    >= n) where sigma^k(x)(h(sigma^n x)) == sigma^l(x)(h(x)) does not hold.
+    >= n) where sigma^k(x)(h(sigma^n x)) == sigma^l(x)(h(x)) does not hold;
+    a shift past the end of a point counts as failure, never as a skip.
     ``h``, ``k`` and ``l`` are point functions; a table lookup that misses a
-    point raises InputError."""
+    point raises InputError.
+
+    The images and their tails are canonical, so the shifted images are
+    compared field by field, without building either: the preperiods left
+    must be as long and agree, with equal periods and, when both are used
+    up on finite points, equal range vertices; or, both shifted into their
+    periods, the rotated periods must agree."""
     failures = []
     try:
         for x in points:
-            if not _eq_after_shifts(dst, k(x), h(drop_edges(src, x, n)), l(x), h(x)):
+            s, a, t, b = k(x), h(drop_edges(src, x, n)), l(x), h(x)
+            i, j, p, q = len(a.pre) - s, len(b.pre) - t, a.period, b.period  # i, j: preperiod edges left
+            if i > 0 or j > 0 or not (p and q):
+                same = i == j >= 0 and p == q and a.pre[s:] == b.pre[t:]
+                same = same and (i or p or point_range(dst, a) == point_range(dst, b))
+            else:
+                i, j = -i % len(p), -j % len(q)
+                same = len(p) == len(q) and p[i:] + p[:i] == q[j:] + q[:j]
+            if not same:
                 failures.append(f"{label} identity fails at {print_point(src, x)}")
     except KeyError as exc:
         raise InputError(f"a witness table misses the point {print_point(src, exc.args[0])}") from None
     return failures
 
 
-def _is_point(g: Graph, x: BoundaryPoint) -> bool:
-    """Whether ``x`` is a boundary point of ``g`` in canonical form."""
-    try:
-        return canonicalize(g, x.src, x.pre, x.period) == x
-    except InputError:
-        return False
-
-
 def _check_total(g: Graph, h: Mapping, size: int, name: str) -> None:
     """Check ``h`` (named ``name``) total on the ``size``-point boundary of
-    ``g``: dict keys are distinct, so ``size`` canonical points are all."""
-    if len(h) != size or not all(_is_point(g, x) for x in h):
+    ``g``: dict keys are distinct, so ``size`` canonical points are all.
+    Every call tests every key with :func:`is_canonical`, which builds no
+    point."""
+    if len(h) != size or not all(map(is_canonical, repeat(g), h)):
         raise InputError(f"{name} is not total on the boundary of its source graph")
 
 
 def _check_tables(w: OrbitWitness, size: int, names: tuple[str, str, str] = ("h", "k1", "l1")) -> None:
     """Check ``h`` to be total on the boundary of ``w.E``, which has
     ``size`` points, then ``k1`` and ``l1`` to be total and natural-valued
-    on its keys of length >= 1.  ``names`` calls the three tables in error
-    messages."""
+    on its keys of length >= 1, those with an edge in either field.
+    ``names`` calls the three tables in error messages.  Both directions of
+    a witness run this gate on every call that reads it; nothing is trusted
+    or cached."""
     h, k1, l1 = names
     _check_total(w.E, w.h, size, h)
-    ge1 = [x for x in w.h if x.length >= 1]  # tables built alongside h share its key objects
+    ge1 = [x for x in w.h if x.pre or x.period]  # tables built alongside h share its key objects
     for table, name in ((w.k1, k1), (w.l1, l1)):
         if len(table) != len(ge1) or not all(map(table.__contains__, ge1)):
             raise InputError(f"table {name} is not total on the length->=1 points")
@@ -180,10 +185,12 @@ def _degree(w: OrbitWitness, n: int) -> dict[BoundaryPoint, tuple[int, int]]:
     one = acc = {x: (w.l1[x], w.k1[x]) for x in w.k1}
     a = 1
     for bit in bin(n)[3:]:  # the bits after the leading one
-        acc = {x: exponent_product(p, acc[drop_edges(w.E, x, a)]) for x, p in acc.items() if x.length >= 2 * a}
+        acc = {
+            x: exponent_product(p, acc[drop_edges(w.E, x, a)]) for x, p in acc.items() if x.period or len(x.pre) >= 2 * a
+        }
         a *= 2
         if bit == "1":
-            acc = {x: exponent_product(p, one[drop_edges(w.E, x, a)]) for x, p in acc.items() if x.length > a}
+            acc = {x: exponent_product(p, one[drop_edges(w.E, x, a)]) for x, p in acc.items() if x.period or len(x.pre) > a}
             a += 1
     return acc
 
@@ -249,14 +256,18 @@ def verify_pseudogroup_element(p: PseudogroupElement) -> bool:
     _finite_size(p.graph)
     if set(p.m) != set(p.alpha) or set(p.n) != set(p.alpha):
         raise InputError("exponent tables must share the domain of alpha")
-    if not all(_is_point(p.graph, x) for x in (*p.alpha, *p.alpha.values())):
+    if not all(is_canonical(p.graph, x) for x in (*p.alpha, *p.alpha.values())):
         raise InputError("alpha must map boundary points of its graph to boundary points")
     for table, name in ((p.m, "m"), (p.n, "n")):
         if min(table.values(), default=0) < 0:
             raise InputError(f"table {name} must take natural values")
     if len(set(p.alpha.values())) != len(p.alpha):
         return False
-    return all(_eq_after_shifts(p.graph, p.m[x], x, p.n[x], ax) for x, ax in p.alpha.items())
+    for x, ax in p.alpha.items():  # a shift past the end of a point fails
+        m, n = p.m[x], p.n[x]
+        if x.length < m or ax.length < n or drop_edges(p.graph, x, m) != drop_edges(p.graph, ax, n):
+            return False
+    return True
 
 
 def bisection_decomposition(p: PseudogroupElement) -> list[tuple[CylinderSet, int, int]]:
@@ -352,9 +363,9 @@ def _delay_tables(src: Graph, dst: Graph, h: Mapping[BoundaryPoint, BoundaryPoin
     point of length >= 1, read off the minimal alignment of the two images."""
     k, l = {}, {}
     for x, y in h.items():
-        if x.length < 1:
+        if not (x.pre or x.period):
             continue
-        a = h[shift(src, x)]
+        a = h[drop_edges(src, x, 1)]
         # an exitless cycle visits each vertex once, so its edges are
         # distinct and y's period starts at exactly one place in a's
         r = a.period.index(y.period[0]) if a.period else 0

@@ -284,10 +284,10 @@ def _primitive_walks(g: Graph, max_len: int) -> Iterator[tuple[Edge, ...]]:
 
 def _primitive_root_edges(edges: tuple[Edge, ...]) -> tuple[tuple[Edge, ...], int]:
     n = len(edges)
-    for p in range(1, n + 1):
+    for p in range(1, n // 2 + 1):  # a proper root is at most half as long
         if n % p == 0 and edges[:p] * (n // p) == edges:
             return edges[:p], n // p
-    raise AssertionError("unreachable")
+    return edges, 1
 
 
 def condition_l(g: Graph) -> tuple[bool, Path | None]:

@@ -821,6 +821,99 @@ def test_canonicalize_raises_as_the_oracle(e1):
     assert all(any(re.match(f, m) for m in messages) for f in faults)
 
 
+def _canonical_by_building(g: Graph, x) -> bool:
+    """The definition that ``is_canonical`` decides without building."""
+    try:
+        return canonicalize(g, x.src, x.pre, x.period) == x
+    except InputError:
+        return False
+
+
+def _near_misses(x: BoundaryPoint) -> list[BoundaryPoint]:
+    """Raw forms of ``x`` that denote it, or a neighbour, but are not it:
+    a doubled period, a period edge moved into the preperiod, another
+    source, and the fields as lists."""
+    out = [x._replace(src=x.src + "'"), x._replace(pre=list(x.pre))]
+    if x.period:
+        out += [
+            x._replace(period=x.period * 2),
+            BoundaryPoint(x.src, x.pre + x.period[:1], x.period[1:] + x.period[:1]),
+            x._replace(period=list(x.period)),
+        ]
+    return out
+
+
+def test_is_canonical_matches_canonicalize_on_pool():
+    """``is_canonical`` agrees with ``canonicalize(...) == x`` on every
+    census point of the finite-boundary pool graphs, on every point of
+    ``bounded_points(g, 3, 40)`` of every pool graph, and on near misses of
+    the census points and of every eighth sampled point."""
+    seen = {True: 0, False: 0}
+    for g in iter_small_graphs(3):
+        census, sample = list(boundary_census(g).points), bounded_points(g, 3, 40)
+        cases = census + sample + [y for x in census + sample[::8] for y in _near_misses(x)]
+        for y in cases:
+            got = boundary.is_canonical(g, y)
+            assert got == _canonical_by_building(g, y), (g, y)
+            seen[got] += 1
+    assert seen[True] > 100_000 and seen[False] > 50_000
+
+
+def test_is_canonical_matches_canonicalize_on_malformed_points():
+    """A fixed set with one fault each, and random raw data with several,
+    on ``a: u -> v``, ``b: v -> w``, ``c: w -> w``, ``d * 2: w -> s``;
+    ``is_canonical`` answers False on each fault and raises nothing."""
+    g = Graph(["u", "v", "w", "s"], [("a", "u", "v", 1), ("b", "v", "w", 1), ("c", "w", "w", 1), ("d", "w", "s", 2)])
+    a, b, c, d0, d1 = Edge("a", 0), Edge("b", 0), Edge("c", 0), Edge("d", 0), Edge("d", 1)
+    faulty = {
+        "unknown class": BoundaryPoint("u", (a, b, Edge("z", 0)), ()),
+        "index out of range": BoundaryPoint("w", (Edge("d", 2),), ()),
+        "negative index": BoundaryPoint("w", (Edge("d", -1),), ()),
+        "broken path": BoundaryPoint("u", (a, c), (c,)),
+        "open period": BoundaryPoint("w", (), (c, d0)),
+        "non-primitive period": BoundaryPoint("w", (), (c, c)),
+        "preperiod ends as the period": BoundaryPoint("v", (b, c), (c,)),
+        "wrong source": BoundaryPoint("v", (), (c,)),
+        "unknown source": BoundaryPoint("x", (), ()),
+        "finite point at a regular vertex": BoundaryPoint("u", (a,), ()),
+        "list-typed preperiod": BoundaryPoint("u", [a, b, d1], ()),
+        "list-typed period": BoundaryPoint("u", (a, b), [c]),
+    }
+    for name, x in faulty.items():
+        assert not boundary.is_canonical(g, x), name
+        assert not _canonical_by_building(g, x), name
+    for x in (BoundaryPoint("s", (), ()), BoundaryPoint("u", (a, b), (c,)), BoundaryPoint("w", (d1,), ())):
+        assert boundary.is_canonical(g, x) and _canonical_by_building(g, x)
+    rng = random.Random(26)
+    for h in (g, *_oracle_graphs()):
+        palette = [Edge("zz", 0)] + [
+            Edge(c.cid, i) for c in h.edge_classes for i in (-1, 0, 1, 7 if c.is_infinite else c.mult)
+        ]
+        sources = list(h.vertices) + ["nowhere"]
+        for _ in range(12):
+            pre = tuple(rng.choices(palette, k=rng.randint(0, 3)))
+            period = tuple(rng.choices(palette, k=rng.randint(0, 2)))
+            x = BoundaryPoint(rng.choice(sources), pre, period)
+            assert boundary.is_canonical(h, x) == _canonical_by_building(h, x)
+
+
+def test_drop_edges_refuses_a_negative_count():
+    """A negative count raises InputError, as a negative shift exponent
+    does; it once gave ``sigma^1`` for -1 and an IndexError for -2.  Past
+    the end of a finite point is a DomainError, and an unknown class an
+    InputError."""
+    g = Graph(["u", "v", "w"], [("a", "u", "v", 1), ("b", "v", "w", 1), ("c", "w", "w", 1)])
+    x = pt(g, "a.b.(c)*")
+    for n in (-1, -2, -5):
+        with pytest.raises(InputError, match="natural number"):
+            drop_edges(g, x, n)
+    assert drop_edges(g, x, 1) == pt(g, "b.(c)*") and drop_edges(g, x, 4) == pt(g, "(c)*")
+    with pytest.raises(DomainError):
+        drop_edges(g, BoundaryPoint("u", (), ()), 1)
+    with pytest.raises(InputError, match="unknown edge class 'z'"):
+        drop_edges(g, BoundaryPoint("u", (Edge("z", 0),), ()), 1)
+
+
 def test_census_shares_edge_objects():
     """The census of a 200-vertex chain holds 199 ``Edge`` objects in all,
     one per edge, though its 200 points hold 19,900 edges; repeated

@@ -68,6 +68,26 @@ def test_parse_errors_have_positions():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "line, column, message",
+    [
+        ("vertex a, aa, a", 15, "duplicate vertex 'a'"),
+        ("edge e: v -> u", 6, "duplicate edge identifier 'e'"),
+        ("edge a0 * 0: u -> v", 11, "multiplicity must be >= 1"),
+        ("edge a: u -> e", 14, "undeclared vertex 'e'"),
+        ("  vertex w,  x, w", 17, "duplicate vertex 'w'"),
+        ("\tedge a * " + "9" * 5000 + ": u -> u", 11, "multiplicity must be an integer"),
+    ],
+)
+def test_parse_errors_point_at_the_token(line, column, message):
+    """The column is the token's own, not the first match of its text
+    earlier on the line; leading blanks count."""
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"graph A\nvertex u, v\nedge e: u -> v\n{line}\n")
+    assert (err.value.line, err.value.column) == (4, column)
+    assert str(err.value).startswith(message)
+
+
 def test_graph_roundtrip_corpus():
     rng = random.Random(31)
     for i in range(50):

@@ -210,7 +210,41 @@ def _mutated_maps(g: Graph, census: list[BoundaryPoint], foreign: list[BoundaryP
     return maps
 
 
-def test_count_gates_match_the_census_gates_on_pool():
+def test_identity_check_matches_the_building_compare_on_pool():
+    """The identity check, which compares the shifted images in place,
+    reports the failures that building both images reports.  On every
+    finite-boundary pool graph ``g``, ``h`` is the identity and random
+    bijections onto the boundary of ``g`` and of another graph of the same
+    size, at shifts ``n = 1, 2, 3``; the tables are the conjugacy's
+    (``k = 0``, ``l = n``) and random ones in 0..4."""
+    from oeg.dynamics import _identity_failures
+    from witness_oracle import reference_identity_failures
+
+    rng = random.Random(26)
+    pool = [(g, c.points) for g in iter_small_graphs(3) if (c := boundary_census(g)).finite]
+    by_size: dict[int, list] = {}
+    for g, census in pool:
+        by_size.setdefault(len(census), []).append((g, census))
+    held = failed = 0
+    for g, census in pool:
+        f, f_census = rng.choice(by_size[len(census)])
+        for dst, h in (
+            (g, dict(zip(census, census))),
+            (g, dict(zip(census, rng.sample(census, len(census))))),
+            (f, dict(zip(census, rng.sample(f_census, len(census))))),
+        ):
+            for n in (1, 2, 3):
+                points = [x for x in census if x.length >= n]
+                for k, l in (
+                    (dict.fromkeys(points, 0), dict.fromkeys(points, n)),
+                    ({x: rng.randint(0, 4) for x in points}, {x: rng.randint(0, 4) for x in points}),
+                ):
+                    args = (g, dst, points, h.__getitem__, k.__getitem__, l.__getitem__, n, "t")
+                    got = _identity_failures(*args)
+                    assert got == reference_identity_failures(*args), (g, dst, h, n)
+                    failed += len(got)
+                    held += len(points) - len(got)
+    assert held > 1000 and failed > 1000
     """The witness and pseudogroup gates that check points by the boundary's
     count and their canonical forms give the verdicts, exception types and
     messages of the old census-membership gates, on the identity witness and

@@ -4,24 +4,41 @@
 each key's canonical form.  The functions here gate as it used to: they list
 both censuses with ``boundary_census`` and check every table against the
 listed points.  The gates are the old code verbatim; only the census is
-taken here rather than passed in.
+taken here rather than passed in.  The identities are checked as they used
+to be, too: by building both shifted images with ``drop_edges`` and
+comparing the points.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from oeg.boundary import BoundaryPoint, boundary_census, drop_edges, exponent_product
-from oeg.dynamics import (
-    CocycleTables,
-    OrbitWitness,
-    PseudogroupElement,
-    WitnessReport,
-    _eq_after_shifts,
-    _halves,
-    _identity_failures,
-)
+from oeg.dsl import print_point
+from oeg.dynamics import CocycleTables, OrbitWitness, PseudogroupElement, WitnessReport, _halves
 from oeg.errors import InputError, UnsupportedScaleError
+from oeg.graphs import Graph
+
+
+def _eq_after_shifts(g: Graph, k: int, a: BoundaryPoint, l: int, b: BoundaryPoint) -> bool:
+    """Strict check of sigma^k(a) == sigma^l(b): a shift past the end of a
+    point counts as failure, never as a skip."""
+    if a.length < k or b.length < l:
+        return False
+    return drop_edges(g, a, k) == drop_edges(g, b, l)
+
+
+def reference_identity_failures(
+    src: Graph, dst: Graph, points: Iterable[BoundaryPoint], h: Callable, k: Callable, l: Callable, n: int, label: str
+) -> list[str]:
+    failures = []
+    try:
+        for x in points:
+            if not _eq_after_shifts(dst, k(x), h(drop_edges(src, x, n)), l(x), h(x)):
+                failures.append(f"{label} identity fails at {print_point(src, x)}")
+    except KeyError as exc:
+        raise InputError(f"a witness table misses the point {print_point(src, exc.args[0])}") from None
+    return failures
 
 
 def require_finite_census(g) -> tuple[BoundaryPoint, ...]:
@@ -58,7 +75,7 @@ def reference_verify_oe_witness(w: OrbitWitness) -> WitnessReport:
     failures = [
         f
         for side, v, _ in halves
-        for f in _identity_failures(v.E, v.F, v.k1, v.h.__getitem__, v.k1.__getitem__, v.l1.__getitem__, 1, side)
+        for f in reference_identity_failures(v.E, v.F, v.k1, v.h.__getitem__, v.k1.__getitem__, v.l1.__getitem__, 1, side)
     ]
     return WitnessReport(not failures, failures)
 
