@@ -245,6 +245,9 @@ def test_identity_check_matches_the_building_compare_on_pool():
                     failed += len(got)
                     held += len(points) - len(got)
     assert held > 1000 and failed > 1000
+
+
+def test_count_gates_match_the_census_gates_on_pool():
     """The witness and pseudogroup gates that check points by the boundary's
     count and their canonical forms give the verdicts, exception types and
     messages of the old census-membership gates, on the identity witness and
