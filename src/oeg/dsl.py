@@ -61,11 +61,7 @@ def parse_graph(text: str) -> GraphDocument:
             continue
         m = _VERTEX_RE.match(line)
         if m:
-            at = m.start(1)
-            for tok in m.group(1).split(","):
-                v = tok.strip()
-                column = lead + at + len(tok) - len(tok.lstrip()) + 1
-                at += len(tok) + 1
+            for column, v in _fields(m.group(1), lead + m.start(1) + 1, ","):
                 if not re.fullmatch(_IDENT, v):
                     raise ParseError(f"bad vertex identifier {v!r}", lineno, column)
                 if v in seen_vertices:
@@ -102,6 +98,14 @@ def parse_graph(text: str) -> GraphDocument:
     except InputError as exc:
         raise ParseError(str(exc)) from exc
     return GraphDocument(name, graph, lines)
+
+
+def _fields(text: str, column: int, sep: str):
+    """The ``sep``-separated fields of ``text``, which starts at ``column``
+    of its line, stripped, each with the column of its first character."""
+    for field in text.split(sep):
+        yield column + len(field) - len(field.lstrip()), field.strip()
+        column += len(field) + 1
 
 
 def print_graph(doc: GraphDocument | Graph, name: str | None = None) -> str:
@@ -331,42 +335,37 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
     """Partition files: one ``split v: {e1,e2} | {e3}`` line per split
     vertex; unmentioned non-sink vertices keep their whole out-edge set as a
     single block.  Bare class names place the whole class; ``cls[i]`` places
-    a single edge."""
-    from .moves import Block, OutSplitPartition, trivial_partition
+    a single edge.  Syntax errors give the column of the block, token or
+    index at fault."""
+    from .moves import OutSplitPartition, _class_block, trivial_partition
 
     blocks = dict(trivial_partition(g).blocks)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lead = len(raw) - len(raw.lstrip())  # a column is lead + 1 + its offset in line
         m = _SPLIT_RE.match(line)
         if not m:
             raise ParseError(f"unrecognized partition line {line!r}", lineno, 1)
-        v = m.group(1)
-        g.check_vertex(v)
+        v = g.check_vertex(m.group(1))
         cells = []
-        for cell_text in m.group(2).split("|"):
-            cell_text = cell_text.strip()
-            if not (cell_text.startswith("{") and cell_text.endswith("}")):
-                raise ParseError("each block must be brace-delimited", lineno, 1)
-            edges: set[Edge] = set()
-            infs: set[str] = set()
-            for tok in cell_text[1:-1].split(","):
-                tok = tok.strip()
+        for start, cell in _fields(m.group(2), lead + m.start(2) + 1, "|"):
+            if not (cell.startswith("{") and cell.endswith("}")):
+                raise ParseError("each block must be brace-delimited", lineno, start)
+            whole, edges = [], []
+            for column, tok in _fields(cell[1:-1], start + 1, ","):
                 if not tok:
                     continue
                 m2 = _EDGE_TOKEN_RE.match(tok)
                 if not m2:
-                    raise ParseError(f"bad edge token {tok!r}", lineno, 1)
+                    raise ParseError(f"bad edge token {tok!r}", lineno, column)
                 cid, idx = m2.group(1), m2.group(2)
                 c = g.cls(cid)
                 if idx is None:
-                    if c.is_infinite:
-                        infs.add(cid)
-                    else:
-                        edges.update(Edge(cid, i) for i in range(c.mult))
+                    whole.append(c)
                 else:
-                    edges.add(g.check_edge(Edge(cid, _int_token(idx, "edge index", lineno))))
-            cells.append(Block(frozenset(edges), frozenset(infs)))
+                    edges.append(g.check_edge(Edge(cid, _int_token(idx, "edge index", lineno, column + m2.start(2)))))
+            cells.append(_class_block(whole, edges))
         blocks[v] = tuple(cells)
     return OutSplitPartition(blocks)

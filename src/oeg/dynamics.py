@@ -144,16 +144,23 @@ def _halves(w: OrbitWitness) -> tuple[tuple[str, OrbitWitness, tuple[str, str, s
     return ("forward", w, ("h", "k1", "l1")), ("backward", w.inverse(), ("h^-1", "k1p", "l1p"))
 
 
-def verify_oe_witness(w: OrbitWitness) -> WitnessReport:
-    """Check every defining identity of an orbit-equivalence witness at all
-    boundary points, reporting each failure.  Both boundaries are counted
-    before either table is checked against its count."""
+def _gate(w: OrbitWitness):
+    """Count both boundaries, check both directions' tables against the
+    counts, then compare the counts; return :func:`_halves`."""
     sizes = _finite_size(w.E), _finite_size(w.F)
     halves = _halves(w)
     for (_, v, names), size in zip(halves, sizes):
         _check_tables(v, size, names)
     if sizes[0] != sizes[1]:  # h is total on E and onto F: injective iff the sizes agree
         raise InputError("h is not a bijection onto the boundary of F")
+    return halves
+
+
+def verify_oe_witness(w: OrbitWitness) -> WitnessReport:
+    """Check every defining identity of an orbit-equivalence witness at all
+    boundary points, reporting each failure, once the witness passes
+    :func:`_gate`."""
+    halves = _gate(w)
     # the gates made k1's keys the boundary points of length >= 1
     failures = [
         f
@@ -198,21 +205,30 @@ def _degree(w: OrbitWitness, n: int) -> dict[BoundaryPoint, tuple[int, int]]:
 def extend_cocycles(w: OrbitWitness, n: int) -> CocycleTables:
     """The degree-``n`` cocycle tables of a witness; the primed tables are
     those of the inverse witness.  Each direction's tables are gated, and
-    extended, before the other boundary is counted."""
+    extended, before the other boundary is counted; the counts come last."""
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
-    tables = []
+    sizes, tables = [], []
     for _, v, names in _halves(w):
-        _check_tables(v, _finite_size(v.E), names)
+        sizes.append(_finite_size(v.E))
+        _check_tables(v, sizes[-1], names)
         pairs = _degree(v, n)
         tables += [{x: k for x, (_, k) in pairs.items()}, {x: l for x, (l, _) in pairs.items()}]
+    if sizes[0] != sizes[1]:
+        raise InputError("h is not a bijection onto the boundary of F")
     return CocycleTables(n, *tables)
 
 
 def check_extended_identity(w: OrbitWitness, tables: CocycleTables) -> list[str]:
     """The degree-n analogue of the witness identities, on every point where
-    the n-fold shift is defined."""
+    the n-fold shift is defined.  The degree and the tables must be natural,
+    as :func:`extend_cocycles` makes them; the witness is not gated again."""
     n = tables.n
+    if n < 0:
+        raise InputError("cocycle degree must be a natural number")
+    for name in ("k", "l", "kp", "lp"):
+        if min(getattr(tables, name).values(), default=0) < 0:
+            raise InputError(f"table {name} must take natural values")
     return [
         f
         for (side, v, _), (k, l) in zip(_halves(w), ((tables.k, tables.l), (tables.kp, tables.lp)))
@@ -290,7 +306,7 @@ def bisection_decomposition(p: PseudogroupElement) -> list[tuple[CylinderSet, in
 
 def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> PseudogroupElement:
     """Transport a pseudogroup element of E through a verified witness to a
-    pseudogroup element of F.
+    pseudogroup element of F, once both pass their gates.
 
     The new exponents are the product of the extended cocycle pairs
 
@@ -302,7 +318,7 @@ def conjugate_pseudogroup(w: OrbitWitness, p: PseudogroupElement) -> Pseudogroup
         raise InputError("the element must live over the witness source graph")
     if not verify_pseudogroup_element(p):
         raise InputError("not a valid pseudogroup element")
-    _check_tables(w, _finite_size(w.E))
+    _gate(w)
     degrees = {d: _degree(w, d) for d in {*p.m.values(), *p.n.values()}}
     alpha2: dict[BoundaryPoint, BoundaryPoint] = {}
     m2: dict[BoundaryPoint, int] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .boundary import BoundaryPoint, canonicalize, check_listable
 from .errors import InputError
@@ -47,26 +47,27 @@ class OutSplitPartition(NamedTuple):
         return len(self.blocks.get(v, ()))
 
 
+def _class_block(classes: Sequence[EdgeClass], edges: Iterable[Edge] = ()) -> Block:
+    """The block of ``edges``, every edge of the finite ``classes`` and the infinite ones whole."""
+    fin = (Edge(c.cid, i) for c in classes if not c.is_infinite for i in range(c.mult))
+    return Block(frozenset([*edges, *fin]), frozenset(c.cid for c in classes if c.is_infinite))
+
+
 def trivial_partition(g: Graph) -> OutSplitPartition:
     check_listable(g.edge_classes)
-    blocks = {}
-    for v in g.vertices:
-        out = g.out_classes(v)
-        if not out:
-            continue
-        fin = frozenset(
-            Edge(c.cid, i) for c in out if not c.is_infinite for i in range(c.mult)
-        )
-        inf = frozenset(c.cid for c in out if c.is_infinite)
-        blocks[v] = (Block(fin, inf),)
-    return OutSplitPartition(blocks)
+    return OutSplitPartition({v: (_class_block(out),) for v in g.vertices if (out := g.out_classes(v))})
 
 
-def check_partition(g: Graph, p: OutSplitPartition) -> None:
-    """Validate properness, raising with the violated clause."""
+def check_partition(g: Graph, p: OutSplitPartition) -> dict[Edge | str, tuple[str, int]]:
+    """Validate properness, raising with the violated clause; return each
+    item's vertex and 0-based block index, an item being a finite edge or
+    an infinite class id.  Each item is checked once, to leave its vertex
+    and sit in no earlier block, so coverage is a count: the out-degree,
+    an infinite class counted once."""
     for v in p.blocks:
         g.check_vertex(v)
     check_listable(g.edge_classes)
+    where: dict[Edge | str, tuple[str, int]] = {}
     for v in g.vertices:
         out = g.out_classes(v)
         cells = p.blocks.get(v, ())
@@ -78,35 +79,29 @@ def check_partition(g: Graph, p: OutSplitPartition) -> None:
             raise InputError(f"vertex {v!r} has outgoing edges but no blocks")
         if sum(1 for b in cells if b.is_infinite) > 1:
             raise InputError(f"vertex {v!r} has more than one infinite block")
-        seen_edges: set[Edge] = set()
-        seen_inf: set[str] = set()
-        for b in cells:
+        placed = len(where)
+        for i, b in enumerate(cells):
             if not b.edges and not b.infinite_classes:
                 raise InputError(f"vertex {v!r} has an empty block")
             for e in b.edges:
-                g.check_edge(e)
-                if g.edge_src(e) != v:
+                c = g.cls(g.check_edge(e).cls)
+                if c.src != v:
                     raise InputError(f"edge {e.cls!r} does not leave {v!r}")
-                if g.cls(e.cls).is_infinite:
-                    raise InputError(
-                        f"infinite class {e.cls!r} can only be assigned wholesale"
-                    )
-                if e in seen_edges:
+                if c.is_infinite:
+                    raise InputError(f"infinite class {e.cls!r} can only be assigned wholesale")
+                if e in where:
                     raise InputError(f"blocks at {v!r} are not disjoint")
-                seen_edges.add(e)
+                where[e] = v, i
             for cid in b.infinite_classes:
                 c = g.cls(cid)
                 if c.src != v or not c.is_infinite:
                     raise InputError(f"class {cid!r} is not an infinite class at {v!r}")
-                if cid in seen_inf:
+                if cid in where:
                     raise InputError(f"blocks at {v!r} are not disjoint")
-                seen_inf.add(cid)
-        want_edges = {
-            Edge(c.cid, i) for c in out if not c.is_infinite for i in range(c.mult)
-        }
-        want_inf = {c.cid for c in out if c.is_infinite}
-        if seen_edges != want_edges or seen_inf != want_inf:
+                where[cid] = v, i
+        if len(where) - placed != sum(1 if c.is_infinite else c.mult for c in out):
             raise InputError(f"blocks at {v!r} do not cover the outgoing edges")
+    return where
 
 
 class OutSplit(NamedTuple):
@@ -138,21 +133,18 @@ def out_split(g: Graph, p: OutSplitPartition) -> OutSplit:
 
     A class whose edges fall in several blocks is cut into pieces
     ``cid_b<i>`` with members renumbered in order; a new name that is
-    already taken gets a ``_<k>`` suffix."""
-    check_partition(g, p)
+    already taken gets a ``_<k>`` suffix.  Each item's block is read off
+    the map :func:`check_partition` returns."""
+    where = check_partition(g, p)
     sinks = [v for v in g.vertices if not p.m(v)]
     wanted = [(v, split_vertex_name(v, i)) for v in g.vertices for i in range(1, p.m(v) + 1)]
     copies: dict[str, list[str]] = {v: [] for v in g.vertices}
     for (v, _), name in zip(wanted, _fresh_names([n for _, n in wanted], sinks)):
         copies[v].append(name)
     vertices = [u for v in g.vertices for u in copies[v] or [v]]
-    block: dict[Edge | str, str] = {}
+    block = {item: copies[v][i] for item, (v, i) in where.items()}
     ends = {v: v for v in sinks}
-    for v in g.vertices:
-        for u, b in zip(copies[v], p.blocks.get(v, ())):
-            block.update(dict.fromkeys([*b.edges, *b.infinite_classes], u))
-            if b.is_infinite:
-                ends[v] = u
+    ends.update((c.src, block[c.cid]) for c in g.edge_classes if c.is_infinite)
     pieces = []  # (class, source copy, members or None if infinite, range, wanted id)
     for c in g.edge_classes:
         groups: dict[str, list[int] | None] = {block[c.cid]: None} if c.is_infinite else {}

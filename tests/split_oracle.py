@@ -3,16 +3,68 @@ edge table: names and member ranks computed per class, blocks found by
 scanning the partition, and every image validated by ``canonicalize``.
 Kept as the oracle that ``oeg.moves.out_split`` and ``out_split_map`` are
 checked against; it knows nothing of name clashes, so compare on graphs
-whose usual names are all distinct."""
+whose usual names are all distinct.
+
+``check_partition`` is the partition check as it was before it checked
+each item once and decided coverage by a count: it lists every out-edge
+of a vertex a second time and compares the sets.  It is kept verbatim as
+the oracle of ``oeg.moves.check_partition``."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from oeg.boundary import BoundaryPoint, canonicalize
+from oeg.boundary import BoundaryPoint, canonicalize, check_listable
 from oeg.errors import InputError
 from oeg.graphs import INF, Edge, EdgeClass, Graph, vertex_kind
-from oeg.moves import OutSplitPartition, check_partition, split_vertex_name
+from oeg.moves import OutSplitPartition, split_vertex_name
+
+
+def check_partition(g: Graph, p: OutSplitPartition) -> None:
+    """Validate properness, raising with the violated clause."""
+    for v in p.blocks:
+        g.check_vertex(v)
+    check_listable(g.edge_classes)
+    for v in g.vertices:
+        out = g.out_classes(v)
+        cells = p.blocks.get(v, ())
+        if not out:
+            if cells:
+                raise InputError(f"sink {v!r} must have no blocks")
+            continue
+        if not cells:
+            raise InputError(f"vertex {v!r} has outgoing edges but no blocks")
+        if sum(1 for b in cells if b.is_infinite) > 1:
+            raise InputError(f"vertex {v!r} has more than one infinite block")
+        seen_edges: set[Edge] = set()
+        seen_inf: set[str] = set()
+        for b in cells:
+            if not b.edges and not b.infinite_classes:
+                raise InputError(f"vertex {v!r} has an empty block")
+            for e in b.edges:
+                g.check_edge(e)
+                if g.edge_src(e) != v:
+                    raise InputError(f"edge {e.cls!r} does not leave {v!r}")
+                if g.cls(e.cls).is_infinite:
+                    raise InputError(
+                        f"infinite class {e.cls!r} can only be assigned wholesale"
+                    )
+                if e in seen_edges:
+                    raise InputError(f"blocks at {v!r} are not disjoint")
+                seen_edges.add(e)
+            for cid in b.infinite_classes:
+                c = g.cls(cid)
+                if c.src != v or not c.is_infinite:
+                    raise InputError(f"class {cid!r} is not an infinite class at {v!r}")
+                if cid in seen_inf:
+                    raise InputError(f"blocks at {v!r} are not disjoint")
+                seen_inf.add(cid)
+        want_edges = {
+            Edge(c.cid, i) for c in out if not c.is_infinite for i in range(c.mult)
+        }
+        want_inf = {c.cid for c in out if c.is_infinite}
+        if seen_edges != want_edges or seen_inf != want_inf:
+            raise InputError(f"blocks at {v!r} do not cover the outgoing edges")
 
 
 class OracleSplit:

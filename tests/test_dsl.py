@@ -25,7 +25,7 @@ from oeg.dsl import (
     print_witness,
 )
 from oeg.errors import ParseError
-from oeg.graphs import INF, Edge
+from oeg.graphs import INF, Edge, Graph
 from oeg.zoo import amplified_arrow_loop, arrow_into_loop, two_cycle
 
 
@@ -215,6 +215,33 @@ def test_parse_partition(e2):
     assert p2.blocks["v"][0].infinite_classes == frozenset({"B"})
     with pytest.raises(ParseError):
         parse_partition(e2, "split 1: a11 | {a12}")
+
+
+def _partition_error(text: str) -> ParseError:
+    g = Graph(["u", "s", "t"], [("a", "u", "s", 2), ("b", "u", "t", 1)])
+    with pytest.raises(ParseError) as info:
+        parse_partition(g, text)
+    return info.value
+
+
+def test_partition_brace_error_names_the_block_column():
+    err = _partition_error("split u: {a[0]} | {a[1], b}x")
+    assert (err.line, err.column) == (1, 19)
+    assert "brace-delimited" in str(err)
+    err = _partition_error("\n  split u: {a[0]} |  a[1]")  # leading blanks count
+    assert (err.line, err.column) == (2, 22)
+
+
+def test_partition_token_error_names_the_token_column():
+    err = _partition_error("split u: {a[0]} | {a[1], b-c}")
+    assert (err.line, err.column) == (1, 26)
+    assert "'b-c'" in str(err)
+
+
+def test_partition_index_error_names_the_index_column():
+    err = _partition_error("split u: {a[0]} | {a[1], b[" + "9" * 5000 + "]}")
+    assert (err.line, err.column) == (1, 28)
+    assert "edge index must be an integer" in str(err)
 
 
 from hypothesis import given, settings, strategies as st

@@ -126,6 +126,50 @@ def test_non_injective_h_rejected(e1, floop):
         verify_oe_witness(OrbitWitness(e1, floop, h, zeros, zeros, {pt(floop, "(e)*"): 0}, {pt(floop, "(e)*"): 0}))
 
 
+def _two_onto_one() -> OrbitWitness:
+    """``a: u -> s`` and ``b: u -> t`` (4 points) sent onto ``e: p -> q``
+    (2 points) with all-zero tables: both directions pass their gates, and
+    only the size comparison refuses it."""
+    E = Graph(["u", "s", "t"], [("a", "u", "s", 1), ("b", "u", "t", 1)])
+    F = Graph(["p", "q"], [("e", "p", "q", 1)])
+    h = {pt(E, "@s"): pt(F, "@q"), pt(E, "@t"): pt(F, "@q"), pt(E, "a"): pt(F, "e"), pt(E, "b"): pt(F, "e")}
+    zeros = [dict.fromkeys([x for x in side if x.length >= 1], 0) for side in (h, {y: x for x, y in h.items()})]
+    return OrbitWitness(E, F, h, zeros[0], zeros[0], zeros[1], zeros[1])
+
+
+def test_non_injective_h_rejected_by_every_witness_reader():
+    w = _two_onto_one()
+    identity = identity_element(w.E, boundary_census(w.E).points)
+    for run in (lambda: verify_oe_witness(w), lambda: extend_cocycles(w, 2), lambda: conjugate_pseudogroup(w, identity)):
+        with pytest.raises(InputError, match="^h is not a bijection onto the boundary of F$"):
+            run()
+
+
+def test_conjugate_pseudogroup_gates_the_backward_direction():
+    w = example_witness()
+    identity = identity_element(w.E, boundary_census(w.E).points)
+    k1p = dict(w.k1p)
+    k1p.pop(next(iter(k1p)))
+    with pytest.raises(InputError, match="^table k1p is not total"):
+        conjugate_pseudogroup(w._replace(k1p=k1p), identity)
+
+
+def test_extended_identity_refuses_unnatural_tables():
+    """Tables that ``extend_cocycles`` cannot make are refused with its
+    wording, not checked as identities."""
+    g = Graph(["u", "v", "s", "t", "r"], [("x", "u", "v", 1), ("y", "v", "s", 1), ("z", "v", "t", 1), ("w", "u", "r", 1)])
+    w = conjugacy_witness(g, g, {x: x for x in boundary_census(g).points})
+    tables = extend_cocycles(w, 1)
+    assert check_extended_identity(w, tables) == []
+    with pytest.raises(InputError, match="^cocycle degree must be a natural number$"):
+        check_extended_identity(w, tables._replace(n=-1))
+    xy = pt(g, "x.y")
+    for name in ("k", "l", "kp", "lp"):
+        bad = tables._replace(**{name: {**getattr(tables, name), xy: -1}})
+        with pytest.raises(InputError, match=f"^table {name} must take natural values$"):
+            check_extended_identity(w, bad)
+
+
 def test_partial_witness_is_an_input_error():
     """A witness whose table misses a point is an input error when the
     cocycles are extended and when the extended identity is checked."""

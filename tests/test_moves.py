@@ -13,7 +13,7 @@ from conftest import pt
 from sampling import random_graph, random_proper_partition, sample_points
 from sample_oracle import capped_out_edges
 from saturation_oracle import _rewrite_stream
-from split_oracle import OracleSplit
+from split_oracle import OracleSplit, check_partition as reference_check_partition
 from oeg.boundary import BoundaryPoint, boundary_census, canonicalize, drop_edges, point_range, prepend
 from oeg.dynamics import verify_conjugacy
 from oeg.errors import InputError
@@ -24,6 +24,7 @@ from oeg.moves import (
     ParallelIndexing,
     amplified_transitive_closure,
     amplify,
+    check_partition,
     check_saturation_identity,
     decide_amplified_oe,
     out_split,
@@ -92,6 +93,95 @@ def test_improper_partitions(e2):
     )
     with pytest.raises(InputError):
         out_split(two_infinite, p)
+
+
+def _partition_mutations(g: Graph, p: OutSplitPartition) -> dict[str, OutSplitPartition]:
+    """A partition and its mutations by name, each at the first non-sink
+    vertex: an item in two blocks, a hole, an index out of range and the
+    faults ``test_partition_errors`` names, and a block with two faults."""
+    blocks = p.blocks
+    out = {"as given": blocks}
+    v = next((v for v in g.vertices if v in blocks), None)
+    if v is None:
+        return {name: OutSplitPartition(b) for name, b in out.items()}
+    cells = list(blocks[v])
+    classes = g.out_classes(v)
+    fin = next((c for c in classes if not c.is_infinite), None)
+    inf = next((c for c in classes if c.is_infinite), None)
+    foreign = next((e for w in g.vertices if w != v for e in g.out_edges(w)), None)
+
+    def at_v(new_cells):
+        return {**blocks, v: tuple(new_cells)}
+
+    def added(edges=(), infs=(), i=0):
+        b = cells[i]
+        return at_v([*cells[:i], Block(b.edges | set(edges), b.infinite_classes | set(infs)), *cells[i + 1 :]])
+
+    first = cells[0]
+    item = min(first.edges) if first.edges else None
+    out["no blocks"] = {w: b for w, b in blocks.items() if w != v}
+    out["empty block"] = at_v([*cells, Block()])
+    out["unknown vertex"] = {**blocks, "zz": blocks[v]}
+    sink = next((w for w in g.vertices if not g.out_classes(w)), None)
+    if sink is not None:
+        out["sink with blocks"] = {**blocks, sink: blocks[v]}
+    out["unknown class"] = added([Edge("zz", 0)])
+    if item is not None:
+        out["item in two blocks"] = added([item], i=1) if len(cells) > 1 else at_v([*cells, Block(frozenset({item}))])
+        rest = Block(first.edges - {item}, first.infinite_classes)
+        out["hole"] = at_v([rest, *cells[1:]] if rest.edges or rest.is_infinite else cells[1:])
+    if fin is not None:
+        out["index out of range"] = added([Edge(fin.cid, fin.mult)])
+        out["negative index"] = added([Edge(fin.cid, -1)])
+        out["finite class placed wholesale"] = added(infs=[fin.cid])
+    if inf is not None:
+        out["infinite class edge by edge"] = added([Edge(inf.cid, 0)])
+        out["two infinite blocks"] = at_v([*cells, Block(frozenset(), frozenset({inf.cid}))])
+        out["infinite class missing"] = at_v([Block(b.edges, frozenset()) for b in cells if b.edges] or [Block()])
+    if foreign is not None:
+        out["foreign edge"] = added([foreign])
+        if fin is not None:
+            out["two faults in a block"] = added([foreign, Edge(fin.cid, fin.mult)])
+    return {name: OutSplitPartition(b) for name, b in out.items()}
+
+
+def _check_outcome(check, g: Graph, p: OutSplitPartition):
+    try:
+        check(g, p)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+def test_partition_check_matches_the_listing_check():
+    """The one-pass check gives the verdict, exception type and message of
+    the check that listed every out-edge again, on the trivial partition of
+    every pool graph, on random proper partitions and on their mutations;
+    where it accepts, its map names each item's vertex and block.  Both
+    checks walk the same frozensets in the same order, so even a block with
+    two faults must name the same one."""
+    rng = random.Random(27)
+    cases = [(g, trivial_partition(g)) for g in iter_small_graphs(3)]
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=4, max_mult=3, edge_prob=0.5, inf_prob=0.3)
+        cases.append((g, random_proper_partition(rng, g)))
+    seen: dict[str, set] = {}
+    for g, base in cases:
+        for name, p in _partition_mutations(g, base).items():
+            got = _check_outcome(check_partition, g, p)
+            assert got == _check_outcome(reference_check_partition, g, p), (g, name)
+            seen.setdefault(name, set()).add(got if got == "ok" else got[0])
+            if got == "ok":
+                where = check_partition(g, p)
+                for item, (v, i) in where.items():
+                    b = p.blocks[v][i]
+                    assert item in b.edges or item in b.infinite_classes
+                assert len(where) == sum(len(b.edges) + len(b.infinite_classes) for bs in p.blocks.values() for b in bs)
+    assert seen["as given"] == {"ok"}
+    for name, outcomes in seen.items():
+        if name != "as given":
+            assert outcomes == {InputError}, name
+    assert len(seen) == 16
 
 
 def test_out_split_map_examples(e2):
