@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, InputError, UnsupportedScaleError
+from .errors import DomainError, InputError, UnsupportedScaleError, _shown_int
 from .graphs import (
     INF,
     Edge,
@@ -49,12 +49,12 @@ class BoundaryPoint(NamedTuple):
         if i < len(self.pre):
             return self.pre[i]
         if not self.period:
-            raise DomainError(f"point has no edge at position {i}")
+            raise DomainError(f"point has no edge at position {_shown_int(i)}")
         return self.period[(i - len(self.pre)) % len(self.period)]
 
     def prefix_edges(self, n: int) -> tuple[Edge, ...]:
         if n > self.length:
-            raise DomainError(f"point is shorter than {n}")
+            raise DomainError(f"point is shorter than {_shown_int(n)}")
         if n <= len(self.pre):
             return self.pre[:n]
         return tuple(self.edge_at(i) for i in range(n))
@@ -103,7 +103,7 @@ def _walk(g: Graph, src: str, pre: tuple[Edge, ...], period: tuple[Edge, ...]) -
         for e in edges:
             c = classes.get(e.cls) or g.cls(e.cls)  # g.cls names an unknown class
             if e.idx < 0 or e.idx >= c.mult:
-                raise InputError(f"edge index {e.idx} out of range for class {e.cls!r}")
+                g.check_edge(e)  # words the refusal
             joined = joined and c.src == here
             here = c.dst
     g.check_vertex(src)
@@ -155,7 +155,7 @@ def drop_edges(g: Graph, x: BoundaryPoint, n: int) -> BoundaryPoint:
     if n < 0:
         raise InputError("the number of edges to drop must be a natural number")
     if not period:
-        raise DomainError(f"cannot drop {n} edges from a point of length {len(pre)}")
+        raise DomainError(f"cannot drop {_shown_int(n)} edges from a point of length {len(pre)}")
     r = (n - len(pre)) % len(period)
     rotated = period[r:] + period[:r]
     return BoundaryPoint(g.edge_src(rotated[0]), (), rotated)
@@ -167,7 +167,7 @@ def shift(g: Graph, x: BoundaryPoint, n: int = 1) -> BoundaryPoint:
     if n < 0:
         raise InputError("shift exponent must be a natural number")
     if x.length < n:
-        raise DomainError(f"cannot shift a point of length {x.length} by {n}")
+        raise DomainError(f"cannot shift a point of length {x.length} by {_shown_int(n)}")
     return drop_edges(g, x, n)
 
 
@@ -226,19 +226,30 @@ def tail_classes(g: Graph, points: Iterable[BoundaryPoint]) -> dict[tuple, list[
     return classes
 
 
+def _meets(g: Graph, m: int, x: BoundaryPoint, n: int, y: BoundaryPoint) -> bool:
+    """Whether ``sigma^m(x) = sigma^n(y)``, for canonical points ``x`` and
+    ``y`` of ``g`` and natural ``m`` and ``n``; a shift past the end of a
+    finite point gives False.  The tails of canonical points are canonical,
+    so they are compared field by field, without building either: the
+    preperiods left must be as long and agree, with equal periods and, when
+    both are used up on finite points, equal range vertices; or, both
+    shifted into their periods, the rotated periods must agree."""
+    i, j, p, q = len(x.pre) - m, len(y.pre) - n, x.period, y.period  # preperiod edges left
+    if i > 0 or j > 0 or not (p and q):
+        return i == j >= 0 and p == q and x.pre[m:] == y.pre[n:] and (i > 0 or point_range(g, x) == point_range(g, y))
+    i, j = -i % len(p), -j % len(q)
+    return len(p) == len(q) and p[i:] + p[:i] == q[j:] + q[:j]
+
+
 def minimal_witness(g: Graph, x: BoundaryPoint, y: BoundaryPoint, k: int) -> tuple[int, int] | None:
     """The least ``(m, n)`` with ``m - n = k`` and ``sigma^m(x) = sigma^n(y)``,
-    or None when there is none.
-
-    The valid pairs for a fixed ``k`` are closed upward, so one comparison
-    after shifting both points past their preperiods decides existence (two
-    finite points then meet at their range vertex, two eventually periodic
-    ones as rotated periods).  Canonical forms are unique, so the pair is
-    then backed off while the preceding edges agree.
-    """
+    or None when there is none.  The pairs that meet at a fixed ``k`` are
+    closed upward, so :func:`_meets` decides existence once at the pair
+    that shifts both points past their preperiods; the pair is then backed
+    off while the preceding edges agree."""
     m = max(len(x.pre), len(y.pre) + k)
     n = m - k
-    if x.length < m or y.length < n or drop_edges(g, x, m) != drop_edges(g, y, n):
+    if not _meets(g, m, x, n, y):
         return None
     while m > 0 and n > 0 and x.edge_at(m - 1) == y.edge_at(n - 1):
         m, n = m - 1, n - 1
@@ -472,9 +483,7 @@ def refuse_over_limit(count: int, text: str) -> None:
     ``CENSUS_LIMIT``; ``text`` spells the message with ``{count}`` and
     ``{limit}`` in it."""
     if count > CENSUS_LIMIT:
-        # str() refuses integers of more than 4300 digits
-        shown = str(count) if count.bit_length() <= 64 else f"more than 2^{count.bit_length() - 1}"
-        raise UnsupportedScaleError(text.format(count=shown, limit=CENSUS_LIMIT))
+        raise UnsupportedScaleError(text.format(count=_shown_int(count), limit=CENSUS_LIMIT))
 
 
 def check_listable(classes: Iterable[EdgeClass], inf_cap: int = 0) -> None:

@@ -199,9 +199,8 @@ def print_point(g: Graph, x: BoundaryPoint) -> str:
 
 
 def witness_to_json(w) -> dict:
-    pairs = sorted(w.h.items(), key=lambda kv: print_point(w.E, kv[0]))
     return {
-        "h": [[print_point(w.E, x), print_point(w.F, y)] for x, y in pairs],
+        "h": sorted([print_point(w.E, x), print_point(w.F, y)] for x, y in w.h.items()),
         "k1": table_json(w.E, w.k1),
         "l1": table_json(w.E, w.l1),
         "k1p": table_json(w.F, w.k1p),
@@ -210,8 +209,9 @@ def witness_to_json(w) -> dict:
 
 
 def table_json(g: Graph, table: Mapping[BoundaryPoint, int]) -> list:
-    items = sorted(table.items(), key=lambda kv: print_point(g, kv[0]))
-    return [[print_point(g, x), v] for x, v in items]
+    """The ``[point, value]`` rows of a table, sorted by the printed point,
+    which tells the canonical points of a graph apart."""
+    return sorted([print_point(g, x), v] for x, v in table.items())
 
 
 def print_witness(w) -> str:
@@ -264,10 +264,7 @@ def parse_witness(E: Graph, F: Graph, text: str):
 
 def element_to_json(g: Graph, p) -> dict:
     return {
-        "alpha": [
-            [print_point(g, x), print_point(g, y)]
-            for x, y in sorted(p.alpha.items(), key=lambda kv: print_point(g, kv[0]))
-        ],
+        "alpha": sorted([print_point(g, x), print_point(g, y)] for x, y in p.alpha.items()),
         "m": table_json(g, p.m),
         "n": table_json(g, p.n),
     }
@@ -336,10 +333,11 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
     vertex; unmentioned non-sink vertices keep their whole out-edge set as a
     single block.  Bare class names place the whole class; ``cls[i]`` places
     a single edge.  Syntax errors give the column of the block, token or
-    index at fault."""
+    index at fault.  A vertex split twice is refused at its second line."""
     from .moves import OutSplitPartition, _class_block, trivial_partition
 
     blocks = dict(trivial_partition(g).blocks)
+    split: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -349,6 +347,9 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
         if not m:
             raise ParseError(f"unrecognized partition line {line!r}", lineno, 1)
         v = g.check_vertex(m.group(1))
+        if v in split:
+            raise ParseError(f"vertex {v!r} is split twice", lineno, lead + m.start(1) + 1)
+        split.add(v)
         cells = []
         for start, cell in _fields(m.group(2), lead + m.start(2) + 1, "|"):
             if not (cell.startswith("{") and cell.endswith("}")):

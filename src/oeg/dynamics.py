@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .boundary import (
     BoundaryPoint,
     CylinderSet,
+    _meets,
     boundary_census,
     boundary_size,
     check_listable,
@@ -26,7 +27,6 @@ from .boundary import (
     is_canonical,
     isolating_cylinder,
     minimal_witness,
-    point_range,
     point_sort_key,
     shift,
     tail_class_sizes,
@@ -86,26 +86,14 @@ def _identity_failures(
     """One failure description for each of the points ``x`` (all of length
     >= n) where sigma^k(x)(h(sigma^n x)) == sigma^l(x)(h(x)) does not hold;
     a shift past the end of a point counts as failure, never as a skip.
-    ``h``, ``k`` and ``l`` are point functions; a table lookup that misses a
-    point raises InputError.
-
-    The images and their tails are canonical, so the shifted images are
-    compared field by field, without building either: the preperiods left
-    must be as long and agree, with equal periods and, when both are used
-    up on finite points, equal range vertices; or, both shifted into their
-    periods, the rotated periods must agree."""
+    ``h``, ``k`` and ``l`` are point functions, called at each ``x`` in the
+    order k(x), h(sigma^n x), l(x), h(x); a table lookup that misses a point
+    raises InputError naming it.  The images are canonical, so
+    :func:`boundary._meets` compares them shifted without building either."""
     failures = []
     try:
         for x in points:
-            s, a, t, b = k(x), h(drop_edges(src, x, n)), l(x), h(x)
-            i, j, p, q = len(a.pre) - s, len(b.pre) - t, a.period, b.period  # i, j: preperiod edges left
-            if i > 0 or j > 0 or not (p and q):
-                same = i == j >= 0 and p == q and a.pre[s:] == b.pre[t:]
-                same = same and (i or p or point_range(dst, a) == point_range(dst, b))
-            else:
-                i, j = -i % len(p), -j % len(q)
-                same = len(p) == len(q) and p[i:] + p[:i] == q[j:] + q[:j]
-            if not same:
+            if not _meets(dst, k(x), h(drop_edges(src, x, n)), l(x), h(x)):
                 failures.append(f"{label} identity fails at {print_point(src, x)}")
     except KeyError as exc:
         raise InputError(f"a witness table misses the point {print_point(src, exc.args[0])}") from None
@@ -134,8 +122,13 @@ def _check_tables(w: OrbitWitness, size: int, names: tuple[str, str, str] = ("h"
     for table, name in ((w.k1, k1), (w.l1, l1)):
         if len(table) != len(ge1) or not all(map(table.__contains__, ge1)):
             raise InputError(f"table {name} is not total on the length->=1 points")
-        if min(table.values(), default=0) < 0:
-            raise InputError(f"table {name} must take natural values")
+        _check_natural(table, name)
+
+
+def _check_natural(table: Mapping, name: str) -> None:
+    """Refuse a table, named ``name``, with a negative value."""
+    if min(table.values(), default=0) < 0:
+        raise InputError(f"table {name} must take natural values")
 
 
 def _halves(w: OrbitWitness) -> tuple[tuple[str, OrbitWitness, tuple[str, str, str]], ...]:
@@ -227,8 +220,7 @@ def check_extended_identity(w: OrbitWitness, tables: CocycleTables) -> list[str]
     if n < 0:
         raise InputError("cocycle degree must be a natural number")
     for name in ("k", "l", "kp", "lp"):
-        if min(getattr(tables, name).values(), default=0) < 0:
-            raise InputError(f"table {name} must take natural values")
+        _check_natural(getattr(tables, name), name)
     return [
         f
         for (side, v, _), (k, l) in zip(_halves(w), ((tables.k, tables.l), (tables.kp, tables.lp)))
@@ -266,24 +258,20 @@ def shift_restriction(g: Graph, points: Iterable[BoundaryPoint]) -> PseudogroupE
 
 def verify_pseudogroup_element(p: PseudogroupElement) -> bool:
     """True iff alpha is injective and the shift-equalizer identity holds at
-    every domain point.  The boundary of ``p.graph`` must be finite, and
-    every domain point and every image a boundary point of it in canonical
-    form."""
+    every domain point, as :func:`boundary._meets` decides it; a shift past
+    the end of a point fails.  The boundary of ``p.graph`` must be finite,
+    and every domain point and every image a boundary point of it in
+    canonical form."""
     _finite_size(p.graph)
     if set(p.m) != set(p.alpha) or set(p.n) != set(p.alpha):
         raise InputError("exponent tables must share the domain of alpha")
     if not all(is_canonical(p.graph, x) for x in (*p.alpha, *p.alpha.values())):
         raise InputError("alpha must map boundary points of its graph to boundary points")
-    for table, name in ((p.m, "m"), (p.n, "n")):
-        if min(table.values(), default=0) < 0:
-            raise InputError(f"table {name} must take natural values")
+    _check_natural(p.m, "m")
+    _check_natural(p.n, "n")
     if len(set(p.alpha.values())) != len(p.alpha):
         return False
-    for x, ax in p.alpha.items():  # a shift past the end of a point fails
-        m, n = p.m[x], p.n[x]
-        if x.length < m or ax.length < n or drop_edges(p.graph, x, m) != drop_edges(p.graph, ax, n):
-            return False
-    return True
+    return all(_meets(p.graph, p.m[x], x, p.n[x], ax) for x, ax in p.alpha.items())
 
 
 def bisection_decomposition(p: PseudogroupElement) -> list[tuple[CylinderSet, int, int]]:

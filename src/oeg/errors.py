@@ -33,3 +33,13 @@ class ParseError(OegError):
         if line is not None:
             where = f" at line {line}" + (f", column {column}" if column is not None else "")
         super().__init__(message + where)
+
+
+def _shown_int(n) -> str:
+    """A caller's integer as a message shows it: its digits up to the 64-bit
+    bound, and past it a power of two it passes, with its sign; ``str``
+    refuses integers of more than 4300 digits.  Anything else is ``str``."""
+    if not isinstance(n, int) or n.bit_length() <= 64:
+        return str(n)
+    b = (abs(n) - 1).bit_length() - 1  # |n| > 2^b
+    return f"more than 2^{b}" if n > 0 else f"less than -2^{b}"

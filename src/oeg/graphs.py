@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, _shown_int
 
 INF = math.inf
 
@@ -58,7 +58,8 @@ class Graph:
             if c.src not in vset or c.dst not in vset:
                 raise InputError(f"edge class {c.cid!r} uses an undeclared vertex")
             if c.mult != INF and (not isinstance(c.mult, int) or c.mult < 1):
-                raise InputError(f"edge class {c.cid!r} has multiplicity {c.mult!r}")
+                shown = _shown_int(c.mult) if isinstance(c.mult, int) else repr(c.mult)
+                raise InputError(f"edge class {c.cid!r} has multiplicity {shown}")
             recs.append(c)
         self.edge_classes: tuple[EdgeClass, ...] = tuple(recs)
         self._by_id = {c.cid: c for c in self.edge_classes}
@@ -117,8 +118,8 @@ class Graph:
 
     def check_edge(self, e: Edge) -> Edge:
         c = self.cls(e.cls)
-        if e.idx < 0 or (not c.is_infinite and e.idx >= c.mult):
-            raise InputError(f"edge index {e.idx} out of range for class {e.cls!r}")
+        if e.idx < 0 or e.idx >= c.mult:  # an integer index never reaches INF
+            raise InputError(f"edge index {_shown_int(e.idx)} out of range for class {e.cls!r}")
         return e
 
     def edge(self, spec) -> Edge:

@@ -33,16 +33,18 @@ class GroupoidElement(NamedTuple):
 
 
 def make_element(g: Graph, x: BoundaryPoint, m: int, n: int, y: BoundaryPoint) -> GroupoidElement:
-    """Build the element ``(x, m - n, y)`` after checking the shift equalizer
-    and minimizing the witness pair."""
+    """Build the element ``(x, m - n, y)`` with its minimal witness pair.  The
+    pairs that meet at the cocycle ``m - n`` are closed upward, so
+    ``sigma^m(x) = sigma^n(y)`` holds exactly when :func:`minimal_witness`
+    finds a least pair whose ``m`` is at most the given one."""
     if m < 0 or n < 0:
         raise InputError("shift exponents must be natural numbers")
     if x.length < m or y.length < n:
         raise DomainError("shift exponent exceeds point length")
-    if shift(g, x, m) != shift(g, y, n):
+    least = minimal_witness(g, x, y, m - n)
+    if least is None or least[0] > m:
         raise InputError("the shifted points disagree; not a groupoid element")
-    m, n = minimal_witness(g, x, y, m - n)
-    return GroupoidElement(x, m - n, y, m, n)
+    return GroupoidElement(x, m - n, y, *least)
 
 
 def unit(g: Graph, x: BoundaryPoint) -> GroupoidElement:

@@ -777,6 +777,43 @@ def test_point_primitives_match_the_oracle_on_valid_points():
                 assert _outcome(drop_edges, g, x, past) == _outcome(reference_drop_edges, g, x, past)
 
 
+def test_meets_matches_the_building_compare_on_pool():
+    """``boundary._meets`` answers as building both shifted points and
+    comparing them does, at every m and n in 0..4, shifts past the end
+    included: on every ordered pair of census points of the 70
+    finite-boundary pool graphs, and of ``bounded_points(g, 3, 12)`` on
+    every 60th other pool graph.  On the census pairs ``make_element``
+    accepts exactly the pairs that meet, and stores the least pair."""
+    from witness_oracle import _eq_after_shifts
+    from oeg.groupoid import make_element
+
+    finite = [(g, c.points) for g in iter_small_graphs(3) if (c := boundary_census(g)).finite]
+    others = [(g, bounded_points(g, 3, 12)) for g in iter_small_graphs(3) if not boundary_census(g).finite][::60]
+    assert len(finite) == 70 and len(others) == 57
+    met = missed = 0
+    for g, points in finite + others:
+        for x in points:
+            for y in points:
+                for m in range(5):
+                    for n in range(5):
+                        want = _eq_after_shifts(g, m, x, n, y)
+                        assert boundary._meets(g, m, x, n, y) == want, (g, m, x, n, y)
+                        met, missed = met + want, missed + (not want)
+    for g, points in finite:
+        for x in points:
+            for y in points:
+                for m in range(min(4, x.length) + 1):
+                    for n in range(min(4, y.length) + 1):
+                        if not _eq_after_shifts(g, m, x, n, y):
+                            with pytest.raises(InputError, match="shifted points disagree"):
+                                make_element(g, x, m, n, y)
+                            continue
+                        e = make_element(g, x, m, n, y)
+                        least = next(j for j in range(max(0, e.k), e.m + 1) if _eq_after_shifts(g, j, x, j - e.k, y))
+                        assert (e.k, e.m, e.n) == (m - n, least, least - e.k) and e.m <= m, (g, x, m, n, y)
+    assert met > 5000 and missed > 100000
+
+
 def test_canonicalize_raises_as_the_oracle(e1):
     """Raw point data with one fault or several raises the oracle's error.
     The inputs mix valid edges, unknown classes, negative indices, indices

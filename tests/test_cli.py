@@ -571,6 +571,17 @@ def test_huge_integer_tokens_exit_2(site, files, tmp_path, capsys):
     assert _one_error_line(captured.err), captured.err
 
 
+def test_shift_past_the_end_by_a_huge_count_prints_a_short_error(tmp_path, capsys):
+    """A count of 4000 digits shifts the point past its end: exit 2 with one
+    short error line, not the count's digits."""
+    p = tmp_path / "g.graph"
+    p.write_text("graph G\nvertex u, v\nedge a: u -> v\n")
+    code = main(["shift", str(p), "a", "9" * 4000])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert _one_error_line(captured.err) and len(captured.err) < 120, captured.err
+
+
 # -- which modules each command loads --------------------------------------------
 
 _BASE_MODULES = {"oeg.boundary", "oeg.cli", "oeg.dsl", "oeg.errors", "oeg.graphs"}

@@ -244,6 +244,14 @@ def test_partition_index_error_names_the_index_column():
     assert "edge index must be an integer" in str(err)
 
 
+def test_partition_repeated_split_names_the_vertex_column():
+    """A vertex split on two lines is refused at the second, which once
+    replaced the first without a word."""
+    err = _partition_error("split u: {a[0]} | {a[1], b}\n  split u: {a, b}")
+    assert (err.line, err.column) == (2, 9)
+    assert "vertex 'u' is split twice" in str(err)
+
+
 from hypothesis import given, settings, strategies as st
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import pt
-from oeg.boundary import canonicalize, point_range, prepend
+from oeg.boundary import canonicalize, drop_edges, point_range, prepend, refuse_over_limit
 from oeg.dsl import (
     parse_element,
     parse_germ,
@@ -23,7 +23,7 @@ from oeg.dynamics import (
     shift,
     verify_oe_witness,
 )
-from oeg.errors import DomainError, InputError, ParseError
+from oeg.errors import DomainError, InputError, ParseError, UnsupportedScaleError, _shown_int
 from oeg.graphs import Edge, Graph
 from oeg.invariants import det_bareiss
 from oeg.moves import Block, OutSplitPartition, check_partition, trivial_partition
@@ -150,6 +150,50 @@ def test_codec_errors(e1):
         parse_partition(e1, "divide v: {b}")
     with pytest.raises(ParseError):
         parse_graph("graph G\nvertex v\nedge a * 0: v -> v\n")
+
+
+_NINES = "9" * 4000  # int() reads it; str() refuses the integers below
+_CHAIN = Graph(["u", "s", "t"], [("a", "u", "s", 2), ("b", "u", "t", 1)])
+
+# (call, exception type) for each site that once put a caller's huge
+# integer into its message whole, or failed with ValueError in str()
+_HUGE_INTEGER_SITES = {
+    "parse_point": (lambda: parse_point(_CHAIN, f"a[{_NINES}]"), InputError),
+    "parse_partition": (lambda: parse_partition(_CHAIN, f"split u: {{a[0]}} | {{a[1], b[{_NINES}]}}"), InputError),
+    "check_edge": (lambda: _CHAIN.check_edge(Edge("a", 10**5000)), InputError),
+    "canonicalize": (lambda: canonicalize(_CHAIN, "u", [Edge("a", 10**5000)]), InputError),
+    "drop_edges": (lambda: drop_edges(_CHAIN, pt(_CHAIN, "a[1]"), 10**5000), DomainError),
+    "shift": (lambda: shift(_CHAIN, pt(_CHAIN, "a[1]"), 10**5000), DomainError),
+    "multiplicity": (lambda: Graph(["v"], [("a", "v", "v", -(10**5000))]), InputError),
+    "edge_at": (lambda: pt(_CHAIN, "b").edge_at(10**5000), DomainError),
+    "prefix_edges": (lambda: pt(_CHAIN, "b").prefix_edges(10**5000), DomainError),
+    "refuse_over_limit": (lambda: refuse_over_limit(10**5000, "{count} over {limit}"), UnsupportedScaleError),
+}
+
+
+@pytest.mark.parametrize("site", list(_HUGE_INTEGER_SITES))
+def test_huge_integers_get_short_messages(site):
+    """A caller's integer past the 64-bit bound is shown as a power of two
+    it passes, so the message stays short and the exception keeps its type."""
+    call, kind = _HUGE_INTEGER_SITES[site]
+    with pytest.raises(kind) as info:
+        call()
+    assert len(str(info.value)) < 120, str(info.value)
+
+
+def test_integers_within_the_bound_print_their_digits():
+    for n in (0, 7, -7, 2**64 - 1, -(2**64 - 1)):
+        assert _shown_int(n) == str(n)
+    assert _shown_int(2**64) == "more than 2^63" and _shown_int(2**64 + 1) == "more than 2^64"
+    assert _shown_int(-(2**64)) == "less than -2^63" and _shown_int(-(10**5000)) == "less than -2^16609"
+    with pytest.raises(InputError, match=r"^edge index 5 out of range for class 'a'$"):
+        _CHAIN.check_edge(Edge("a", 5))
+    with pytest.raises(InputError, match=r"^edge index 5 out of range for class 'a'$"):
+        canonicalize(_CHAIN, "u", [Edge("a", 5)])
+    with pytest.raises(InputError, match=r"^edge class 'a' has multiplicity -3$"):
+        Graph(["v"], [("a", "v", "v", -3)])
+    with pytest.raises(DomainError, match=r"^cannot shift a point of length 1 by 2$"):
+        shift(_CHAIN, pt(_CHAIN, "b"), 2)
 
 
 def test_det_needs_square():
