@@ -46,6 +46,8 @@ class BoundaryPoint(NamedTuple):
         return INF if self.period else len(self.pre)
 
     def edge_at(self, i: int) -> Edge:
+        if i < 0:
+            raise InputError("an edge position must be a natural number")
         if i < len(self.pre):
             return self.pre[i]
         if not self.period:
@@ -53,6 +55,8 @@ class BoundaryPoint(NamedTuple):
         return self.period[(i - len(self.pre)) % len(self.period)]
 
     def prefix_edges(self, n: int) -> tuple[Edge, ...]:
+        if n < 0:
+            raise InputError("a prefix length must be a natural number")
         if n > self.length:
             raise DomainError(f"point is shorter than {_shown_int(n)}")
         if n <= len(self.pre):
@@ -446,8 +450,10 @@ def bounded_points(g: Graph, per_len: int, limit: int | None = None) -> list[Bou
     then each edge into one.  Then the empty-preperiod walks, then each
     edge in ``Edge`` order with the walks at its range that do not end in
     it.  The periodic points are generated in order, so the work stops at
-    ``limit``.
+    ``limit``.  A negative ``limit`` is an input error.
     """
+    if limit is not None and limit < 0:
+        raise InputError("the point limit must be a natural number")
     check_listable(g.edge_classes, 1)
     edges = sorted(e for v in g.vertices for e in g.out_edges(v))
     singular = {v for v in g.vertices if is_singular(g, v)}

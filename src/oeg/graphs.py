@@ -49,27 +49,27 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str], classes: Iterable[tuple] = ()):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        out: dict[str, list | tuple] = {v: [] for v in self.vertices}
+        if len(out) != len(self.vertices):
             raise InputError("duplicate vertex identifiers")
-        vset = set(self.vertices)
+        deg: dict[str, int | float] = dict.fromkeys(self.vertices, 0)
         recs = []
-        for rec in classes:
-            c = EdgeClass(*rec) if not isinstance(rec, EdgeClass) else rec
-            if c.src not in vset or c.dst not in vset:
-                raise InputError(f"edge class {c.cid!r} uses an undeclared vertex")
-            if c.mult != INF and (not isinstance(c.mult, int) or c.mult < 1):
-                shown = _shown_int(c.mult) if isinstance(c.mult, int) else repr(c.mult)
-                raise InputError(f"edge class {c.cid!r} has multiplicity {shown}")
+        for rec in classes:  # one pass: ready EdgeClass records are kept as they are
+            c = rec if isinstance(rec, EdgeClass) else EdgeClass(*rec)
+            cid, src, dst, mult = c
+            if src not in out or dst not in out:
+                raise InputError(f"edge class {cid!r} uses an undeclared vertex")
+            if not (isinstance(mult, int) and mult >= 1) and mult != INF:
+                shown = _shown_int(mult) if isinstance(mult, int) else repr(mult)
+                raise InputError(f"edge class {cid!r} has multiplicity {shown}")
             recs.append(c)
+            out[src].append(c)
+            deg[src] += mult
         self.edge_classes: tuple[EdgeClass, ...] = tuple(recs)
         self._by_id = {c.cid: c for c in self.edge_classes}
         if len(self._by_id) != len(self.edge_classes):
             raise InputError("duplicate edge-class identifiers")
-        out: dict[str, list | tuple] = {v: [] for v in self.vertices}
-        self._deg: dict[str, int | float] = dict.fromkeys(self.vertices, 0)
-        for c in self.edge_classes:
-            out[c.src].append(c)
-            self._deg[c.src] += c.mult
+        self._deg = deg
         for v, cs in out.items():  # frozen in place: no second dict per graph
             out[v] = tuple(cs)
         self._out: dict[str, tuple[EdgeClass, ...]] = out

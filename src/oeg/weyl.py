@@ -158,7 +158,10 @@ def representable_pool(
     point order with preperiods of at most one edge and periods of at most
     ``max(3, min(bound, 4))`` edges (see :func:`bounded_points`).  The
     tail-class count decides finiteness, so an infinite boundary is never
-    censused only to word its reason."""
+    censused only to word its reason.  A negative ``max_points`` is an
+    input error either way."""
+    if max_points is not None and max_points < 0:
+        raise InputError("the point limit must be a natural number")
     if tail_class_sizes(g) is not None:
         return list(boundary_census(g).points), True
     return bounded_points(g, max(3, min(bound, 4)), max_points), False
@@ -200,7 +203,7 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     cocycle) must be inequivalent.  At every isolated eventually periodic
     anchor the cocycles of one image are checked to be congruent mod the
     period, which is what makes the winding index an integer.  A negative
-    bound is an input error.
+    bound or ``max_points`` is an input error.
 
     Points are compared as ids of one :class:`PointTable`, built for the
     call and dropped with it, and named by their pool positions: the

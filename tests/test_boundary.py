@@ -1019,3 +1019,28 @@ def test_entry_points_leave_no_cyclic_garbage(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_edge_positions_and_prefix_lengths_must_be_natural(e1):
+    """A negative position was read as a Python index: on ``a.(b)*``
+    ``edge_at(-1)`` gave ``a`` and ``prefix_edges(-1)`` gave ``()``, and on
+    ``(b)*`` ``edge_at(-1)`` raised IndexError."""
+    for text in ("a.(b)*", "(b)*", "a.b.(b)*"):
+        x = pt(e1, text)
+        for n in (-1, -2, -(10**30)):
+            with pytest.raises(InputError, match="edge position must be a natural number"):
+                x.edge_at(n)
+            with pytest.raises(InputError, match="prefix length must be a natural number"):
+                x.prefix_edges(n)
+        assert x.edge_at(0) == Edge(text.lstrip("(")[0], 0) and x.prefix_edges(0) == ()
+
+
+def test_bounded_points_refuses_a_negative_limit():
+    """``out[:limit]`` once read a negative limit from the end: on ``u -> s``
+    with a loop at ``u``, ``bounded_points(g, 3, -1)`` gave ``[@s]``."""
+    g = Graph(["u", "s"], [("l", "u", "u", 1), ("a", "u", "s", 1)])
+    for limit in (-1, -5):
+        with pytest.raises(InputError, match="point limit must be a natural number"):
+            bounded_points(g, 3, limit)
+    assert bounded_points(g, 3, 0) == []
+    assert len(bounded_points(g, 3, 2)) == 2

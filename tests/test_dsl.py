@@ -252,6 +252,32 @@ def test_partition_repeated_split_names_the_vertex_column():
     assert "vertex 'u' is split twice" in str(err)
 
 
+# characters str.splitlines breaks at that a file read in text mode does not
+NOT_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_graph_lines_break_only_at_newlines(char):
+    """A form feed in a comment once ended the line, so the rest of the
+    comment was read as a line of its own, and later lines were numbered
+    one too far."""
+    doc = parse_graph(f"graph A\nvertex u, v  # two vertices{char}really\nedge a: u -> v\n")
+    assert doc.lines == {"u": 2, "v": 2, "a": 3}
+    text = f"graph A\r\n# a{char}comment\rvertex u, v\n\nedge a: u -> v\nedge a: v -> u\n"
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert (err.value.line, err.value.column) == (6, 6)
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_partition_lines_break_only_at_newlines(char):
+    err = _partition_error(f"# a{char}comment\r\nsplit u: {{a[0]}} | {{a[1], b}}\r  split u: {{a, b}}")
+    assert (err.line, err.column) == (3, 9)
+    g = Graph(["u", "s", "t"], [("a", "u", "s", 2), ("b", "u", "t", 1)])
+    p = parse_partition(g, f"split u: {{a[0]}} | {{a[1], b}}  # two{char}blocks\n")
+    assert p.m("u") == 2
+
+
 from hypothesis import given, settings, strategies as st
 
 

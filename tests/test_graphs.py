@@ -17,6 +17,7 @@ from oeg.errors import InputError
 from oeg.graphs import (
     INF,
     Edge,
+    EdgeClass,
     Graph,
     _primitive_root_edges,
     condition_l,
@@ -285,3 +286,43 @@ def test_empty_graph_degenerates_cleanly():
     assert census.finite and census.points == ()
     assert det_invariant(empty) == 1
     assert invariant_report(empty).boundary_size == 0
+
+
+# class lists with one fault or more, and the error naming the first
+BAD_CLASSES = {
+    "zero multiplicity": ([("a", "u", "v", 1), ("b", "v", "u", 0)], "edge class 'b' has multiplicity 0"),
+    "negative multiplicity": ([("a", "u", "v", -2)], "edge class 'a' has multiplicity -2"),
+    "float multiplicity": ([("a", "u", "v", 2.0)], "edge class 'a' has multiplicity 2.0"),
+    "finite float among infinite": (
+        [("a", "u", "v", float("inf")), ("b", "u", "u", 1.5)],
+        "edge class 'b' has multiplicity 1.5",
+    ),
+    "nan multiplicity": ([("a", "u", "v", float("nan"))], "edge class 'a' has multiplicity nan"),
+    "string multiplicity": ([("a", "u", "v", "2")], "edge class 'a' has multiplicity '2'"),
+    "undeclared source": ([("a", "u", "v", 1), ("b", "w", "v", 1)], "edge class 'b' uses an undeclared vertex"),
+    "undeclared range": ([("a", "u", "x", 1)], "edge class 'a' uses an undeclared vertex"),
+    "unhashable range after a bad multiplicity": (
+        [("a", "u", "v", 0), ("b", "u", ["v"], 1)],
+        "edge class 'a' has multiplicity 0",
+    ),
+    "two faults, range first": ([("a", "u", "x", 0), ("b", "u", "v", 0)], "edge class 'a' uses an undeclared vertex"),
+    "repeated id": ([("a", "u", "v", 1), ("a", "v", "u", 1)], "duplicate edge-class identifiers"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_CLASSES))
+def test_ready_records_are_refused_as_tuples_are(fault):
+    """Graph keeps EdgeClass records as they are and wraps tuples; a class
+    list in either form, or mixed, is refused with the first fault's error."""
+    rows, message = BAD_CLASSES[fault]
+    for classes in (rows, [EdgeClass(*r) for r in rows], [EdgeClass(*rows[0]), *rows[1:]]):
+        with pytest.raises(InputError) as err:
+            Graph(["u", "v"], classes)
+        assert str(err.value) == message
+
+
+def test_ready_records_build_the_graph_tuples_build():
+    rows = [("a", "u", "v", 1), ("b", "v", "v", INF), ("c", "u", "u", 3), ("d", "v", "u", True)]
+    g, h = Graph(["u", "v"], rows), Graph(["u", "v"], [EdgeClass(*r) for r in rows])
+    assert g == h and g._out == h._out and g._deg == h._deg == {"u": 4, "v": INF}
+    assert g._by_id == h._by_id and Graph([], []) == Graph([])

@@ -379,3 +379,16 @@ def test_equivalence_at_isolated_finite_anchor():
 def test_phi_check_with_infinite_classes(amp):
     report = phi_bijectivity_check(amp, 2, max_points=12)
     assert report.ok and not report.pool_complete
+
+
+def test_phi_check_refuses_a_negative_point_limit():
+    """``max_points=-3`` once left an empty pool and an ``ok`` report on an
+    infinite boundary; a finite one, censused whole, is refused alike."""
+    from oeg.graphs import Graph
+
+    looped = Graph(["u", "s"], [("l", "u", "u", 1), ("a", "u", "s", 1)])
+    chain = Graph(["u", "s"], [("a", "u", "s", 1)])
+    for g in (looped, chain):
+        with pytest.raises(InputError, match="point limit must be a natural number"):
+            phi_bijectivity_check(g, 3, max_points=-3)
+    assert phi_bijectivity_check(looped, 3, max_points=0).ok
