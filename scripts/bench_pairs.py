@@ -4,7 +4,12 @@
         [--seconds 22] --out BENCH_<n>.json [--what TEXT] [--claim METRIC]
 
 Run from the repository root.  The parent is a ``git archive`` of
-PARENT_REV in a temporary directory; the change is the working tree.  Pair
+PARENT_REV in a temporary directory; the change is a copy, in another, of
+the working tree's files that git lists (tracked, or untracked and not
+ignored), so neither side holds a ``__pycache__``.  Both run with
+``PYTHONDONTWRITEBYTECODE=1``, so every ``oeg`` module is compiled from
+source in each interpreter on both sides, while the standard library is
+read from its bytecode as usual.  Pair
 ``i`` runs ``oegbench/run.py --workload W --seed S+i --seconds T`` once on
 each side, one run at a time, the parent first on even ``i`` and the change
 first on odd ``i``.  The last line of each run's output is its result, and
@@ -29,6 +34,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,12 +42,24 @@ import tarfile
 import tempfile
 
 
+def _copy_listed(root: str, dest: str) -> None:
+    """Copy into ``dest`` the files of ``root`` that git lists: tracked ones
+    still present, and untracked ones it does not ignore."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=root,
+                            capture_output=True, check=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        if os.path.isfile(os.path.join(root, name)):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(os.path.join(root, name), os.path.join(dest, name))
+
+
 def _run(root: str, workload: str, seed: int, seconds: int) -> dict | None:
-    """One benchmark run in ``root``, read by :func:`_parse`, or None on
-    failure."""
+    """One benchmark run in ``root``, writing no bytecode, read by
+    :func:`_parse`, or None on failure."""
     cmd = [sys.executable, "oegbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.stderr.write(proc.stderr)
@@ -115,14 +133,16 @@ def main(argv=None) -> int:
     archive = subprocess.run(["git", "archive", args.parent_rev], cwd=root, capture_output=True, check=True).stdout
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     seeds, failed_seeds = [], []
-    with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent_root:
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent_root, \
+            tempfile.TemporaryDirectory(prefix="bench_change_") as change_root:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(parent_root)
+        _copy_listed(root, change_root)
         for i in range(args.pairs):
             seed = args.seed + i
             got = {}
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                got[side] = _run(parent_root if side == "parent" else root, args.workload, seed, args.seconds)
+                got[side] = _run(parent_root if side == "parent" else change_root, args.workload, seed, args.seconds)
                 print(f"pair {i} seed {seed} {side}: {got[side]}", file=sys.stderr)
             if None in got.values():
                 failed_seeds.append(seed)
@@ -144,7 +164,8 @@ def main(argv=None) -> int:
     }
     doc.setdefault("what", args.what)
     doc["machine"] = (f"{os.cpu_count()} vCPU, Python {platform.python_version()}, {platform.system()}; "
-                      "parent = a git archive copy of the parent commit, change = the working tree, run one at a time")
+                      "parent = a git archive copy of the parent commit, change = a copy of the working tree's "
+                      "listed files, run one at a time, writing no bytecode")
     doc["method"] = (f"scripts/bench_pairs.py {args.parent_rev}: alternating parent/change pairs of "
                      f"`python3 oegbench/run.py --workload W --seed S --seconds {args.seconds}`, parent first on even "
                      "pair index; figures are medians over the pairs, quartiles inclusive; every run made is listed "

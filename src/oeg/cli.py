@@ -4,14 +4,17 @@ Exit codes: 0 for success or an affirmative decision, 1 for a well-formed
 negative (a property fails, a decision is "no"), 2 for input errors, 3 for
 an internal failure of the library (any other exception, such as a
 ``RecursionError``), reported as one line on stderr.  A file that cannot be
-read as UTF-8 text (missing, a directory, binary) is an input error.  A
-reader that closes the output pipe early ends the output quietly, with the
-command's own exit code.
+read as UTF-8 text (missing, a directory, binary) is an input error.
 
 Each command is defined once, in ``_COMMANDS`` (words, help, positionals,
 options, handler).  ``build_parser`` builds argparse's subcommands from that
-table, argparse picks the handler, and handlers answer through ``_answer``,
-which prints the text or JSON form and maps the verdict to exit code 0 or 1.
+table and argparse picks the handler.  A handler returns its exit code and
+its answer, a JSON object or text lines, most through ``_answer``, which
+maps the verdict to 0 or 1.  ``main`` alone writes an answer, a line at a
+time, so an exit 2 or 3 leaves stdout empty, and a reader that closes the
+pipe early ends the output quietly, with the command's own exit code.
+Integers print exactly at any size: Python's digit limit is lifted only
+while the answer is written, after every input is read.
 
 Every command parses a graph file, so the DSL is imported with this module;
 each handler imports the library modules it runs, and no others.
@@ -67,25 +70,21 @@ def _witness(args) -> tuple:
     return E, F, w, dynamics.verify_oe_witness(w)
 
 
-def _answer(ok: bool, payload, as_json: bool, lines) -> int:
-    """Print ``payload`` as JSON or ``lines`` as text, and exit 0 on an
-    affirmative ``ok``, 1 on a negative one."""
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK if ok else EXIT_NO
+def _answer(ok: bool, payload: dict, as_json: bool, lines) -> tuple:
+    """Exit code 0 on an affirmative ``ok``, 1 on a negative one, and the
+    answer: ``payload``, written as JSON, or ``lines``, written as text."""
+    return EXIT_OK if ok else EXIT_NO, payload if as_json else lines
 
 
-def _info(args) -> int:
+def _info(args) -> tuple:
     from . import invariants
 
     report = invariants.invariant_report(_graph(args)).to_json()
-    return _answer(True, report, args.json, [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in report.items()])
+    # formatted as written, when integers of any size print
+    return _answer(True, report, args.json, (f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in report.items()))
 
 
-def _census(args) -> int:
+def _census(args) -> tuple:
     from . import boundary
 
     g = _graph(args)
@@ -96,14 +95,14 @@ def _census(args) -> int:
     return _answer(True, {"finite": True, "points": pts}, args.json, pts)
 
 
-def _det(args) -> int:
+def _det(args) -> tuple:
     from . import invariants
 
     value = invariants.det_invariant(_graph(args))
     return _answer(True, {"detIMinusA": value}, args.json, [value])
 
 
-def _shift(args) -> int:
+def _shift(args) -> tuple:
     from . import boundary
 
     g = _graph(args)
@@ -111,23 +110,22 @@ def _shift(args) -> int:
     return _answer(True, {"point": y}, args.json, [y])
 
 
-def _verify_oe(args) -> int:
+def _verify_oe(args) -> tuple:
     report = _witness(args)[3]
     return _answer(report.ok, {"ok": report.ok, "failures": report.failures}, args.json,
                    ["ok"] if report.ok else report.failures)
 
 
-def _search_oe(args) -> int:
+def _search_oe(args) -> tuple:
     from . import dynamics
 
     w = dynamics.search_oe_witness(*_pair(args))
     if w is None:
         return _answer(False, {"found": False}, args.json, ["not orbit equivalent"])
-    print(dsl.print_witness(w), end="")
-    return EXIT_OK
+    return EXIT_OK, [dsl.print_witness(w)[:-1]]
 
 
-def _extend_cocycles(args) -> int:
+def _extend_cocycles(args) -> tuple:
     from . import dynamics
 
     E, F, w, report = _witness(args)
@@ -136,10 +134,10 @@ def _extend_cocycles(args) -> int:
     tables = dynamics.extend_cocycles(w, args.n)
     payload = {"n": args.n, "k": dsl.table_json(E, tables.k), "l": dsl.table_json(E, tables.l),
                "kp": dsl.table_json(F, tables.kp), "lp": dsl.table_json(F, tables.lp)}
-    return _answer(True, payload, True, ())
+    return EXIT_OK, payload
 
 
-def _verify_pseudo(args) -> int:
+def _verify_pseudo(args) -> tuple:
     from . import dynamics
 
     g = _graph(args)
@@ -147,17 +145,17 @@ def _verify_pseudo(args) -> int:
     return _answer(ok, {"ok": ok}, args.json, ["ok" if ok else "not a pseudogroup element"])
 
 
-def _conjugate_pseudo(args) -> int:
+def _conjugate_pseudo(args) -> tuple:
     from . import dynamics
 
     E, F, w, report = _witness(args)
     if not report.ok:
         return _answer(False, {"ok": False}, args.json, ["witness does not verify"])
     el = dsl.parse_element(E, _read_text(args.element))
-    return _answer(True, dsl.element_to_json(F, dynamics.conjugate_pseudogroup(w, el)), True, ())
+    return EXIT_OK, dsl.element_to_json(F, dynamics.conjugate_pseudogroup(w, el))
 
 
-def _groupoid_make(args) -> int:
+def _groupoid_make(args) -> tuple:
     from . import groupoid
 
     g = _graph(args)
@@ -166,7 +164,7 @@ def _groupoid_make(args) -> int:
     return _answer(True, {"element": text, "m": e.m, "n": e.n}, args.json, [text])
 
 
-def _groupoid_compose(args) -> int:
+def _groupoid_compose(args) -> tuple:
     from . import groupoid
 
     g = _graph(args)
@@ -176,7 +174,7 @@ def _groupoid_compose(args) -> int:
     return _answer(True, {"element": text}, args.json, [text])
 
 
-def _groupoid_isotropy(args) -> int:
+def _groupoid_isotropy(args) -> tuple:
     from . import groupoid
 
     g = _graph(args)
@@ -184,7 +182,7 @@ def _groupoid_isotropy(args) -> int:
     return _answer(True, {"generator": iso.d}, args.json, [iso])
 
 
-def _groupoid_principality(args) -> int:
+def _groupoid_principality(args) -> tuple:
     from . import groupoid
 
     g = _graph(args)
@@ -198,7 +196,7 @@ def _groupoid_principality(args) -> int:
     return _answer(report.principal, payload, args.json, lines)
 
 
-def _weyl_germ(args) -> int:
+def _weyl_germ(args) -> tuple:
     from . import weyl
 
     g = _graph(args)
@@ -208,7 +206,7 @@ def _weyl_germ(args) -> int:
     return _answer(True, payload, args.json, [payload["germ"], f"cocycle {germ.cocycle}", f"image {payload['image']}"])
 
 
-def _weyl_equiv(args) -> int:
+def _weyl_equiv(args) -> tuple:
     from . import weyl
 
     g = _graph(args)
@@ -216,7 +214,7 @@ def _weyl_equiv(args) -> int:
     return _answer(eq, {"equivalent": eq}, args.json, ["equivalent" if eq else "not equivalent"])
 
 
-def _weyl_winding(args) -> int:
+def _weyl_winding(args) -> tuple:
     from . import weyl
 
     g = _graph(args)
@@ -224,7 +222,7 @@ def _weyl_winding(args) -> int:
     return _answer(True, {"winding": value}, args.json, [value])
 
 
-def _weyl_phi_check(args) -> int:
+def _weyl_phi_check(args) -> tuple:
     from . import weyl
 
     report = weyl.phi_bijectivity_check(_graph(args), args.bound)
@@ -234,49 +232,45 @@ def _weyl_phi_check(args) -> int:
     return _answer(report.ok, payload, args.json, [f"{k}: {v}" for k, v in payload.items()])
 
 
-def _move_out_split(args) -> int:
+def _move_out_split(args) -> tuple:
     from . import moves
 
     doc = _load_graph(args.graph)
     g = doc.graph
     split = moves.out_split(g, dsl.parse_partition(g, _read_text(args.partition)))
-    print(dsl.print_graph(split.graph, name=f"{doc.name}_split"), end="")
+    lines = [dsl.print_graph(split.graph, name=f"{doc.name}_split")[:-1]]
     if args.map_point is not None:
-        x = dsl.parse_point(g, args.map_point)
-        print(dsl.print_point(split.graph, moves.out_split_map(g, split, x)))
-    return EXIT_OK
+        lines.append(dsl.print_point(split.graph, moves.out_split_map(g, split, dsl.parse_point(g, args.map_point))))
+    return EXIT_OK, lines
 
 
-def _move_amplify(args) -> int:
+def _move_amplify(args) -> tuple:
     from . import moves
 
     doc = _load_graph(args.graph)
-    print(dsl.print_graph(moves.amplify(doc.graph), name=f"{doc.name}_amp"), end="")
-    return EXIT_OK
+    return EXIT_OK, [dsl.print_graph(moves.amplify(doc.graph), name=f"{doc.name}_amp")[:-1]]
 
 
-def _move_tclose(args) -> int:
+def _move_tclose(args) -> tuple:
     from . import moves
 
     doc = _load_graph(args.graph)
-    print(dsl.print_graph(moves.amplified_transitive_closure(doc.graph), name=f"{doc.name}_tclose"), end="")
-    return EXIT_OK
+    return EXIT_OK, [dsl.print_graph(moves.amplified_transitive_closure(doc.graph), name=f"{doc.name}_tclose")[:-1]]
 
 
-def _move_saturate(args) -> int:
+def _move_saturate(args) -> tuple:
     from . import moves
 
     doc = _load_graph(args.graph)
     g = doc.graph
     sat, witness = moves.saturate(g, dsl.parse_path(g, args.pattern))
-    print(dsl.print_graph(sat, name=f"{doc.name}_sat"), end="")
+    lines = [dsl.print_graph(sat, name=f"{doc.name}_sat")[:-1]]
     if args.map_point is not None:
-        x = dsl.parse_point(sat, args.map_point)
-        print(dsl.print_point(g, moves.saturate_map(witness, x)))
-    return EXIT_OK
+        lines.append(dsl.print_point(g, moves.saturate_map(witness, dsl.parse_point(sat, args.map_point))))
+    return EXIT_OK, lines
 
 
-def _decide_amplified(args) -> int:
+def _decide_amplified(args) -> tuple:
     from . import moves
 
     equivalent, bij = moves.decide_amplified_oe(*_pair(args))
@@ -349,62 +343,36 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-class _UntilClosed:
-    """Standard output that a reader closing the pipe silences: the first
-    ``BrokenPipeError`` points the descriptor at the null device, so the
-    command runs on to its own exit code, the rest of its output is
-    dropped, and nothing reaches stderr, at exit either."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def write(self, text: str) -> int:
-        try:
-            return self._stream.write(text)
-        except BrokenPipeError:
-            self._silence()
-            return len(text)
-
-    def flush(self) -> None:
-        try:
-            self._stream.flush()
-        except BrokenPipeError:
-            self._silence()
-
-    def _silence(self) -> None:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, self._stream.fileno())
-        os.close(null)
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-
 def main(argv: list[str] | None = None) -> int:
-    stdout = sys.stdout
-    sys.stdout = _UntilClosed(stdout)
-    try:
-        code = _main(argv)
-        sys.stdout.flush()
-        return code
-    finally:
-        sys.stdout = stdout
-
-
-def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args)
+        code, answer = args.run(args)
     except OegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # every input is read: integers of any size print exactly
+    try:
+        write = sys.stdout.write
+        for line in [json.dumps(answer, indent=2, sort_keys=True)] if isinstance(answer, dict) else answer:
+            write(str(line))  # as print does: the line, then its end, with no joined copy
+            write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: drop the rest, at exit too, and keep the code
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,12 +28,14 @@ then the path they make.
 
 Valid input is read in one pass.  One pattern reads every edge line of a
 graph file, and each run of edge lines between other lines is checked at
-once by set sizes; a vertex list, a point's dotted tokens or a split
-line's blocks are checked whole by one compiled pattern.  A column is
-worked out only for a line that fails a check.  On 2 vCPUs with Python
-3.11, ``parse_graph`` takes about 2 us per line of a 10^3-line file and 4
-to 5 us at 10^5 lines, and ``parse_point`` about 4 us per point
-(``scripts/parse_curve.py``).
+once by set sizes; a vertex list or a point's dotted tokens are checked
+whole by one compiled pattern.  A column is worked out only for a line
+that fails a check.  A partition file's split line is read by one walk
+over its blocks and tokens, which names the first at fault.  On 2 vCPUs
+with Python 3.11, ``parse_graph`` takes about 2 us per line of a
+10^3-line file and 4 to 5 us at 10^5 lines, ``parse_point`` about 4 us
+per point (``scripts/parse_curve.py``), and ``parse_partition`` about 43
+us per partition of a random 4-vertex graph.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .graphs import INF, Edge, EdgeClass, Graph, Path
 
 _IDENT = r"(?a:[\w^]+)"  # [A-Za-z0-9_^]+ as an ASCII word class, which compiles and matches faster
 _GRAPH_RE = re.compile(rf"^graph\s+({_IDENT})\s*$")
-# a vertex line whose list is well formed; any other is read again by _vertex_names
+# a vertex line whose list is well formed; any other is refused by _vertex_fault
 _VERTEX_LINE_RE = re.compile(rf"vertex\s+({_IDENT}(?:\s*,\s*{_IDENT})*)")
 _B = r"[^\S\n]"  # a blank: any white space but the line break
 # an edge line as it stands in the file, blanks and a comment included
@@ -131,7 +133,7 @@ def parse_graph(text: str) -> GraphDocument:
         m = _VERTEX_LINE_RE.fullmatch(line)
         names = m.group(1).replace(",", " ").split() if m else []
         if not names or len(set(names)) < len(names) or not seen_vertices.isdisjoint(names):
-            names = _vertex_names(line, raw, lineno, seen_vertices)
+            _vertex_fault(line, raw, lineno, seen_vertices)
         seen_vertices.update(names)
         vertices += names
         lines.update(dict.fromkeys(names, lineno))
@@ -156,22 +158,22 @@ def _multiplicities(toks: tuple[str, ...]) -> list | None:
     return list(map(value.__getitem__, toks)) if min(value.values()) > 0 else None
 
 
-def _vertex_names(line: str, raw: str, lineno: int, seen_vertices: set[str]) -> list[str]:
-    """The identifiers of a line that failed the vertex-line check, ``line``
-    being ``raw`` without blanks and comment, read one at a time to name the
-    first that is malformed or declared before; an edge line that did not
-    fit its pattern, or any other line, is unrecognized."""
+def _vertex_fault(line: str, raw: str, lineno: int, seen_vertices: set[str]) -> NoReturn:
+    """Raise the error of a line that failed the vertex-line check, ``line``
+    being ``raw`` without blanks and comment, at the column of the first
+    identifier that is malformed or declared before; an edge line that did
+    not fit its pattern, or any other line, is unrecognized."""
     m = re.match(r"^vertex\s+(.+)$", line)
     if not m:
         raise ParseError(f"unrecognized line {line!r}", lineno, 1)
-    names: dict[str, None] = {}
+    names: set[str] = set()
     for column, v in _fields(m.group(1), _column(raw, m.start(1)), ","):
         if not re.fullmatch(_IDENT, v):
             raise ParseError(f"bad vertex identifier {v!r}", lineno, column)
         if v in seen_vertices or v in names:
             raise ParseError(f"duplicate vertex {v!r}", lineno, column)
-        names[v] = None
-    return list(names)
+        names.add(v)
+    raise AssertionError("a vertex line failed a check that each of its identifiers passes")
 
 
 def _edge_fault(raws: list[str], lineno: int, seen_vertices: set[str], seen_classes: set[str]) -> NoReturn:
@@ -336,7 +338,9 @@ def _json_tables(text: str, what: str, keys: tuple[str, ...]) -> dict:
     """A JSON object that holds (at least) the named tables."""
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+    # JSONDecodeError, an integer past Python's digit limit, or nesting
+    # deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{what} JSON must be an object")
@@ -346,8 +350,12 @@ def _json_tables(text: str, what: str, keys: tuple[str, ...]) -> dict:
     return data
 
 
-def _point_table(g: Graph, entries, value) -> dict:
-    """A table from ``[point, value]`` pairs; a point may appear once."""
+def _point_table(g: Graph, data: dict, key: str, value) -> dict:
+    """The table ``data[key]``, a JSON list of ``[point, value]`` pairs; a
+    point may appear once."""
+    entries = data[key]
+    if type(entries) is not list or not all(type(e) is list and len(e) == 2 for e in entries):
+        raise ParseError(f"the {key!r} table must be a list of [point, value] pairs")
     table = {}
     for a, v in entries:
         x = parse_point(g, a)
@@ -367,12 +375,9 @@ def parse_witness(E: Graph, F: Graph, text: str):
     from .dynamics import OrbitWitness
 
     data = _json_tables(text, "witness", ("h", "k1", "l1", "k1p", "l1p"))
-    try:
-        h = _point_table(E, data["h"], lambda b: parse_point(F, b))
-        k1, l1 = (_point_table(E, data[key], _json_int) for key in ("k1", "l1"))
-        k1p, l1p = (_point_table(F, data[key], _json_int) for key in ("k1p", "l1p"))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed witness table entry: {exc}") from exc
+    h = _point_table(E, data, "h", lambda b: parse_point(F, b))
+    k1, l1 = (_point_table(E, data, key, _json_int) for key in ("k1", "l1"))
+    k1p, l1p = (_point_table(F, data, key, _json_int) for key in ("k1p", "l1p"))
     return OrbitWitness(E, F, h, k1, l1, k1p, l1p)
 
 
@@ -388,15 +393,24 @@ def parse_element(g: Graph, text: str):
     from .dynamics import PseudogroupElement
 
     data = _json_tables(text, "element", ("alpha", "m", "n"))
-    try:
-        alpha = _point_table(g, data["alpha"], lambda b: parse_point(g, b))
-        m, n = (_point_table(g, data[key], _json_int) for key in ("m", "n"))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed element table entry: {exc}") from exc
+    alpha = _point_table(g, data, "alpha", lambda b: parse_point(g, b))
+    m, n = (_point_table(g, data, key, _json_int) for key in ("m", "n"))
     return PseudogroupElement(g, alpha, m, n)
 
 
 # -- groupoid elements and germs ----------------------------------------------
+
+
+def _three_parts(text: str, what: str, form: str) -> list[str]:
+    """The three ``|``-separated parts of ``text``, enclosed in the brackets
+    that ``form`` shows."""
+    text = text.strip()
+    if not (text.startswith(form[0]) and text.endswith(form[-1])):
+        raise ParseError(f"{what} must look like {form}")
+    parts = [p.strip() for p in text[1:-1].split("|")]
+    if len(parts) != 3:
+        raise ParseError(f"{what} must have three | -separated parts")
+    return parts
 
 
 def print_groupoid_element(g: Graph, e) -> str:
@@ -406,15 +420,8 @@ def print_groupoid_element(g: Graph, e) -> str:
 def parse_groupoid_element(g: Graph, text: str):
     from .groupoid import GroupoidElement
 
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("groupoid element must look like (x | k | y)")
-    parts = [p.strip() for p in text[1:-1].split("|")]
-    if len(parts) != 3:
-        raise ParseError("groupoid element must have three | -separated parts")
-    x = parse_point(g, parts[0])
-    k = _int_token(parts[1], "cocycle")
-    y = parse_point(g, parts[2])
+    x, k, y = _three_parts(text, "groupoid element", "(x | k | y)")
+    x, k, y = parse_point(g, x), _int_token(k, "cocycle"), parse_point(g, y)
     witness = minimal_witness(g, x, y, k)
     if witness is None:
         raise InputError("the two points are not shift equivalent at this cocycle")
@@ -428,21 +435,14 @@ def print_germ(g: Graph, germ) -> str:
 def parse_germ(g: Graph, text: str):
     from .weyl import germ_make
 
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("germ must look like [mu | nu | x]")
-    parts = [p.strip() for p in text[1:-1].split("|")]
-    if len(parts) != 3:
-        raise ParseError("germ must have three | -separated parts")
-    return germ_make(g, parse_path(g, parts[0]), parse_path(g, parts[1]), parse_point(g, parts[2]))
+    mu, nu, x = _three_parts(text, "germ", "[mu | nu | x]")
+    return germ_make(g, parse_path(g, mu), parse_path(g, nu), parse_point(g, x))
 
 
 # -- partition files -----------------------------------------------------------
 
 # compiled when a partition is first read, as most commands read none
 _SPLIT = rf"^split\s+({_IDENT})\s*:\s*(.+)$"
-# one block of a split line: tokens, or nothing, between commas in braces
-_CELL = rf"\s*\{{\s*(?:{_TOKEN})?\s*(?:,\s*(?:{_TOKEN})?\s*)*\}}\s*"
 
 
 def parse_partition(g: Graph, text: str) -> OutSplitPartition:
@@ -452,13 +452,12 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
     a single edge.  Syntax errors give the column of the block, token or
     index at fault.  A vertex split twice is refused at its second line.
 
-    A line's blocks are checked at once by one pattern and read in one
-    pass; only a line that fails is walked block by block and token by
-    token, to name the first at fault."""
+    A split line is read in one walk, block by block and token by token,
+    which names the first block or token at fault."""
     from .moves import OutSplitPartition, _class_block
 
     check_listable(g.edge_classes)
-    split_line, cell_match = re.compile(_SPLIT).match, re.compile(_CELL).fullmatch
+    split_line, token = re.compile(_SPLIT).match, _TOKEN_RE.fullmatch
     split: dict[str, tuple] = {}
     for lineno, raw in enumerate(_newlines(text).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -470,45 +469,25 @@ def parse_partition(g: Graph, text: str) -> OutSplitPartition:
         v = g.check_vertex(m.group(1))
         if v in split:
             raise ParseError(f"vertex {v!r} is split twice", lineno, _column(raw, m.start(1)))
-        cells, blocks = m.group(2).split("|"), []
-        try:
-            for cell in cells if all(map(cell_match, cells)) else ():
-                whole, edges = [], []
-                for cid, idx in _TOKEN_RE.findall(cell):
-                    if idx:
-                        edges.append(g.check_edge(Edge(cid, int(idx))))
-                    else:
-                        whole.append(g.cls(cid))
-                blocks.append(_class_block(whole, edges))
-        except (ValueError, InputError):  # ValueError: an index past int's digit limit
-            blocks = []
-        split[v] = tuple(blocks) or _block_walk(g, m.group(2), _column(raw, m.start(2)), lineno)
+        blocks = []
+        for start, cell in _fields(m.group(2), _column(raw, m.start(2)), "|"):
+            if not (cell.startswith("{") and cell.endswith("}")):
+                raise ParseError("each block must be brace-delimited", lineno, start)
+            whole, edges = [], []
+            for column, tok in _fields(cell[1:-1], start + 1, ","):
+                if not tok:
+                    continue
+                t = token(tok)
+                if not t:
+                    raise ParseError(f"bad edge token {tok!r}", lineno, column)
+                cid, idx = t.groups()
+                c = g.cls(cid)
+                if idx is None:
+                    whole.append(c)
+                else:
+                    edges.append(g.check_edge(Edge(cid, _int_token(idx, "edge index", lineno, column + t.start(2)))))
+            blocks.append(_class_block(whole, edges))
+        split[v] = tuple(blocks)
     # every vertex with out-edges and no split line keeps them in one block
     blocks = {v: split.pop(v, None) or (_class_block(out),) for v in g.vertices if (out := g.out_classes(v))}
     return OutSplitPartition(blocks | split)
-
-
-def _block_walk(g: Graph, text: str, column: int, lineno: int) -> tuple:
-    """The blocks of a split line's cells, which start at ``column``, read
-    one block and one token at a time to name the first at fault."""
-    from .moves import _class_block
-
-    cells = []
-    for start, cell in _fields(text, column, "|"):
-        if not (cell.startswith("{") and cell.endswith("}")):
-            raise ParseError("each block must be brace-delimited", lineno, start)
-        whole, edges = [], []
-        for column, tok in _fields(cell[1:-1], start + 1, ","):
-            if not tok:
-                continue
-            m = _TOKEN_RE.fullmatch(tok)
-            if not m:
-                raise ParseError(f"bad edge token {tok!r}", lineno, column)
-            cid, idx = m.group(1), m.group(2)
-            c = g.cls(cid)
-            if idx is None:
-                whole.append(c)
-            else:
-                edges.append(g.check_edge(Edge(cid, _int_token(idx, "edge index", lineno, column + m.start(2)))))
-        cells.append(_class_block(whole, edges))
-    return tuple(cells)

@@ -1,11 +1,15 @@
 """``scripts/bench_pairs.py`` keeps each run's per-kind p50 from the record
-line that ``oegbench/run.py`` prints before its result, and sums the kinds
-up across pairs.  The script is loaded from its file; nothing is run."""
+line that ``oegbench/run.py`` prints before its result, sums the kinds up
+across pairs, and runs both sides without bytecode.  The script is loaded
+from its file; nothing is run."""
 
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -38,3 +42,39 @@ def test_kind_summary_of_two_made_up_runs():
     assert yes["parent_median"] == yes["change_median"] == 0.65
     assert yes["change_better_in"] == "1/2" and yes["better"] == "lower"
     assert got["oe_no_4"]["change_better_in"] == "1/2"
+
+
+
+def test_both_sides_run_without_bytecode(tmp_path, monkeypatch):
+    """A stale ``__pycache__`` in the working tree is read on neither side:
+    the change runs from a copy of the files git lists, the parent from its
+    archive, and both with PYTHONDONTWRITEBYTECODE=1.  ``git`` and the
+    benchmark runs are stand-ins."""
+    bench = _script()
+    tree = tmp_path / "tree"
+    for name in ("BENCHMARK.json", "src/oeg/cli.py", "src/oeg/__pycache__/cli.cpython-311.pyc"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text("")
+    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "query_p50_ms", "better": "lower"}]}))
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w") as tar:
+        tar.add(tree / "src" / "oeg" / "cli.py", "src/oeg/cli.py")
+    runs = []
+
+    def run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[:2] == ["git", "archive"]:
+            return subprocess.CompletedProcess(cmd, 0, stdout=archive.getvalue())
+        if cmd[:2] == ["git", "ls-files"]:  # the cache is ignored; a deleted file is still listed
+            return subprocess.CompletedProcess(cmd, 0, stdout=b"BENCHMARK.json\0src/oeg/cli.py\0gone.py\0")
+        files = sorted(str(p.relative_to(cwd)) for p in Path(cwd).rglob("*") if p.is_file())
+        runs.append((cwd, env["PYTHONDONTWRITEBYTECODE"], files))
+        return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(_output(0.4, {"oe_yes_7": 0.6})))
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.chdir(tree)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["HEAD", "--workload", "finite_oe", "--pairs", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert len(runs) == 4 and len({cwd for cwd, _, _ in runs}) == 2 and str(tree) not in {cwd for cwd, _, _ in runs}
+    assert all(flag == "1" and "src/oeg/cli.py" in files for _, flag, files in runs)
+    assert not any("__pycache__" in name for _, _, files in runs for name in files)
+    assert json.loads(out.read_text())["workloads"]["finite_oe"]["pairs"] == 2

@@ -26,6 +26,7 @@ from oeg.boundary import (
     boundary_size,
     bounded_points,
     canonicalize,
+    cyl_intersect,
     cyl_is_empty,
     cyl_membership,
     cyl_relation,
@@ -114,6 +115,17 @@ def test_relation_examples(e1, e2):
     zx = make_cylinder(g3, g3.path((), at="s"), [Edge("x", 0)])
     zy = make_cylinder(g3, g3.path((), at="s"), [Edge("y", 0)])
     assert cyl_relation(g3, zx, zy) == "overlap"
+
+
+def test_intersect_keeps_the_base_that_extends_the_other(e2):
+    """The cylinder at 1 without a12 meets the cylinder of a11 in the
+    latter, whichever is given first; the cylinder at 1 without a11 misses
+    it."""
+    z_root = make_cylinder(e2, e2.path((), at="1"), [Edge("a12", 0)])
+    z_a11 = make_cylinder(e2, e2.path(["a11"]))
+    assert cyl_intersect(e2, z_root, z_a11) == z_a11
+    assert cyl_intersect(e2, z_a11, z_root) == z_a11
+    assert cyl_intersect(e2, make_cylinder(e2, e2.path((), at="1"), [Edge("a11", 0)]), z_a11) is None
 
 
 def test_empty_cylinder(e1):

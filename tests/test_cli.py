@@ -582,6 +582,116 @@ def test_shift_past_the_end_by_a_huge_count_prints_a_short_error(tmp_path, capsy
     assert _one_error_line(captured.err) and len(captured.err) < 120, captured.err
 
 
+
+# 10^6000 - 2 * 10^3000, as digits: det(I - A) = 1 - N^2 is minus this for
+# N = 10^3000 - 1, spelled without converting an integer past the digit limit
+_MINUS_DET = "9" * 2999 + "8" + "0" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["det"], f"-{_MINUS_DET}\n"),
+        (["--json", "det"], f'{{\n  "detIMinusA": -{_MINUS_DET}\n}}\n'),
+        (["info"], f"detIMinusA: -{_MINUS_DET}\n"),
+        (["--json", "info"], f'  "detIMinusA": -{_MINUS_DET},\n'),
+    ],
+    ids=["det", "det-json", "info", "info-json"],
+)
+def test_integers_past_the_digit_limit_print_exactly(argv, want, tmp_path, capsys):
+    """Two classes of 10^3000 - 1 edges each way make det(I - A) about 6000
+    digits long, past the 4300 Python converts by default: the answer prints
+    every digit, and the limit is back in force once it is written."""
+    nines = "9" * 3000
+    p = tmp_path / "g.graph"
+    p.write_text(f"graph H\nvertex u, v\nedge a * {nines}: u -> v\nedge b * {nines}: v -> u\n")
+    limit = sys.get_int_max_str_digits()
+    code = main(argv + [str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "") and want in captured.out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_extend_cocycles_past_the_digit_limit_prints_exactly(tmp_path, capsys):
+    """A lone loop's witness with k1 = 10^4300 - 2 and l1 = 10^4300 - 1 is
+    read, since its values have 4300 digits, and verifies; its degree-10
+    tables pass the limit and print exactly, as the library computes them."""
+    from oeg import dynamics
+    from oeg.dsl import parse_witness, table_json
+
+    k1, l1 = "9" * 4299 + "8", "9" * 4300
+    text = '{"h": [["(e)*", "(e)*"]], "k1": [["(e)*", %s]], "l1": [["(e)*", %s]], "k1p": [["(e)*", %s]], ' \
+           '"l1p": [["(e)*", %s]]}' % (k1, l1, k1, l1)
+    (tmp_path / "w.json").write_text(text)
+    g = lone_loop()
+    (tmp_path / "g.graph").write_text(print_graph(g, "L"))
+    paths = [str(tmp_path / "g.graph")] * 2 + [str(tmp_path / "w.json")]
+    assert main(["verify-oe", *paths]) == 0
+    capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    code = main(["extend-cocycles", *paths, "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "") and sys.get_int_max_str_digits() == limit
+    tables = dynamics.extend_cocycles(parse_witness(g, g, text), 10)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(str(abs(v))) for t in tables[1:] for v in t.values()) > limit
+        want = {"n": 10, "k": table_json(g, tables.k), "l": table_json(g, tables.l),
+                "kp": table_json(g, tables.kp), "lp": table_json(g, tables.lp)}
+        assert json.loads(captured.out) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, what", [(["verify-oe", "E1", "F1", "deep"], "witness"),
+                                        (["verify-pseudo", "E1", "deep"], "element")],
+                         ids=["witness", "element"])
+def test_deeply_nested_json_is_an_input_error(argv, what, files, tmp_path, capsys):
+    """A file of 100,000 '[' nests deeper than the JSON reader recurses: an
+    input error, not an internal one."""
+    (tmp_path / "deep").write_text("[" * 100_000)
+    named = dict(files, deep=str(tmp_path / "deep"))
+    code = main([named.get(w, w) for w in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {what} is not valid JSON: "), captured.err
+
+
+_U_TO_S = "graph G\nvertex u, s\nedge a: u -> s\n"
+
+
+@pytest.mark.parametrize(
+    "argv, table, key",
+    [
+        (["verify-pseudo", "g", "f"], {"alpha": {"aa": 0}, "m": [["a", 0]], "n": [["a", 0]]}, "alpha"),
+        (["verify-pseudo", "g", "f"], {"alpha": ["aa"], "m": [["a", 0]], "n": [["a", 0]]}, "alpha"),
+        (["verify-pseudo", "g", "f"], {"alpha": [["a", "a"]], "m": [["a", 0, 1]], "n": [["a", 0]]}, "m"),
+        (["verify-oe", "g", "g", "f"], {"h": {"ab": 0, "@s": 1}, "k1": [], "l1": [], "k1p": [], "l1p": []}, "h"),
+        (["verify-oe", "g", "g", "f"], {"h": [["a", "a"]], "k1": "ab", "l1": [], "k1p": [], "l1p": []}, "k1"),
+    ],
+    ids=["element-object", "element-strings", "element-triple", "witness-object", "witness-string"],
+)
+def test_tables_of_the_wrong_shape_are_input_errors(argv, table, key, tmp_path, capsys):
+    """A table must be a list of [point, value] pairs; before, any JSON value
+    was unpacked item by item, so the two-character string "aa" was read
+    as the point a with the value a."""
+    (tmp_path / "g").write_text(_U_TO_S)
+    (tmp_path / "f").write_text(json.dumps(table))
+    code = main([str(tmp_path / w) if w in "fg" else w for w in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: the {key!r} table must be a list of [point, value] pairs\n"
+
+
+def test_a_refused_map_point_leaves_stdout_empty(files, tmp_path, capsys):
+    """The split graph is written only once the point to map is read, so an
+    input error writes nothing to stdout."""
+    (tmp_path / "split").write_text("split 1: {a11} | {a12}\n")
+    code = main(["move", "out-split", files["E2"], str(tmp_path / "split"), "--map-point", "(zz)*"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "") and _one_error_line(captured.err), captured.err
+
+
 # -- which modules each command loads --------------------------------------------
 
 _BASE_MODULES = {"oeg.boundary", "oeg.cli", "oeg.dsl", "oeg.errors", "oeg.graphs"}

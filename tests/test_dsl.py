@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -142,6 +143,10 @@ BAD_WITNESS_TABLES = {
     "a point mapped twice": ("h", [["(b)*", "(d.c)*"], ["a.(b)*", "(d.c)*"], ["a.(b)*", "(c.d)*"]]),
     "a point listed twice": ("l1p", [["(c.d)*", 1], ["(d.c)*", 0], ["(c.d)*", 1]]),
     "a point listed twice in another spelling": ("k1", [["(b)*", 0], ["a.(b)*", 1], ["a.b.(b)*", 1]]),
+    "a table that is an object": ("k1", {"(b)*": 0, "a.(b)*": 1}),
+    "a table of strings": ("h", ["ab", "ba"]),
+    "an entry of three items": ("l1", [["(b)*", 0, 1], ["a.(b)*", 0]]),
+    "a table that is a number": ("l1p", 0),
 }
 
 
@@ -164,6 +169,9 @@ def test_element_tables_reject_non_integers_and_repeats(e1):
         {"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 1.5]], "n": [["(b)*", 0]]},
         {"alpha": [["(b)*", "(b)*"]], "m": [["(b)*", 1]], "n": [["(b)*", False]]},
         {"alpha": [["(b)*", "(b)*"], ["b.(b)*", "(b)*"]], "m": [["(b)*", 1]], "n": [["(b)*", 0]]},
+        {"alpha": {"(b)*": "(b)*"}, "m": [], "n": []},
+        {"alpha": ["bb"], "m": [], "n": []},
+        {"alpha": [["(b)*", "(b)*", "(b)*"]], "m": [], "n": []},
     ):
         with pytest.raises(ParseError):
             parse_element(e1, json.dumps(data))
@@ -205,6 +213,22 @@ def test_germ_roundtrip(e1):
     text = print_germ(e1, germ)
     assert text == "[a | @v | (b)*]"
     assert parse_germ(e1, text) == germ
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse_groupoid_element, "a.(b)* | 1 | (b)*", "groupoid element must look like (x | k | y)"),
+        (parse_groupoid_element, "(a.(b)* | 1)", "groupoid element must have three | -separated parts"),
+        (parse_groupoid_element, "(a.(b)* | 1 | (b)* | 2)", "groupoid element must have three | -separated parts"),
+        (parse_germ, "a | @v | (b)*", "germ must look like [mu | nu | x]"),
+        (parse_germ, "[a | @v]", "germ must have three | -separated parts"),
+        (parse_germ, "[a | @v | (b)* | b]", "germ must have three | -separated parts"),
+    ],
+)
+def test_groupoid_elements_and_germs_have_three_parts(read, text, message, e1):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        read(e1, text)
 
 
 def test_parse_partition(e2):

@@ -253,6 +253,13 @@ def test_huge_classes_stay_lazy():
         Graph(["u"]).out_degree("w")
 
 
+
+def test_edge_ends_of_an_unknown_class_are_refused():
+    g = Graph(["u"], [("a", "u", "u", 1)])
+    for end in (g.edge_src, g.edge_dst):
+        with pytest.raises(InputError, match="unknown edge class 'zz'"):
+            end(Edge("zz", 0))
+
 _MANY_CLASSES = """
 import time
 from oeg.graphs import Graph

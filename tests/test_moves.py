@@ -445,6 +445,14 @@ def test_saturate_examples(amp, e2):
     assert new2[0].src == "v" and new2[0].dst == "v"
 
 
+def test_saturate_names_the_new_class_past_those_taken():
+    classes = [("A", "u", "v", INF), ("B", "v", "v", INF), ("M", "u", "v", 1)]
+    g = Graph(["u", "v"], classes)
+    assert saturate(g, g.path([("A", 0), ("B", 0)]))[1].new_class == "M2"
+    g = Graph(["u", "v"], classes + [("M2", "v", "u", 1)])
+    assert saturate(g, g.path([("A", 0), ("B", 0)]))[1].new_class == "M3"
+
+
 def test_saturate_map_examples(amp):
     sat, w = saturate(amp, amp.path([("A", 0), ("B", 0)]))
     cases = {

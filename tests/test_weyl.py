@@ -94,6 +94,7 @@ def test_germ_equivalent_examples(e1, e2):
     h1 = germ_make(e2, e2.path(["a11"]), e2.path((), at="1"), a11s)
     h2 = germ_make(e2, e2.path(["a11", "a11"]), e2.path(["a11"]), a11s)
     assert germ_equivalent(e2, h1, h2)  # aligned at a non-isolated anchor
+    assert germ_equivalent(e2, h2, h1)  # the longer nu given first
     h3 = germ_make(e2, e2.path(["a11", "a11"]), e2.path((), at="1"), a11s)
     assert not germ_equivalent(e2, h1, h3)
 
