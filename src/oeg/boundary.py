@@ -586,33 +586,33 @@ def boundary_size(g: Graph) -> int | str:
 
 
 def _census_walk(
-    g: Graph,
-    steps: dict[str, list[tuple[Edge, str]]],
-    v0: str,
-    v: str,
-    at: dict[str, int],
-    edges: list[Edge],
-    points: set[BoundaryPoint],
+    steps: dict[str, list[tuple[Edge, str]]], v0: str, v: str, at: dict[str, int], edges: list[Edge], points: list[BoundaryPoint]
 ) -> None:
-    """Add to ``points`` every boundary path that begins with ``edges``, a
-    path from ``v0`` to ``v`` on which ``at`` gives each vertex its position;
-    ``steps`` lists each vertex's out-edges with their ranges.  The points
-    are built directly: a finite one ends at a sink, and a period closes
-    where the walk meets its own path.  This is a module function, not a
-    closure, because a closure that calls itself is a reference cycle, and
-    that keeps ``points`` alive until the collector runs."""
+    """Append to ``points`` every boundary path that begins with ``edges``,
+    a path from ``v0`` to ``v`` on which ``at`` gives each vertex its
+    position; ``steps`` lists each vertex's out-edges with their ranges.  A
+    finite point ends at a sink, and a period closes where the walk meets
+    its own path.  Each point is canonical and new as built: on a finite
+    boundary every cycle is exitless, so a walk that enters one follows it
+    back to where it entered and the period is a simple cycle, which is
+    primitive; the last preperiod edge and the closing edge leave different
+    positions of the path, so they differ; an empty preperiod means ``v0``
+    is on the cycle, the source of its first edge; and distinct walks give
+    distinct edge sequences.  This is a module function, not a closure,
+    because a closure that calls itself is a reference cycle, and that keeps
+    ``points`` alive until the collector runs."""
     out = steps[v]
     if not out:
-        points.add(BoundaryPoint(v0, tuple(edges), ()))
+        points.append(BoundaryPoint(v0, tuple(edges), ()))
         return
     for e, w in out:
         i = at.get(w)
         if i is not None:
-            points.add(_canonical(g, v0, tuple(edges[:i]), (*edges[i:], e)))
+            points.append(BoundaryPoint(v0, tuple(edges[:i]), (*edges[i:], e)))
         else:
             edges.append(e)
             at[w] = len(edges)
-            _census_walk(g, steps, v0, w, at, edges, points)
+            _census_walk(steps, v0, w, at, edges, points)
             del at[w]
             edges.pop()
 
@@ -630,8 +630,8 @@ def boundary_census(g: Graph) -> CensusResult:
     size = boundary_size(g)
     if isinstance(size, str):
         return CensusResult(False, (), size)
-    points: set[BoundaryPoint] = set()
+    points: list[BoundaryPoint] = []
     steps = {v: [(e, g.edge_dst(e)) for e in g.out_edges(v)] for v in g.vertices}
     for v in g.vertices:
-        _census_walk(g, steps, v, v, {v: 0}, [], points)
+        _census_walk(steps, v, v, {v: 0}, [], points)
     return CensusResult(True, tuple(sorted(points, key=point_sort_key)), None)

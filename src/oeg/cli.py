@@ -12,7 +12,8 @@ table and argparse picks the handler.  A handler returns its exit code and
 its answer, a JSON object or text lines, most through ``_answer``, which
 maps the verdict to 0 or 1.  ``main`` alone writes an answer, a line at a
 time, so an exit 2 or 3 leaves stdout empty, and a reader that closes the
-pipe early ends the output quietly, with the command's own exit code.
+pipe early ends the output quietly, with the command's own exit code; so
+does a closed or failing stdout or stderr.
 Integers print exactly at any size: Python's digit limit is lifted only
 while the answer is written, after every input is read.
 
@@ -343,6 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _complain(line: str) -> None:
+    """Write one line to stderr.  A closed or failing stderr (None when
+    descriptor 2 was closed at start) loses the line, and the code stands."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -352,23 +363,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, answer = args.run(args)
     except OegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return EXIT_INPUT
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _complain(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
+    out = sys.stdout
+    if out is None:  # descriptor 1 was closed at start: nobody reads the answer
+        return code
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # every input is read: integers of any size print exactly
     try:
-        write = sys.stdout.write
+        write = out.write
         for line in [json.dumps(answer, indent=2, sort_keys=True)] if isinstance(answer, dict) else answer:
             write(str(line))  # as print does: the line, then its end, with no joined copy
             write("\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: drop the rest, at exit too, and keep the code
+        out.flush()
+    except OSError:
+        # the reader is gone or stdout fails: drop the rest, at exit too, and keep the code
         null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
+        os.dup2(null, out.fileno())
         os.close(null)
     finally:
         sys.set_int_max_str_digits(limit)

@@ -208,13 +208,14 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     Points are compared as ids of one :class:`PointTable`, built for the
     call and dropped with it, and named by their pool positions: the
     elements are the rows of the groupoid's id-level join, which also walks
-    the shift orbits, once each, and indexes their points.  The germ
-    classes, the element keys, every germ's image (a cons-walk of its
-    ``mu`` onto ``sigma^|nu|`` of its anchor) and the rule itself are all
-    int and edge-tuple work, so neither a germ nor an element is built as a
-    value.  A pool with more than
-    ``CENSUS_LIMIT`` orbit points or germs within the bound is refused with
-    an :class:`UnsupportedScaleError` before they are walked.
+    the shift orbits, once each, and indexes their points.  A germ's image
+    is its ``mu`` consed onto ``sigma^|nu|`` of its anchor, and a table node
+    has one ``(head, tail)``, so ``cons`` is injective: one cons per orbit
+    edge proves every image at once.  The germ classes, the element keys,
+    the images and the rule itself are all int and edge-tuple work, so
+    neither a germ nor an element is built as a value.  A pool with more
+    than ``CENSUS_LIMIT`` orbit points or germs within the bound is refused
+    with an :class:`UnsupportedScaleError` before they are walked.
     """
     if bound < 0:
         raise InputError("the path-length bound must be a natural number")
@@ -229,16 +230,12 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     # Germ enumeration: nu is forced to be a prefix of x, and a germ whose
     # image alpha lies in the pool satisfies sigma^{|mu|}(alpha) = sigma^{|nu|}(x),
     # so the join's index of the shared tail gives alpha and |mu| without
-    # enumerating mu itself.  The germ's image, mu consed back onto that
-    # tail, depends on (alpha, |mu|) only and is walked once here.
-    images = [list(orbit) for orbit in orbits]  # images[alpha][mlen]
-    for alpha, orbit in enumerate(orbits):
-        for mlen, z in enumerate(orbit):
-            image = z
-            for e in reversed(heads[alpha][:mlen]):
-                image = cons(e, image)
-            images[alpha][mlen] = image
-    image_ok = all(orbit[0] == image for orbit, walked in zip(orbits, images) for image in walked)
+    # enumerating mu itself.  The germ's image is mu consed back onto that
+    # tail.  A node has one (head, tail), so cons is injective, and consing
+    # the first m edges of alpha onto sigma^m(alpha) gives alpha for every m
+    # exactly when each one-step cons along the orbit does: one cons per
+    # orbit edge proves every image to be orbits[alpha][0].
+    image_ok = all(cons(e, orbit[j + 1]) == orbit[j] for orbit, edges in zip(orbits, heads) for j, e in enumerate(edges))
 
     # One pass over the germs, anchor by anchor, builds the classes
     # (anchor, cocycle, alpha) and runs germ_equivalent's rule on ids.  The
@@ -258,7 +255,7 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
             tails = meets[z]
             germ_count += len(tails)
             for alpha, mlen in tails:
-                image = images[alpha][mlen]
+                image = orbits[alpha][0]
                 key = (mlen - nlen, alpha)
                 rep = first.get(key)
                 if rep is None:
@@ -279,19 +276,15 @@ def phi_bijectivity_check(g: Graph, bound: int, max_points: int | None = 24) -> 
     equivalence_ok = image_ok and agree_ok
 
     # phi(e) exchanges the first m edges of x for the first n of y at the
-    # anchor y; its class key is (y, m - n, image), the image being x's
-    # first m edges consed onto sigma^n(y).  Consing is injective, so that
-    # walk gives x only when sigma^n(y) = sigma^m(x), and then it is the
-    # memoised image of (x, m).  Slices, so that a witness past the end of
-    # an orbit fails instead of raising.
+    # anchor y; its class key is (y, m - n, image), and the image is x
+    # exactly when sigma^m(x) = sigma^n(y), by the one-step conses above.
+    # Slices, so that a witness past the end of an orbit fails instead of
+    # raising.
     element_keys = set()
     phi_ok = True
     for x, k, y, m, n in rows:
         element_keys.add((y, k, x))
-        if phi_ok:
-            met = orbits[x][m : m + 1] == orbits[y][n : n + 1]
-            image = images[x][m : m + 1] if met else None
-            phi_ok = (y, m - n, image) == (y, k, orbits[x][:1])
+        phi_ok = phi_ok and m - n == k and orbits[x][m : m + 1] == orbits[y][n : n + 1] != []
     bijection_ok = element_keys == classes and phi_ok
     for key in sorted(classes - element_keys)[:5]:
         violations.append(f"germ class without matching element: cocycle {key[1]}")

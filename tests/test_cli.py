@@ -940,6 +940,28 @@ def test_closed_stdout_ends_output_quietly(argv, code, tmp_path):
     assert err == b""
 
 
+def _stdout_to_a_full_device():
+    os.dup2(os.open("/dev/full", os.O_WRONLY), 1)
+
+
+@pytest.mark.parametrize(
+    "start, graph, code",
+    [(lambda: os.close(1), "g", 0), (lambda: os.close(2), "missing", 2), (_stdout_to_a_full_device, "g", 0)],
+    ids=["stdout-closed", "stderr-closed", "stdout-full"],
+)
+def test_closed_or_failing_descriptor_keeps_the_exit_code(start, graph, code, tmp_path):
+    """A command started with descriptor 1 closed (``sys.stdout`` is None)
+    or on a full device drops its answer, and one started with descriptor 2
+    closed drops its error line; each keeps its exit code and writes nothing
+    elsewhere.  All three once exited 1 with a traceback."""
+    if start is _stdout_to_a_full_device and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    (tmp_path / "g.graph").write_text("graph g\nvertex u, v\nedge a: u -> v\n")
+    proc = subprocess.run([sys.executable, "-m", "oeg.cli", "det", str(tmp_path / f"{graph}.graph")],
+                          capture_output=True, env=_src_env(), preexec_fn=start, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
+
+
 def test_library_imports_neither_dataclasses_nor_inspect():
     """Importing every ``oeg`` module, in a fresh interpreter, loads
     neither ``dataclasses`` nor ``inspect``."""

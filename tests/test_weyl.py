@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from conftest import pt
-from oeg.boundary import CENSUS_LIMIT, boundary_census, drop_edges, is_isolated, prefix_path
+from phi_oracle import phi_bijectivity_check as reference_phi_check
+from sampling import random_graph
+from oeg.boundary import CENSUS_LIMIT, boundary_census, drop_edges, is_isolated, prefix_path, tail_class_sizes
 from oeg.errors import CompositionError, InputError, UnsupportedScaleError
 from oeg.groupoid import enumerate_elements, compose as g_compose, inverse as g_inverse, make_element
 from oeg.weyl import (
@@ -263,6 +266,33 @@ def test_phi_check_catches_corrupted_elements(monkeypatch, f1):
     assert rep.violations == ["germ equivalence disagrees with the class normal form"]
 
 
+def test_phi_check_needs_each_one_step_cons(monkeypatch, e1):
+    """The images are proved by one cons per orbit edge, so a table whose
+    ``cons`` gives a fresh id for one orbit's ``(edge, id)`` pair, once the
+    orbits are walked, fails the check on the germs alone."""
+    import oeg.weyl as weyl
+    from oeg.pointtable import PointTable
+
+    assert phi_bijectivity_check(e1, 3).ok
+    real_rows, real_cons = weyl._element_rows, PointTable.cons
+
+    def break_one_cons(table, pool, bound):
+        rows, orbits, meets = real_rows(table, pool, bound)
+        z = next(orbit[0] for orbit in orbits if len(orbit) > 1)
+        pair = (table.head[z], table.tail[z])
+
+        def fresh(self, e, i):
+            return len(self.head) if (e, i) == pair else real_cons(self, e, i)
+
+        monkeypatch.setattr(PointTable, "cons", fresh)
+        return rows, orbits, meets
+
+    monkeypatch.setattr(weyl, "_element_rows", break_one_cons)
+    rep = phi_bijectivity_check(e1, 3)
+    assert rep.bijection_ok and rep.winding_ok and not rep.equivalence_ok
+    assert rep.violations == ["germ equivalence disagrees with the class normal form"]
+
+
 def _ignore_winding(agree, heads, x, period, a, b):
     return agree(heads, x, 0 if period else period, a, b)
 
@@ -393,3 +423,22 @@ def test_phi_check_refuses_a_negative_point_limit():
         with pytest.raises(InputError, match="point limit must be a natural number"):
             phi_bijectivity_check(g, 3, max_points=-3)
     assert phi_bijectivity_check(looped, 3, max_points=0).ok
+
+
+def test_phi_check_matches_the_oracle():
+    """The one-cons-per-orbit-edge image check gives the prefix-walking
+    check's report on the 70 finite-boundary pool graphs at bounds 0 to 4,
+    on every 10th other pool graph at bound 3, and on random graphs with
+    infinite classes, which the pool does not have."""
+    finite, other = [], []
+    for g in iter_small_graphs(3):
+        (finite if tail_class_sizes(g) is not None else other).append(g)
+    assert len(finite) == 70
+    cases = [(g, bound) for g in finite for bound in range(5)] + [(g, 3) for g in other[::10]]
+    rng = random.Random(32)
+    sampled = (random_graph(rng, max_vertices=3, max_mult=2, edge_prob=0.5, inf_prob=0.3) for _ in range(60))
+    with_infinite = [g for g in sampled if any(c.is_infinite for c in g.edge_classes)]
+    assert len(with_infinite) == 30
+    cases += [(g, bound) for g in with_infinite for bound in (2, 3)]
+    for g, bound in cases:
+        assert phi_bijectivity_check(g, bound) == reference_phi_check(g, bound), (g, bound)
