@@ -17,27 +17,30 @@ and the median time over the passes.
 Run:  PYTHONPATH=src python scripts/amplified_curve.py [--passes K] [SIZE ...]
 
 The default path sizes are 300, 600, 1200, 2500, 5000 and 10,000 vertices,
-and K is 5.
+and K is 5.  The paths, the cubic graphs and every relabelled copy are the
+benchmark's (``chain_graph``, ``cubic_bipartite`` and ``relabel`` in
+``oegbench/inputs.py``), and every graph is read through
+``oeg.dsl.parse_graph``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import statistics
+import sys
 import time
 
 from oeg.digraphs import closure
-from oeg.graphs import Graph
+from oeg.dsl import parse_graph
 from oeg.moves import decide_amplified_oe
 
-
-def path(n: int) -> Graph:
-    vertices = [f"v{i}" for i in range(n)]
-    return Graph(vertices, [(f"e{i}", vertices[i], vertices[i + 1], 1) for i in range(n - 1)])
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "oegbench"))
+import inputs  # noqa: E402  (the benchmark's seeded generators; they do not import oeg)
 
 
-def layered(rng: random.Random, layers: int) -> Graph:
+def layered(rng: random.Random, layers: int) -> inputs.GraphSpec:
     """``layers`` layers of 1 to 9 components, each a lone vertex, a loop or
     a 2-cycle, with one to three arcs into random components of the next
     three layers."""
@@ -62,34 +65,7 @@ def layered(rng: random.Random, layers: int) -> Graph:
             for m in range(rng.randint(1, 3)):
                 target = rng.choice(rows[rng.randint(layer + 1, min(layer + 3, layers - 1))])
                 classes.append((f"x{members[0]}_{m}", rng.choice(members), rng.choice(target), 1))
-    return Graph(vertices, classes)
-
-
-def cubic_bipartite(rng: random.Random, halves: tuple[int, ...]) -> Graph:
-    """Connected 3-regular bipartite components with the given side sizes:
-    the identity, a cyclic shift and a random perfect matching that repeats
-    neither, every edge from side A to side B."""
-    classes, off = [], 0
-    for h in halves:
-        while True:
-            third = list(range(h))
-            rng.shuffle(third)
-            if all(third[i] not in (i, (i + 1) % h) for i in range(h)):
-                break
-        for i in range(h):
-            for j in (i, (i + 1) % h, third[i]):
-                classes.append((f"e{off + i}_{off + j}", f"a{off + i}", f"b{off + j}", 1))
-        off += h
-    return Graph([f"a{i}" for i in range(off)] + [f"b{i}" for i in range(off)], classes)
-
-
-def relabelled(rng: random.Random, g: Graph) -> Graph:
-    names = [f"r{i}" for i in range(len(g.vertices))]
-    rng.shuffle(names)
-    rename = dict(zip(g.vertices, names))
-    classes = [(c.cid, rename[c.src], rename[c.dst], c.mult) for c in g.edge_classes]
-    rng.shuffle(classes)
-    return Graph(sorted(names), classes)
+    return inputs.GraphSpec("layered", tuple(vertices), tuple(classes))
 
 
 def main() -> None:
@@ -97,18 +73,20 @@ def main() -> None:
     ap.add_argument("sizes", nargs="*", type=int, default=[300, 600, 1200, 2500, 5000, 10000])
     ap.add_argument("--passes", type=int, default=5, help="decisions of each pair in one process")
     args = ap.parse_args()
-    pairs = []
+    specs = []
     for n in args.sizes:
-        g = path(n)
-        pairs.append(("path", g, relabelled(random.Random(n), g)))
+        rng = random.Random(n)
+        e = inputs.chain_graph(n, "E", rng)
+        specs.append(("path", e, inputs.relabel(rng, e, "F", "r")[0]))
     rng = random.Random(0)  # the same layered and cubic graphs for any path sizes
     for layers in (25, 50, 100, 200):
-        g = layered(rng, layers)
-        pairs.append(("layered", g, relabelled(rng, g)))
+        e = layered(rng, layers)
+        specs.append(("layered", e, inputs.relabel(rng, e, "F", "r")[0]))
     for h in (6, 9, 12, 15):
-        g = cubic_bipartite(rng, (h,))
-        pairs.append(("cubic", g, relabelled(rng, g)))
-        pairs.append(("cubic", g, cubic_bipartite(rng, (h // 2, h - h // 2))))
+        e = inputs.cubic_bipartite(rng, (2 * h,), "E")
+        specs.append(("cubic", e, inputs.relabel(rng, e, "F", "r")[0]))
+        specs.append(("cubic", e, inputs.cubic_bipartite(rng, (2 * (h // 2), 2 * (h - h // 2)), "F")))
+    pairs = [(family, *(parse_graph(inputs.dsl_text(spec)).graph for spec in pair)) for family, *pair in specs]
     times: list[list[float]] = [[] for _ in pairs]
     verdicts = [False] * len(pairs)
     for _ in range(args.passes):

@@ -3,12 +3,14 @@
 For chains (a directed path ending at a sink) and random functional forests
 (random recursive trees whose roots are sinks and loops) of the given
 sizes, this censuses every graph once per pass, for K passes in one
-process.  It prints, per graph, the vertex count, the edges the census
-lists (the preperiod and period lengths summed over its points), the
-median census time over the passes and that time per listed edge.  Then
-it prints the process's peak RSS after the first pass and after the last:
-a census that leaves its points for the cycle collector raises it pass
-after pass.
+process.  The graphs are the benchmark's (``chain_graph`` and
+``functional_graph(forest_successors(rng, n, 4))`` in
+``oegbench/inputs.py``), read through ``oeg.dsl.parse_graph``.  It prints,
+per graph, the vertex count, the edges the census lists (the preperiod and
+period lengths summed over its points), the median census time over the
+passes and that time per listed edge.  Then it prints the process's peak
+RSS after the first pass and after the last: a census that leaves its
+points for the cycle collector raises it pass after pass.
 
 Run:  PYTHONPATH=src python scripts/census_curve.py [--passes K] [SIZE ...]
 
@@ -18,33 +20,18 @@ The default sizes are 100, 300, 600 and 900 vertices, and K is 5.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import resource
 import statistics
+import sys
 import time
 
 from oeg.boundary import boundary_census
-from oeg.graphs import Graph
+from oeg.dsl import parse_graph
 
-
-def chain(n: int) -> Graph:
-    vertices = [f"v{i}" for i in range(n)]
-    return Graph(vertices, [(f"e{i}", vertices[i], vertices[i + 1], 1) for i in range(n - 1)])
-
-
-def forest(rng: random.Random, n: int) -> Graph:
-    """The first four vertices of a shuffled order are sinks and loops in
-    turn; every later vertex points to a uniformly chosen earlier one."""
-    order = list(range(n))
-    rng.shuffle(order)
-    vertices = [f"v{i}" for i in range(n)]
-    classes = []
-    for k, v in enumerate(order):
-        if k >= 4:
-            classes.append((f"e{v}", vertices[v], vertices[order[rng.randrange(k)]], 1))
-        elif k % 2:
-            classes.append((f"e{v}", vertices[v], vertices[v], 1))
-    return Graph(vertices, classes)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "oegbench"))
+import inputs  # noqa: E402  (the benchmark's seeded generators; they do not import oeg)
 
 
 def peak_rss_mb() -> float:
@@ -57,7 +44,10 @@ def main() -> None:
     ap.add_argument("--passes", type=int, default=5, help="censuses of each graph in one process")
     args = ap.parse_args()
     rng = random.Random(0)
-    graphs = [("chain", chain(n)) for n in args.sizes] + [("forest", forest(rng, n)) for n in args.sizes]
+    chains = [inputs.chain_graph(n, f"chain{n}", random.Random(n)) for n in args.sizes]
+    forests = [inputs.functional_graph(inputs.forest_successors(rng, n, 4), f"forest{n}") for n in args.sizes]
+    graphs = [("chain", parse_graph(inputs.dsl_text(spec)).graph) for spec in chains]
+    graphs += [("forest", parse_graph(inputs.dsl_text(spec)).graph) for spec in forests]
     times: list[list[float]] = [[] for _ in graphs]
     listed = [0] * len(graphs)
     rss = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, InputError, UnsupportedScaleError, _shown_int
 from .graphs import (
@@ -532,28 +532,34 @@ def tail_class_sizes(g: Graph) -> list[tuple[int, int]] | None:
     return sizes
 
 
+def _shortest_path(g: Graph, v: str, goal: Callable, first: Callable = lambda c: 0) -> tuple[Edge, ...] | None:
+    """The edges of a shortest path from ``v`` to the first vertex found that
+    ``goal`` accepts, ties going by out-class order, or None: a breadth-first
+    search that takes one edge of each class, as parallel edges share their
+    range.  A step takes the index-0 edge, the first step ``first(c)``, and
+    ``c.mult`` there skips the class.  ``v`` is found by a path back to it."""
+    came: dict[str, tuple[str | None, Edge]] = {}  # vertex -> (vertex before, edge) on its first path
+    queue: list[str | None] = [None]  # None is v before the first step: a vertex may be named ""
+    for u in queue:
+        for c in g.out_classes(v if u is None else u):
+            e = Edge(c.cid, first(c) if u is None else 0)
+            w = c.dst
+            if w in came or e.idx == c.mult:
+                continue
+            came[w] = (u, e)
+            if goal(w):
+                edges = []
+                while w is not None:
+                    w, e = came[w]
+                    edges.append(e)
+                return tuple(reversed(edges))
+            queue.append(w)
+    return None
+
+
 def _cycle_through(g: Graph, u: str) -> Path:
     """A shortest loop through ``u``, which must lie on a cycle."""
-    parent: dict[str, Edge] = {}
-    frontier = [u]
-    seen = {u}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for c in g.out_classes(v):
-                w = c.dst
-                if w == u:
-                    edges = [Edge(c.cid, 0)]
-                    while v != u:
-                        e = parent[v]
-                        edges.append(e)
-                        v = g.edge_src(e)
-                    return g.loop(tuple(reversed(edges)))
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = Edge(c.cid, 0)
-                    nxt.append(w)
-        frontier = nxt
+    return Path(u, u, _shortest_path(g, u, u.__eq__))
 
 
 def boundary_size(g: Graph) -> int | str:

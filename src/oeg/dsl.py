@@ -72,7 +72,6 @@ _POINT_TEXT_RE = re.compile(rf"(?:{_TOKEN}\.)*(?:{_TOKEN}|\((?:{_TOKEN}\.)*{_TOK
 class GraphDocument(NamedTuple):
     name: str
     graph: Graph
-    lines: dict[str, int]  # vertex/class identifier -> source line
 
 
 def _newlines(text: str) -> str:
@@ -93,7 +92,6 @@ def parse_graph(text: str) -> GraphDocument:
     name = None
     vertices: list[str] = []
     classes: list[EdgeClass] = []
-    lines: dict[str, int] = {}
     seen_vertices: set[str] = set()
     seen_classes: set[str] = set()
     text = _newlines(text)
@@ -117,7 +115,6 @@ def parse_graph(text: str) -> GraphDocument:
             seen_classes.update(cids)
             # tuple.__new__ makes each record without a Python-level call
             classes += map(tuple.__new__, repeat(EdgeClass), zip(cids, srcs, dsts, mults))
-            lines.update(zip(cids, range(start + 1, i + 1)))
         if i == len(rows):
             break
         start, lineno, raw = i + 1, i + 1, rows[i][4]
@@ -136,14 +133,13 @@ def parse_graph(text: str) -> GraphDocument:
             _vertex_fault(line, raw, lineno, seen_vertices)
         seen_vertices.update(names)
         vertices += names
-        lines.update(dict.fromkeys(names, lineno))
     if name is None:
         raise ParseError("empty graph document", 1, 1)
     try:
         graph = Graph(vertices, classes)
     except InputError as exc:
         raise ParseError(str(exc)) from exc
-    return GraphDocument(name, graph, lines)
+    return GraphDocument(name, graph)
 
 
 def _multiplicities(toks: tuple[str, ...]) -> list | None:
@@ -210,11 +206,7 @@ def _fields(text: str, column: int, sep: str):
         column += len(field) + 1
 
 
-def print_graph(doc: GraphDocument | Graph, name: str | None = None) -> str:
-    if isinstance(doc, GraphDocument):
-        name, g = doc.name, doc.graph
-    else:
-        name, g = name or "G", doc
+def print_graph(g: Graph, name: str) -> str:
     out = [f"graph {name}"]
     if g.vertices:
         out.append("vertex " + ", ".join(g.vertices))

@@ -220,18 +220,12 @@ def is_singular(g: Graph, v: str) -> bool:
     return vertex_kind(g, v) != "regular"
 
 
-def default_loop_search_length(g: Graph) -> int:
-    """Exhaustive simple-loop search length for desk-scale graphs."""
-    finite = [c.mult for c in g.edge_classes if not c.is_infinite]
-    return len(g.vertices) * (1 + (max(finite) if finite else 0))
-
-
 def _least_rotation(edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
     first = min(edges)
     return min(edges[i:] + edges[:i] for i, e in enumerate(edges) if e == first)
 
 
-def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
+def enumerate_simple_loops(g: Graph, max_len: int) -> list[Path]:
     """All simple loops of length <= max_len, one representative per cyclic
     rotation class (the lexicographically least rotation), in deterministic
     order.
@@ -241,8 +235,6 @@ def enumerate_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
     """
     from .boundary import check_listable  # boundary imports this module
 
-    if max_len is None:
-        max_len = default_loop_search_length(g)
     check_listable(g.edge_classes, 1)
     # the walks come in lexicographic order, which the sort by length keeps
     walks = sorted((w for w in _primitive_walks(g, max_len) if w == _least_rotation(w)), key=len)

@@ -11,10 +11,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .boundary import (
-    CENSUS_LIMIT, BoundaryPoint, CylinderSet, canonicalize, exponent_product, minimal_witness, refuse_over_limit, shift
+    CENSUS_LIMIT, BoundaryPoint, CylinderSet, _shortest_path, canonicalize, exponent_product, minimal_witness,
+    refuse_over_limit, shift
 )
 from .errors import CompositionError, DomainError, InputError
-from .graphs import Edge, Graph, condition_l, is_singular
+from .graphs import Edge, EdgeClass, Graph, condition_l, is_singular
 
 if TYPE_CHECKING:
     from .pointtable import PointTable
@@ -119,31 +120,17 @@ def principality_report(g: Graph, probe: CylinderSet | None = None) -> Principal
 
 def _finite_point_in(g: Graph, z: CylinderSet) -> BoundaryPoint | None:
     """The shortest finite boundary point inside a cylinder, ties going by
-    out-edge order, or None: a breadth-first search over vertices from the
-    range of the base, whose first step avoids the excluded edges.  Parallel
-    edges share their range, so each step takes one edge of each class."""
+    out-edge order, or None: the shortest path from the range of the base to
+    a singular vertex whose first edge the cylinder does not exclude."""
     base = z.base
     if is_singular(g, base.dst):
         return canonicalize(g, base.src, base.edges)
-    came: dict[str, tuple[str | None, Edge]] = {}  # vertex -> (vertex before, edge) on its first path
-    queue: list[str | None] = [None]  # None is the range of the base before the first step
-    for u in queue:  # every vertex searched is regular, so its classes are finite
-        for c in g.out_classes(base.dst if u is None else u):
-            e = Edge(c.cid, 0)
-            while u is None and e in z.excluded:
-                e = Edge(c.cid, e.idx + 1)
-            v = c.dst
-            if v in came or e.idx == c.mult:
-                continue
-            came[v] = (u, e)
-            if is_singular(g, v):
-                edges = []
-                while v is not None:
-                    v, e = came[v]
-                    edges.append(e)
-                return canonicalize(g, base.src, base.edges + tuple(reversed(edges)))
-            queue.append(v)
-    return None
+
+    def first(c: EdgeClass) -> int:  # the least index not excluded, else c.mult: base.dst is regular
+        return next(i for i in range(c.mult + 1) if Edge(c.cid, i) not in z.excluded)
+
+    edges = _shortest_path(g, base.dst, lambda v: is_singular(g, v), first)
+    return None if edges is None else canonicalize(g, base.src, base.edges + edges)
 
 
 def enumerate_elements(g: Graph, pool: list[BoundaryPoint], bound: int) -> list[GroupoidElement]:

@@ -117,7 +117,6 @@ class OutSplit(NamedTuple):
     itself, an infinite emitter the copy of its infinite block."""
 
     graph: Graph
-    partition: OutSplitPartition
     block: dict[Edge | str, str]
     edges: dict[tuple[Edge | str, str], tuple[Edge | str, str]]
     ends: dict[str, str]
@@ -167,7 +166,7 @@ def out_split(g: Graph, p: OutSplitPartition) -> OutSplit:
         else:
             classes.append(EdgeClass(cid, u, t, len(members)))
             edges.update(((Edge(c.cid, idx), t), (Edge(cid, r), u)) for r, idx in enumerate(members))
-    return OutSplit(Graph(vertices, classes), p, block, edges, ends)
+    return OutSplit(Graph(vertices, classes), block, edges, ends)
 
 
 def _relabel(table: dict, path: tuple[Edge, ...], t: str | None):

@@ -171,9 +171,10 @@ def _germs_agree(heads: list[tuple], x: int, period: int | None, a: tuple, b: tu
     """`germ_equivalent` on point-table ids.  ``a`` and ``b`` are germs at
     the anchor ``x`` given as ``(|nu|, |mu|, alpha, image)``: ``mu`` is the
     first ``|mu|`` edges of the pool point ``alpha`` and ``nu`` the first
-    ``|nu|`` of ``x``.  ``period`` is None at a non-isolated anchor, 0 at an
-    isolated finite one and the period length at an isolated periodic one.
-    ``heads[i]`` holds the first ``bound`` edges of the pool point ``i``."""
+    ``|nu|`` of ``x``, and ``a`` has the shorter ``nu``: ``a[0] <= b[0]``.
+    ``period`` is None at a non-isolated anchor, 0 at an isolated finite one
+    and the period length at an isolated periodic one.  ``heads[i]`` holds
+    the first ``bound`` edges of the pool point ``i``."""
     if a[3] != b[3]:
         return False
     if period == 0:
@@ -181,8 +182,6 @@ def _germs_agree(heads: list[tuple], x: int, period: int | None, a: tuple, b: tu
     if period:
         # the winding index (k_a - k_b) / period vanishes iff the cocycles agree
         return a[1] - a[0] == b[1] - b[0]
-    if a[0] > b[0]:
-        a, b = b, a
     # the aligned path, mu_a followed by nu_b past nu_a, must be mu_b
     if a[1] + b[0] - a[0] != b[1]:
         return False

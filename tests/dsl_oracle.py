@@ -43,7 +43,6 @@ def parse_graph(text: str) -> GraphDocument:
     name = None
     vertices: list[str] = []
     classes: list[tuple] = []
-    lines: dict[str, int] = {}
     seen_vertices: set[str] = set()
     seen_classes: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -66,7 +65,6 @@ def parse_graph(text: str) -> GraphDocument:
                     raise ParseError(f"duplicate vertex {v!r}", lineno, column)
                 seen_vertices.add(v)
                 vertices.append(v)
-                lines[v] = lineno
             continue
         m = _EDGE_RE.match(line)
         if m:
@@ -86,7 +84,6 @@ def parse_graph(text: str) -> GraphDocument:
                 if mult < 1:
                     raise ParseError("multiplicity must be >= 1", lineno, lead + m.start(2) + 1)
             classes.append((cid, src, dst, mult))
-            lines[cid] = lineno
             continue
         raise ParseError(f"unrecognized line {line!r}", lineno, 1)
     if name is None:
@@ -95,7 +92,7 @@ def parse_graph(text: str) -> GraphDocument:
         graph = Graph(vertices, classes)
     except InputError as exc:
         raise ParseError(str(exc)) from exc
-    return GraphDocument(name, graph, lines)
+    return GraphDocument(name, graph)
 
 
 def _fields(text: str, column: int, sep: str):

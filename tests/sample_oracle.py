@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from oeg.boundary import BoundaryPoint, check_listable, point_sort_key
-from oeg.graphs import Edge, Graph, Path, _least_rotation, _primitive_root_edges, default_loop_search_length, is_singular
+from oeg.graphs import Edge, Graph, Path, _least_rotation, _primitive_root_edges, is_singular
 
 
 def capped_out_edges(g: Graph, v: str, cap: int) -> Iterator[Edge]:
@@ -29,9 +29,7 @@ def capped_out_edges(g: Graph, v: str, cap: int) -> Iterator[Edge]:
             yield Edge(c.cid, i)
 
 
-def reference_simple_loops(g: Graph, max_len: int | None = None) -> list[Path]:
-    if max_len is None:
-        max_len = default_loop_search_length(g)
+def reference_simple_loops(g: Graph, max_len: int) -> list[Path]:
     check_listable(g.edge_classes, inf_cap=1)
     steps = {v: [(e, g.edge_dst(e)) for e in capped_out_edges(g, v, 1)] for v in g.vertices}
     found: set[tuple[Edge, ...]] = set()

@@ -9,7 +9,6 @@ import pytest
 from conftest import pt
 from sampling import random_graph, sample_points
 from oeg.dsl import (
-    GraphDocument,
     parse_germ,
     parse_graph,
     parse_element,
@@ -41,7 +40,6 @@ def test_parse_graph_example():
     doc = parse_graph(E1_TEXT)
     assert doc.name == "E1"
     assert doc.graph == arrow_into_loop()
-    assert doc.lines["a"] == 3
 
 
 def test_parse_graph_infinite_class():
@@ -93,8 +91,7 @@ def test_graph_roundtrip_corpus():
     rng = random.Random(31)
     for i in range(50):
         g = random_graph(rng, max_vertices=5, max_mult=3, edge_prob=0.45, inf_prob=0.2)
-        doc = GraphDocument(f"G{i}", g, {})
-        assert parse_graph(print_graph(doc)).graph == g
+        assert parse_graph(print_graph(g, f"G{i}")).graph == g
 
 
 def test_point_roundtrip(e1, amp):
@@ -285,8 +282,9 @@ def test_graph_lines_break_only_at_newlines(char):
     """A form feed in a comment once ended the line, so the rest of the
     comment was read as a line of its own, and later lines were numbered
     one too far."""
-    doc = parse_graph(f"graph A\nvertex u, v  # two vertices{char}really\nedge a: u -> v\n")
-    assert doc.lines == {"u": 2, "v": 2, "a": 3}
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"graph A\nvertex u, v  # two vertices{char}really\nedge a: u -> w\n")
+    assert (err.value.line, err.value.column) == (3, 14)
     text = f"graph A\r\n# a{char}comment\rvertex u, v\n\nedge a: u -> v\nedge a: v -> u\n"
     with pytest.raises(ParseError) as err:
         parse_graph(text)

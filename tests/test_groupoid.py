@@ -162,12 +162,11 @@ def test_principality_probe_finds_shortest_point():
     assert principality_report(back, z).trivial_point == pt(back, "y.z.x")
 
 
-@pytest.mark.parametrize("shape", ["chain", "ring", "parallel"])
-def test_principality_probe_scales(shape):
-    """A 1500-vertex chain (past the recursion limit of a depth-first walk),
-    a ring of 22 doubled edges (2**22 paths, no singular vertex) and a class
-    of 10**12 parallel edges, of which only the first one the probe allows
-    counts, each take well under a second."""
+PROBE_SHAPES = ["chain", "ring", "parallel"]
+
+
+def _probe_shape(shape):
+    """The graph and probe cylinder of one shape of the scale test below."""
     excluded = []
     if shape == "chain":
         verts = [f"v{i}" for i in range(1500)]
@@ -180,8 +179,18 @@ def test_principality_probe_scales(shape):
         verts = ["u", "v", "w"]
         g = Graph(verts, [("a", "u", "v", 10**12), ("b", "v", "v", 1), ("c", "v", "w", 1), ("d", "u", "u", 1)])
         excluded = [Edge("d", 0), Edge("a", 0)]
+    return g, make_cylinder(g, g.path((), at=verts[0]), excluded)
+
+
+@pytest.mark.parametrize("shape", PROBE_SHAPES)
+def test_principality_probe_scales(shape):
+    """A 1500-vertex chain (past the recursion limit of a depth-first walk),
+    a ring of 22 doubled edges (2**22 paths, no singular vertex) and a class
+    of 10**12 parallel edges, of which only the first one the probe allows
+    counts, each take well under a second."""
+    g, z = _probe_shape(shape)
     start = time.perf_counter()
-    rep = principality_report(g, make_cylinder(g, g.path((), at=verts[0]), excluded))
+    rep = principality_report(g, z)
     assert time.perf_counter() - start < 1.0
     if shape == "chain":
         assert rep.trivial_point.pre == tuple(Edge(f"e{i}", 0) for i in range(1499))
@@ -189,6 +198,38 @@ def test_principality_probe_scales(shape):
         assert rep.principal and rep.trivial_point is None and rep.probe_note
     else:
         assert rep.trivial_point == pt(g, "a[1].c")
+
+
+def test_one_search_matches_the_old_two():
+    """``boundary._cycle_through`` at every vertex on a cycle and
+    ``_finite_point_in`` on 3 random cylinders per graph give the answers of
+    the two searches that ``boundary._shortest_path`` replaced, kept in
+    ``search_oracle``: on the pool, on 400 random graphs with infinite
+    classes, and on the probe shapes of the scale test (their own probes,
+    as a class of 10**12 edges is not listed for a random cylinder)."""
+    import search_oracle
+    from oeg.boundary import _cycle_through
+    from oeg.digraphs import condensation
+    from sampling import random_cylinders, random_graph
+
+    rng = random.Random(33)
+    randoms = [random_graph(rng, 6, 3, 0.4, inf_prob=0.2) for _ in range(400)]
+    probes = [_probe_shape(shape) for shape in PROBE_SHAPES]
+    loops = points = 0
+    for g in [*iter_small_graphs(3), *randoms, *(g for g, _ in probes)]:
+        cond = condensation(g)
+        for i, v in enumerate(g.vertices):
+            if cond.label[cond.comp[i]][1]:
+                assert _cycle_through(g, v) == search_oracle._cycle_through(g, v)
+                loops += 1
+    for g in [*iter_small_graphs(3), *randoms]:
+        for z in random_cylinders(rng, g, 3):
+            got = _finite_point_in(g, z)
+            assert got == search_oracle._finite_point_in(g, z)
+            points += got is not None
+    for g, z in probes:
+        assert _finite_point_in(g, z) == search_oracle._finite_point_in(g, z)
+    assert loops > 10000 and points > 1500  # both searches do real work
 
 
 def _depth_first_point(g, z):

@@ -323,6 +323,29 @@ def test_phi_check_catches_each_weakened_rule(monkeypatch, request, weaken, grap
     assert rep.bijection_ok and rep.winding_ok and not rep.equivalence_ok
 
 
+def test_germs_agree_gets_the_shorter_nu_first(monkeypatch):
+    """``_germs_agree`` aligns ``b`` past ``a`` and so needs ``a[0] <= b[0]``:
+    both call sites pass a class's first germ before its later ones, and
+    classes in the order they were first seen, so the shorter ``nu`` comes
+    first on every call over the 70 finite-boundary pool graphs and every
+    10th other pool graph."""
+    import oeg.weyl as weyl
+
+    real, calls = weyl._germs_agree, []
+
+    def spy(heads, x, period, a, b):
+        calls.append(a[0] <= b[0])
+        return real(heads, x, period, a, b)
+
+    monkeypatch.setattr(weyl, "_germs_agree", spy)
+    finite, other = [], []
+    for g in iter_small_graphs(3):
+        (finite if tail_class_sizes(g) is not None else other).append(g)
+    for g in finite + other[::10]:
+        phi_bijectivity_check(g, 3, 18)
+    assert len(calls) > 100_000 and all(calls)
+
+
 def _value_germs(g, pool, bound):
     """Every germ of the phi check as a value: (nu, mu, anchor) over the
     pool, with both |nu| and |mu| at most ``bound``, in anchor order and
